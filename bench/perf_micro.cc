@@ -290,10 +290,10 @@ BENCHMARK(BM_ObsDisarmedTraced);
 
 // Dispatch-overhead pair on the paper's 8-qubit MQO example: the serial
 // path runs the exact oracle directly; the raced path fans the portfolio
-// out over the thread pool, streams incumbents through the shared cell
-// and cancels the losers. The gap between the two is the full cost of
-// the racing machinery (lane setup, incumbent publishing, cancellation,
-// drain), which the perf gate tracks alongside the solver kernels.
+// out over the thread pool, cancels the losers and reduces the lane
+// slots to a winner. The gap between the two is the full cost of the
+// racing machinery (lane setup, cancellation, join, reduction), which
+// the perf gate tracks alongside the solver kernels.
 void BM_RaceDispatchSerial(benchmark::State& state) {
   const MqoProblem problem = MakePaperExampleMqo();
   OptimizerOptions options;

@@ -1,14 +1,12 @@
 #include "core/quantum_optimizer.h"
 
 #include <algorithm>
-#include <atomic>
+#include <array>
 #include <cctype>
-#include <chrono>
-#include <condition_variable>
 #include <exception>
-#include <future>
 #include <limits>
-#include <mutex>
+#include <optional>
+#include <span>
 #include <utility>
 
 #include "anneal/pegasus.h"
@@ -50,14 +48,38 @@ bool IsQuantumBackend(Backend backend) {
   return false;
 }
 
-/// Dispatches a QUBO to the selected backend and returns the bit string it
-/// found (plus its energy).
+/// What a backend returned: the bit string it found and its energy.
 struct BackendResult {
   std::vector<std::uint8_t> bits;
   double energy = 0.0;
   /// The backend expired mid-run but returned a valid best-so-far state
   /// (anytime backends: SA and the annealer emulation).
   bool timed_out = false;
+};
+
+/// Why a lane runs; indexes kLaneSites, its trace span. Race lanes are
+/// also the `race.lane` fault site, and a salvage lane swaps the SA
+/// options for the cheapest anytime read (see SalvageRead).
+enum class LaneKind { kAttempt, kSalvage, kFallback, kRace };
+constexpr const char* kLaneSites[] = {"solve.attempt", "solve.salvage",
+                                      "solve.fallback", "race.lane"};
+
+/// The dispatch primitive: one backend attempt with its seed and stage
+/// deadline. Serial and race are two schedules over lanes.
+struct Lane {
+  Backend backend = Backend::kSimulatedAnnealing;
+  std::uint64_t seed = 0;
+  Deadline deadline;
+  LaneKind kind = LaneKind::kAttempt;
+};
+
+/// What one lane produced: an OK status with the backend's state, or the
+/// failure that ended it.
+struct LaneResult {
+  Backend backend = Backend::kSimulatedAnnealing;
+  Status status = OkStatus();
+  BackendResult result;
+  double elapsed_ms = 0.0;
 };
 
 /// The stage deadline applies only when the sub-options did not already
@@ -67,9 +89,20 @@ Deadline ComposeStageDeadline(const Deadline& local, const Deadline& stage) {
   return local_unset ? stage : local;
 }
 
-StatusOr<BackendResult> TrySolveQuboWithBackend(
-    const QuboModel& qubo, const OptimizerOptions& options, Backend backend,
-    const Deadline& stage_deadline) {
+/// The salvage lane's SA options: one read of at most 256 sweeps, the
+/// cheapest stand-in that still returns a valid state on what is left of
+/// the budget.
+AnnealOptions SalvageRead(const AnnealOptions& anneal) {
+  AnnealOptions cheap;
+  cheap.num_reads = 1;
+  cheap.num_sweeps = std::max(1, std::min(anneal.num_sweeps, 256));
+  return cheap;
+}
+
+StatusOr<BackendResult> TrySolveQuboWithBackend(const QuboModel& qubo,
+                                                const OptimizerOptions& options,
+                                                const Lane& lane) {
+  const Backend backend = lane.backend;
   const int n = qubo.NumVariables();
   if (n < 1) return InvalidArgumentError("QUBO has no variables");
   BackendResult result;
@@ -83,7 +116,7 @@ StatusOr<BackendResult> TrySolveQuboWithBackend(
       }
       // The 2^n enumeration is not interruptible, but the qubit cap keeps
       // it sub-second; refuse to even start once the budget is gone.
-      QOPT_RETURN_IF_ERROR(stage_deadline.Check());
+      QOPT_RETURN_IF_ERROR(lane.deadline.Check());
       QOPT_ASSIGN_OR_RETURN(BruteForceResult exact,
                             TrySolveQuboBruteForce(qubo));
       result.bits = std::move(exact.best_bits);
@@ -91,15 +124,17 @@ StatusOr<BackendResult> TrySolveQuboWithBackend(
       return result;
     }
     case Backend::kSimulatedAnnealing: {
-      AnnealOptions anneal = options.anneal;
+      AnnealOptions anneal = lane.kind == LaneKind::kSalvage
+                                 ? SalvageRead(options.anneal)
+                                 : options.anneal;
       if (anneal.num_reads < 1 || anneal.num_sweeps < 1) {
         return InvalidArgumentError(
             StrFormat("SA needs num_reads >= 1 and num_sweeps >= 1, got "
                       "%d / %d",
                       anneal.num_reads, anneal.num_sweeps));
       }
-      if (anneal.seed == 0) anneal.seed = options.seed;
-      anneal.deadline = ComposeStageDeadline(anneal.deadline, stage_deadline);
+      if (anneal.seed == 0) anneal.seed = lane.seed;
+      anneal.deadline = ComposeStageDeadline(anneal.deadline, lane.deadline);
       QOPT_ASSIGN_OR_RETURN(AnnealResult sa,
                             TrySolveQuboWithAnnealing(qubo, anneal));
       result.bits = std::move(sa.best_bits);
@@ -123,9 +158,9 @@ StatusOr<BackendResult> TrySolveQuboWithBackend(
             "variational options out of range (need qaoa_reps >= 1, "
             "vqe_reps >= 0, max_iterations >= 1, shots >= 1)");
       }
-      if (variational.seed == 0) variational.seed = options.seed;
+      if (variational.seed == 0) variational.seed = lane.seed;
       variational.deadline =
-          ComposeStageDeadline(variational.deadline, stage_deadline);
+          ComposeStageDeadline(variational.deadline, lane.deadline);
       QOPT_ASSIGN_OR_RETURN(
           VariationalResult hybrid,
           backend == Backend::kQaoa ? TrySolveQuboWithQaoa(qubo, variational)
@@ -148,9 +183,9 @@ StatusOr<BackendResult> TrySolveQuboWithBackend(
             "adiabatic options out of range (need steps >= 1, "
             "total_time > 0, shots >= 1)");
       }
-      if (adiabatic.seed == 0) adiabatic.seed = options.seed;
+      if (adiabatic.seed == 0) adiabatic.seed = lane.seed;
       adiabatic.deadline =
-          ComposeStageDeadline(adiabatic.deadline, stage_deadline);
+          ComposeStageDeadline(adiabatic.deadline, lane.deadline);
       QOPT_ASSIGN_OR_RETURN(AdiabaticResult evolved,
                             TrySolveQuboAdiabatically(qubo, adiabatic));
       result.bits = std::move(evolved.best_bits);
@@ -167,12 +202,12 @@ StatusOr<BackendResult> TrySolveQuboWithBackend(
         return InvalidArgumentError(
             "embedded SA needs num_reads >= 1 and num_sweeps >= 1");
       }
-      if (embedded.embed.seed == 0) embedded.embed.seed = options.seed;
-      if (embedded.anneal.seed == 0) embedded.anneal.seed = options.seed;
+      if (embedded.embed.seed == 0) embedded.embed.seed = lane.seed;
+      if (embedded.anneal.seed == 0) embedded.anneal.seed = lane.seed;
       embedded.embed.deadline =
-          ComposeStageDeadline(embedded.embed.deadline, stage_deadline);
+          ComposeStageDeadline(embedded.embed.deadline, lane.deadline);
       embedded.anneal.deadline =
-          ComposeStageDeadline(embedded.anneal.deadline, stage_deadline);
+          ComposeStageDeadline(embedded.anneal.deadline, lane.deadline);
       const SimpleGraph topology = MakePegasus(options.pegasus_m);
       if (n > topology.NumVertices()) {
         return UnavailableError(StrFormat(
@@ -200,12 +235,7 @@ StatusOr<BackendResult> TrySolveQuboWithBackend(
   return InternalError("unknown backend");
 }
 
-/// Backend dispatch with retries and graceful degradation: transient
-/// failures (kUnavailable) are retried with deterministic backoff and a
-/// fresh seed, a failed quantum backend falls back to a classical one
-/// (exact for small problems, SA otherwise) when options.classical_fallback
-/// is set, and a quantum stage that hits the deadline degrades to the
-/// cheapest classical stand-in while overall budget remains.
+/// One dispatched solve as the facade reports it.
 struct DispatchOutcome {
   BackendResult result;
   Backend backend_used = Backend::kSimulatedAnnealing;
@@ -214,155 +244,39 @@ struct DispatchOutcome {
   SolveStats stats;
 };
 
-StatusOr<DispatchOutcome> DispatchWithFallback(
-    const QuboModel& qubo, const OptimizerOptions& options) {
-  const SolveBudget& budget = options.budget;
-  QQO_TRACE_SPAN("solve.dispatch");
-  Stopwatch watch;
-  // An already-exhausted budget (e.g. --timeout-ms=0) fails fast before
-  // any backend runs.
-  QOPT_RETURN_IF_ERROR(budget.deadline.Check());
-
-  DispatchOutcome outcome;
-  Status failure = OkStatus();
-  const int max_attempts = std::max(1, budget.retry.max_attempts);
-  for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-    outcome.stats.attempts = attempt;
-    QQO_COUNT("solve.attempts", 1);
-    OptimizerOptions attempt_options = options;
-    attempt_options.seed = AttemptSeed(options.seed, attempt);
-    // A quantum stage gets at most 80% of the remaining budget, reserving
-    // slack for a classical fallback if it runs out of time. Classical
-    // backends get the full remainder: there is nothing cheaper to save
-    // time for.
-    Deadline stage = budget.deadline;
-    if (IsQuantumBackend(options.backend) && !budget.deadline.unbounded()) {
-      stage = budget.deadline.WithBudgetMillis(
-          0.8 * budget.deadline.RemainingMillis());
-    }
-    StatusOr<BackendResult> primary = [&] {
-      QQO_TRACE_SPAN("solve.attempt");
-      return TrySolveQuboWithBackend(qubo, attempt_options, options.backend,
-                                     stage);
-    }();
-    if (primary.ok()) {
-      outcome.result = *std::move(primary);
-      outcome.backend_used = options.backend;
-      outcome.stats.timed_out = outcome.result.timed_out;
-      if (outcome.result.timed_out) {
-        // Anytime backends (SA, annealer emulation) can expire mid-run yet
-        // return a valid best-so-far state; mark it degraded so the
-        // timed_out => degraded-or-error invariant holds.
-        outcome.degraded = true;
-        outcome.degradation_reason = StrFormat(
-            "%s backend stopped at the deadline with its best-so-far state",
-            BackendName(options.backend).c_str());
-      }
-      outcome.stats.elapsed_ms = watch.ElapsedMillis();
-      return outcome;
-    }
-    failure = primary.status();
-    // Cancellation is a caller decision: never retried, never degraded.
-    if (failure.code() == StatusCode::kCancelled) return failure;
-    if (failure.code() == StatusCode::kDeadlineExceeded) break;
-    if (attempt == max_attempts || !IsRetryableStatus(failure.code())) break;
-    QQO_TRACE_SPAN("solve.backoff");
-    if (!SleepWithDeadline(BackoffMillis(budget.retry, attempt),
-                           budget.deadline)) {
-      // SleepWithDeadline reports expiry and cancellation with the same
-      // `false`. A fired token must surface as kCancelled here — reporting
-      // it as a deadline would route a cancelled solve into the salvage
-      // path below and degrade it, violating the "kCancelled is never
-      // retried or degraded" contract.
-      if (budget.deadline.Cancelled()) {
-        return CancelledError("operation cancelled during retry backoff");
-      }
-      failure = DeadlineExceededError("deadline exceeded during retry backoff");
-      break;
-    }
-  }
-
-  if (!options.classical_fallback || !IsQuantumBackend(options.backend) ||
-      failure.code() == StatusCode::kInvalidArgument) {
-    // Invalid caller input is reported, not papered over by a fallback.
-    return failure;
-  }
-
-  if (failure.code() == StatusCode::kDeadlineExceeded) {
-    // The quantum stage burned its 80% share of the budget. If the
-    // reserved slack is gone too, give up; otherwise degrade to the
-    // cheapest classical stand-in — one deadline-aware anytime SA read,
-    // which always returns a valid state within the remaining budget.
-    if (Status remaining = budget.deadline.Check(); !remaining.ok()) {
-      // A token that fired while the quantum stage was timing out still
-      // wins: report kCancelled, never degrade a cancelled solve.
-      return remaining.code() == StatusCode::kCancelled ? remaining : failure;
-    }
-    QQO_TRACE_SPAN("solve.salvage");
-    // The salvage read is a real backend attempt: count it and continue
-    // the attempt-seed sequence past the N quantum attempts so its RNG
-    // stream is never correlated with any of them.
-    outcome.stats.attempts += 1;
-    QQO_COUNT("solve.attempts", 1);
-    AnnealOptions cheap;
-    cheap.num_reads = 1;
-    cheap.num_sweeps = std::max(1, std::min(options.anneal.num_sweeps, 256));
-    cheap.seed = AttemptSeed(options.seed, outcome.stats.attempts);
-    cheap.deadline = budget.deadline;
-    StatusOr<AnnealResult> salvage = TrySolveQuboWithAnnealing(qubo, cheap);
-    if (!salvage.ok()) {
-      return salvage.status().code() == StatusCode::kCancelled
-                 ? salvage.status()
-                 : failure;
-    }
-    outcome.result.bits = std::move(salvage->best_bits);
-    outcome.result.energy = salvage->best_energy;
-    outcome.backend_used = Backend::kSimulatedAnnealing;
-    outcome.degraded = true;
-    outcome.degradation_reason =
-        StrFormat("%s backend failed (%s)",
-                  BackendName(options.backend).c_str(),
-                  failure.ToString().c_str());
-    // The quantum stage timing out is what we degraded *from*; the report
-    // is timed_out only when the salvage read itself was truncated by the
-    // deadline instead of completing inside the reserved slack.
-    outcome.stats.timed_out = salvage->timed_out;
-    outcome.stats.elapsed_ms = watch.ElapsedMillis();
-    return outcome;
-  }
-
-  const Backend fallback = qubo.NumVariables() <= kMaxExactFallbackQubits
-                               ? Backend::kExact
-                               : Backend::kSimulatedAnnealing;
-  QQO_TRACE_SPAN("solve.fallback");
-  // Like the salvage read: the fallback solve is one more attempt, with
-  // the next seed in the attempt sequence (the original seed was consumed
-  // by attempt 1 already).
-  outcome.stats.attempts += 1;
+/// Runs one lane: the only code that executes a backend attempt, counts it
+/// in solve.attempts and turns a throwing backend into a Status.
+LaneResult RunLane(const QuboModel& qubo, const OptimizerOptions& options,
+                   const Lane& lane) {
+  QQO_TRACE_SPAN(kLaneSites[static_cast<int>(lane.kind)]);
   QQO_COUNT("solve.attempts", 1);
-  OptimizerOptions fallback_options = options;
-  fallback_options.seed = AttemptSeed(options.seed, outcome.stats.attempts);
-  StatusOr<BackendResult> secondary = TrySolveQuboWithBackend(
-      qubo, fallback_options, fallback, budget.deadline);
-  if (!secondary.ok()) return failure;
-  outcome.result = *std::move(secondary);
-  outcome.backend_used = fallback;
-  outcome.degraded = true;
-  outcome.degradation_reason =
-      StrFormat("%s backend failed (%s)", BackendName(options.backend).c_str(),
-                failure.ToString().c_str());
-  outcome.stats.timed_out = outcome.result.timed_out;
-  outcome.stats.elapsed_ms = watch.ElapsedMillis();
-  return outcome;
+  Stopwatch watch;
+  StatusOr<BackendResult> run = [&]() -> StatusOr<BackendResult> {
+    if (lane.kind == LaneKind::kRace) {
+      QOPT_RETURN_IF_ERROR(CheckFaultPoint("race.lane"));
+    }
+    try {
+      return TrySolveQuboWithBackend(qubo, options, lane);
+    } catch (const std::exception& e) {
+      return InternalError(StrFormat("%s lane threw: %s",
+                                     BackendName(lane.backend).c_str(),
+                                     e.what()));
+    }
+  }();
+  LaneResult out;
+  out.backend = lane.backend;
+  if (run.ok()) {
+    out.result = *std::move(run);
+  } else {
+    out.status = run.status();
+  }
+  out.elapsed_ms = watch.ElapsedMillis();
+  return out;
 }
 
-// ---------------------------------------------------------------------------
-// Portfolio racing (DispatchMode::kRace).
-// ---------------------------------------------------------------------------
-
-/// Fixed backend priority order for winner tie-breaks: on equal incumbent
-/// energy the lower rank wins, independent of which lane finished first.
-/// The exact oracle ranks first — it is the one *decisive* lane: its
+/// Fixed backend priority order for winner tie-breaks: on equal energy
+/// the lower rank wins, independent of which lane finished first. The
+/// exact oracle ranks first — it is the one *decisive* lane: its
 /// completion proves the global optimum, so it may cancel the survivors
 /// without ever changing the selected winner.
 int BackendRank(Backend backend) {
@@ -382,6 +296,196 @@ int BackendRank(Backend backend) {
   }
   return 6;
 }
+
+/// Per-lane attribution of a raced solve.
+RaceLaneStats LaneStats(const LaneResult& lane, bool won) {
+  RaceLaneStats stats;
+  stats.backend = lane.backend;
+  stats.elapsed_ms = lane.elapsed_ms;
+  stats.won = won;
+  const StatusCode code = lane.status.code();
+  if (code == StatusCode::kOk) {
+    stats.outcome = "ok";
+    stats.incumbent = true;
+    stats.incumbent_energy = lane.result.energy;
+  } else if (code == StatusCode::kCancelled) {
+    stats.outcome = "cancelled";
+  } else if (code == StatusCode::kDeadlineExceeded) {
+    stats.outcome = "deadline";
+  } else {
+    stats.outcome = StatusCodeName(code);
+    for (char& c : stats.outcome) {
+      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    }
+  }
+  return stats;
+}
+
+/// The one reducer: turns the lanes a schedule ran into the dispatch
+/// outcome, and alone owns the dispatch invariants:
+///   - a cancelled caller gets kCancelled, never a retried, degraded or
+///     reported result;
+///   - the requested lane's kInvalidArgument always surfaces;
+///   - when no lane succeeded, the requested lane's failure surfaces;
+///   - the winner is the minimum of (energy, BackendRank) over the
+///     successful lanes, so it never depends on which lane finished first;
+///   - a timed-out winner is degraded, and so is a stand-in that won after
+///     the requested lane genuinely failed (not merely out-raced, nor
+///     cancelled by the decisive oracle);
+///   - attempts counts every lane run.
+/// `lanes` holds one slot per lane, the requested backend's among them
+/// (for serial: its latest retry); `lanes_run` counts retries too.
+StatusOr<DispatchOutcome> ReduceLanes(const OptimizerOptions& options,
+                                      std::span<LaneResult> lanes,
+                                      int lanes_run, bool raced,
+                                      const Stopwatch& watch) {
+  const Deadline& deadline = options.budget.deadline;
+  if (deadline.Cancelled()) {
+    for (const LaneResult& lane : lanes) {
+      if (lane.status.code() == StatusCode::kCancelled) return lane.status;
+    }
+    return deadline.Check();
+  }
+  const LaneResult& requested = *std::find_if(
+      lanes.begin(), lanes.end(),
+      [&](const LaneResult& lane) { return lane.backend == options.backend; });
+  // Backend option validation runs before any deadline poll, so this
+  // failure is timing-independent.
+  if (requested.status.code() == StatusCode::kInvalidArgument) {
+    return requested.status;
+  }
+  LaneResult* winner = nullptr;
+  for (LaneResult& lane : lanes) {
+    if (!lane.status.ok()) continue;
+    if (winner == nullptr ||
+        std::pair(lane.result.energy, BackendRank(lane.backend)) <
+            std::pair(winner->result.energy, BackendRank(winner->backend))) {
+      winner = &lane;
+    }
+  }
+  if (winner == nullptr) return requested.status;
+
+  DispatchOutcome outcome;
+  outcome.backend_used = winner->backend;
+  const bool timed_out = winner->result.timed_out;
+  const bool stood_in = winner->backend != options.backend &&
+                        !requested.status.ok() &&
+                        requested.status.code() != StatusCode::kCancelled;
+  outcome.degraded = timed_out || stood_in;
+  // When both apply, serial names the failure the stand-in replaced and
+  // race names the truncated winner.
+  if (timed_out && (raced || !stood_in)) {
+    outcome.degradation_reason = StrFormat(
+        "%s %s stopped at the deadline with its best-so-far state",
+        BackendName(winner->backend).c_str(),
+        raced ? "race winner" : "backend");
+  } else if (stood_in) {
+    outcome.degradation_reason =
+        StrFormat("%s backend failed (%s)", BackendName(options.backend).c_str(),
+                  requested.status.ToString().c_str());
+  }
+  if (raced) {
+    outcome.stats.lanes.reserve(lanes.size());
+    for (const LaneResult& lane : lanes) {
+      outcome.stats.lanes.push_back(LaneStats(lane, &lane == winner));
+    }
+  }
+  outcome.result = std::move(winner->result);
+  outcome.stats.attempts = lanes_run;
+  outcome.stats.timed_out = timed_out;
+  outcome.stats.elapsed_ms = watch.ElapsedMillis();
+  return outcome;
+}
+
+// ---------------------------------------------------------------------------
+// Serial schedule (DispatchMode::kSerial).
+// ---------------------------------------------------------------------------
+
+/// The serial successor of the requested backend's last lane, picked from
+/// its `failure`. None when the caller opted out of fallback, the backend
+/// is classical, the input was invalid or the lane was cancelled. A
+/// quantum stage that hit its wall gets a salvage read while budget
+/// remains; any other quantum failure gets the classical fallback — exact
+/// up to kMaxExactFallbackQubits, SA above. Either runs on the full
+/// remaining budget with the next seed of the attempt sequence, so its
+/// RNG stream never repeats an earlier attempt's.
+std::optional<Lane> StandInLane(int num_variables,
+                                const OptimizerOptions& options,
+                                const Status& failure, int attempt) {
+  const StatusCode code = failure.code();
+  if (failure.ok() || !options.classical_fallback ||
+      !IsQuantumBackend(options.backend) ||
+      code == StatusCode::kInvalidArgument || code == StatusCode::kCancelled) {
+    return std::nullopt;
+  }
+  const Deadline& deadline = options.budget.deadline;
+  Lane lane{Backend::kSimulatedAnnealing, AttemptSeed(options.seed, attempt),
+            deadline, LaneKind::kFallback};
+  if (code == StatusCode::kDeadlineExceeded) {
+    // The quantum stage burned its 80% share; salvage on the reserved
+    // slack, if any is left.
+    if (!deadline.Check().ok()) return std::nullopt;
+    lane.kind = LaneKind::kSalvage;
+  } else if (num_variables <= kMaxExactFallbackQubits) {
+    lane.backend = Backend::kExact;
+  }
+  return lane;
+}
+
+/// Serial schedule: the requested backend's lanes one after another —
+/// kUnavailable retries with the next AttemptSeed after the seeded
+/// backoff — then at most one stand-in lane (StandInLane). A quantum lane
+/// gets at most 80% of the remaining budget, reserving slack for the
+/// stand-in; classical lanes get the full remainder.
+StatusOr<DispatchOutcome> RunSerial(const QuboModel& qubo,
+                                    const OptimizerOptions& options) {
+  const SolveBudget& budget = options.budget;
+  QQO_TRACE_SPAN("solve.dispatch");
+  Stopwatch watch;
+  // An already-exhausted budget (e.g. --timeout-ms=0) fails fast before
+  // any backend runs.
+  QOPT_RETURN_IF_ERROR(budget.deadline.Check());
+
+  // [0]: the requested backend's latest lane; [1]: the stand-in.
+  std::array<LaneResult, 2> lanes;
+  const int max_attempts = std::max(1, budget.retry.max_attempts);
+  int run = 0;
+  for (;;) {
+    Lane lane{options.backend, AttemptSeed(options.seed, ++run),
+              budget.deadline, LaneKind::kAttempt};
+    if (IsQuantumBackend(options.backend) && !budget.deadline.unbounded()) {
+      lane.deadline = budget.deadline.WithBudgetMillis(
+          0.8 * budget.deadline.RemainingMillis());
+    }
+    lanes[0] = RunLane(qubo, options, lane);
+    if (run == max_attempts || !IsRetryableStatus(lanes[0].status.code())) {
+      break;
+    }
+    QQO_TRACE_SPAN("solve.backoff");
+    if (!SleepWithDeadline(BackoffMillis(budget.retry, run),
+                           budget.deadline)) {
+      // SleepWithDeadline reports expiry and cancellation alike.
+      lanes[0].status =
+          budget.deadline.Cancelled()
+              ? CancelledError("operation cancelled during retry backoff")
+              : DeadlineExceededError(
+                    "deadline exceeded during retry backoff");
+      break;
+    }
+  }
+  const std::optional<Lane> stand_in =
+      StandInLane(qubo.NumVariables(), options, lanes[0].status, run + 1);
+  if (!stand_in) {
+    return ReduceLanes(options, std::span(lanes).first(1), run,
+                       /*raced=*/false, watch);
+  }
+  lanes[1] = RunLane(qubo, options, *stand_in);
+  return ReduceLanes(options, lanes, run + 1, /*raced=*/false, watch);
+}
+
+// ---------------------------------------------------------------------------
+// Race schedule (DispatchMode::kRace).
+// ---------------------------------------------------------------------------
 
 /// Race-lane qubit caps for the *extra* lanes the racer adds next to the
 /// requested backend. They are deliberately tighter than the serial caps:
@@ -421,103 +525,32 @@ std::vector<Backend> RacePortfolio(int num_variables,
   return portfolio;
 }
 
-/// Seeded tie-break key for one lane. Ranks are already unique per lane,
-/// so this third key only matters if two lanes ever share a rank; it
-/// keeps the selection total order seed-deterministic regardless.
-std::uint64_t LaneTieKey(std::uint64_t seed, int rank) {
-  return AttemptSeed(seed, 1000 + rank);
+/// One race lane (named helper: runs inside the race's ParallelFor, where
+/// any nested ParallelFor the backend issues runs inline serially). The
+/// exact oracle is decisive: its optimum outranks anything a survivor
+/// could still return, so on success it cancels them instead of paying
+/// for their tail.
+LaneResult RunRaceLane(const QuboModel& qubo, const OptimizerOptions& options,
+                       const Lane& lane, CancelToken* race_token) {
+  LaneResult result = RunLane(qubo, options, lane);
+  if (result.status.ok() && lane.backend == Backend::kExact) {
+    race_token->Cancel();
+  } else if (result.status.code() == StatusCode::kCancelled) {
+    QQO_COUNT("race.cancelled_lanes", 1);
+  }
+  return result;
 }
 
-/// Shared best-so-far cell the racing lanes stream their incumbents
-/// through. The energy mirror is a lock-free peek (metrics, leading-lane
-/// checks); the full incumbent — bits plus the deterministic tie-break
-/// tuple — lives behind the mutex. Publish order is timing-dependent but
-/// the comparison is a total order over timing-independent values, so the
-/// final content is the minimum over published lanes no matter how the
-/// race interleaved.
-class IncumbentCell {
- public:
-  /// Installs (energy, rank, tie_key) if it beats the current incumbent
-  /// lexicographically. Returns true when the candidate took the cell.
-  bool Publish(double energy, int rank, std::uint64_t tie_key,
-               const std::vector<std::uint8_t>& bits, Backend backend,
-               bool timed_out) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (has_value_) {
-      const bool better =
-          energy < energy_ ||
-          (energy == energy_ &&
-           (rank < rank_ || (rank == rank_ && tie_key < tie_key_)));
-      if (!better) return false;
-    }
-    has_value_ = true;
-    energy_ = energy;
-    rank_ = rank;
-    tie_key_ = tie_key;
-    bits_ = bits;
-    backend_ = backend;
-    timed_out_ = timed_out;
-    fast_energy_.store(energy, std::memory_order_release);
-    return true;
-  }
-
-  bool has_value() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return has_value_;
-  }
-
-  /// Lock-free peek at the leading energy (meaningful once a lane
-  /// published; +inf before that).
-  double PeekEnergy() const {
-    return fast_energy_.load(std::memory_order_acquire);
-  }
-
-  /// Moves the winning incumbent out. Call once, after the race settled.
-  BackendResult TakeWinner(Backend* backend) {
-    std::lock_guard<std::mutex> lock(mu_);
-    BackendResult result;
-    result.bits = std::move(bits_);
-    result.energy = energy_;
-    result.timed_out = timed_out_;
-    *backend = backend_;
-    return result;
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::atomic<double> fast_energy_{
-      std::numeric_limits<double>::infinity()};
-  bool has_value_ = false;
-  double energy_ = 0.0;
-  int rank_ = 0;
-  std::uint64_t tie_key_ = 0;
-  std::vector<std::uint8_t> bits_;
-  Backend backend_ = Backend::kSimulatedAnnealing;
-  bool timed_out_ = false;
-};
-
-/// Per-lane bookkeeping the race fills in; read only after every lane
-/// future is drained.
-struct RaceLaneState {
-  Status status = OkStatus();
-  bool ok = false;
-  bool published = false;
-  double published_energy = 0.0;
-  double elapsed_ms = 0.0;
-};
-
-/// Portfolio racer: every lane of RacePortfolio() runs concurrently on
-/// the default ThreadPool against the caller's deadline plus a shared
-/// race CancelToken. Lanes publish their finished state to the incumbent
-/// cell; only the exact oracle is decisive (fires the token early, see
-/// BackendRank). Winner selection is the cell minimum — deterministic at
-/// any thread count because a cancelled lane can only be beaten to the
-/// cell by the exact lane, which outranks everything it could have
-/// published. At pool size 1 Submit() runs lanes inline in priority
-/// order, so the exact lane completes first and the survivors cancel at
-/// their first deadline poll — the race costs about one exact solve.
-StatusOr<DispatchOutcome> DispatchRace(const QuboModel& qubo,
-                                       const OptimizerOptions& options) {
+/// Race schedule: every RacePortfolio lane runs at once on the default
+/// pool. The calling thread claims lanes itself through ParallelFor, so a
+/// raced solve running on a pool worker never waits for lanes queued
+/// behind it. Each lane writes its own slot and ReduceLanes picks the
+/// winner after the join, so the report does not depend on the thread
+/// count. At pool size 1 the lanes run inline in rank order: the exact
+/// lane finishes first and the survivors stop at their first deadline
+/// poll, so the race costs about one exact solve.
+StatusOr<DispatchOutcome> RunRace(const QuboModel& qubo,
+                                  const OptimizerOptions& options) {
   const SolveBudget& budget = options.budget;
   QQO_TRACE_SPAN("solve.race");
   Stopwatch watch;
@@ -525,173 +558,29 @@ StatusOr<DispatchOutcome> DispatchRace(const QuboModel& qubo,
 
   const std::vector<Backend> portfolio =
       RacePortfolio(qubo.NumVariables(), options);
-  const int num_lanes = static_cast<int>(portfolio.size());
-  QQO_COUNT("race.lanes", num_lanes);
-
-  // The race token is linked to the caller's own token: a caller-side
-  // cancellation trips every lane at its next poll with no forwarding
-  // thread in between (essential at pool size 1, where lanes run inline
-  // on this very thread and nobody could forward).
+  QQO_COUNT("race.lanes", static_cast<long long>(portfolio.size()));
+  // Lanes keep the caller's wall-clock budget but swap in a race token
+  // linked to the caller's own, so a caller cancel reaches every lane at
+  // its next poll with no forwarding thread. Deadline expiry is never
+  // turned into a cancel: the anytime backends must still return their
+  // best-so-far state (OK + timed_out) when time runs out.
   CancelToken race_token(budget.deadline.token());
-  IncumbentCell cell;
-  std::vector<RaceLaneState> lanes(portfolio.size());
-  std::mutex mu;
-  std::condition_variable lanes_done;
-  int outstanding = num_lanes;
-
-  ThreadPool& pool = ThreadPool::Default();
-  std::vector<std::future<void>> futures;
-  futures.reserve(portfolio.size());
-  for (std::size_t i = 0; i < portfolio.size(); ++i) {
-    futures.push_back(pool.Submit([&, i] {
-      QQO_TRACE_SPAN("race.lane");
-      const Backend backend = portfolio[i];
-      const int rank = BackendRank(backend);
-      RaceLaneState& lane = lanes[i];
-      Stopwatch lane_watch;
-      // Each lane consumes one real backend attempt (even a lane the
-      // token cancels mid-run did real work before stopping).
-      QQO_COUNT("solve.attempts", 1);
-      // The race deadline keeps the caller's wall-clock budget but swaps
-      // in the linked race token, which observes the caller's token too.
-      const Deadline lane_deadline = budget.deadline.WithToken(&race_token);
-      StatusOr<BackendResult> run = [&]() -> StatusOr<BackendResult> {
-        QOPT_RETURN_IF_ERROR(CheckFaultPoint("race.lane"));
-        try {
-          return TrySolveQuboWithBackend(qubo, options, backend,
-                                         lane_deadline);
-        } catch (const std::exception& e) {
-          return InternalError(StrFormat("race lane %s threw: %s",
-                                         BackendName(backend).c_str(),
-                                         e.what()));
-        }
-      }();
-      lane.elapsed_ms = lane_watch.ElapsedMillis();
-      if (run.ok()) {
-        lane.ok = true;
-        lane.published_energy = run->energy;
-        lane.published = cell.Publish(run->energy, rank,
-                                      LaneTieKey(options.seed, rank),
-                                      run->bits, backend, run->timed_out);
-        if (lane.published) QQO_COUNT("race.incumbents", 1);
-        if (backend == Backend::kExact) {
-          // Decisive: the oracle's energy is the global minimum and its
-          // rank beats every survivor, so no lane still running can
-          // displace it — cancel them instead of paying for their tail.
-          race_token.Cancel();
-        }
-      } else {
-        lane.status = run.status();
-        if (lane.status.code() == StatusCode::kCancelled) {
-          QQO_COUNT("race.cancelled_lanes", 1);
-        }
-      }
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        --outstanding;
-      }
-      lanes_done.notify_one();
-    }));
+  const Deadline deadline = budget.deadline.WithToken(&race_token);
+  std::vector<LaneResult> lanes(portfolio.size());
+  const auto run_lane = [&](std::size_t i) {
+    lanes[i] = RunRaceLane(
+        qubo, options, {portfolio[i], options.seed, deadline, LaneKind::kRace},
+        &race_token);
+  };
+  if (lanes.size() == 1) {
+    // A lone lane runs on this thread, so its kernels stay parallel.
+    run_lane(0);
+  } else {
+    // NOLINTNEXTLINE(qqo-deadline-plumbing): every lane must start so the requested lane's option errors surface; each lane polls `deadline` itself
+    ThreadPool::Default().ParallelFor(lanes.size(), run_lane);
   }
-
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    // QQO_LOOP(race.wait)
-    while (outstanding > 0) {
-      lanes_done.wait_for(lock, std::chrono::milliseconds(10));
-      QQO_COUNT("race.wait_polls", 1);
-      // Cancellation needs no forwarding here — the linked race token
-      // already reflects the caller's token — and deadline *expiry* is
-      // deliberately never turned into a cancel: lanes share the
-      // wall-clock budget, and the anytime backends must keep returning
-      // their best-so-far state (OK + timed_out) instead of kCancelled
-      // when time runs out. The wait only drains surviving lanes.
-      if (budget.deadline.Cancelled()) QQO_COUNT("race.cancel_waits", 1);
-    }
-  }
-  for (std::future<void>& future : futures) future.get();
-
-  // The caller cancelled: the whole solve is kCancelled, never a report.
-  if (budget.deadline.Cancelled()) {
-    return CancelledError("solve cancelled during backend race");
-  }
-
-  // Invalid caller input is reported, never masked by a sibling lane
-  // that happened to win. Backend option validation runs before any
-  // deadline poll, so this failure is timing-independent.
-  for (std::size_t i = 0; i < portfolio.size(); ++i) {
-    if (portfolio[i] == options.backend &&
-        lanes[i].status.code() == StatusCode::kInvalidArgument) {
-      return lanes[i].status;
-    }
-  }
-
-  DispatchOutcome outcome;
-  outcome.stats.attempts = num_lanes;
-  outcome.stats.elapsed_ms = watch.ElapsedMillis();
-
-  Status requested_failure = OkStatus();
-  for (std::size_t i = 0; i < portfolio.size(); ++i) {
-    if (portfolio[i] == options.backend) requested_failure = lanes[i].status;
-  }
-
-  if (!cell.has_value()) {
-    // Every lane failed. Surface the requested backend's own failure;
-    // when even that is somehow OK-but-unpublished, fall back to the
-    // highest-priority lane failure.
-    if (!requested_failure.ok()) return requested_failure;
-    for (const RaceLaneState& lane : lanes) {
-      if (!lane.status.ok()) return lane.status;
-    }
-    return InternalError("race finished with no incumbent and no failure");
-  }
-
-  Backend winner_backend = Backend::kSimulatedAnnealing;
-  outcome.result = cell.TakeWinner(&winner_backend);
-  outcome.backend_used = winner_backend;
-  outcome.stats.timed_out = outcome.result.timed_out;
-  if (outcome.result.timed_out) {
-    outcome.degraded = true;
-    outcome.degradation_reason = StrFormat(
-        "%s race winner stopped at the deadline with its best-so-far state",
-        BackendName(winner_backend).c_str());
-  } else if (winner_backend != options.backend && !requested_failure.ok() &&
-             requested_failure.code() != StatusCode::kCancelled) {
-    // The lane the caller asked for genuinely failed and a stand-in won.
-    // (A lane merely out-raced — or cancelled by the decisive oracle — is
-    // not a degradation: the winner is at least as good a result.)
-    outcome.degraded = true;
-    outcome.degradation_reason = StrFormat(
-        "%s backend failed (%s)", BackendName(options.backend).c_str(),
-        requested_failure.ToString().c_str());
-  }
-
-  outcome.stats.lanes.reserve(portfolio.size());
-  for (std::size_t i = 0; i < portfolio.size(); ++i) {
-    RaceLaneStats lane_stats;
-    lane_stats.backend = portfolio[i];
-    const RaceLaneState& lane = lanes[i];
-    if (lane.ok) {
-      lane_stats.outcome = "ok";
-      lane_stats.incumbent = true;
-      lane_stats.incumbent_energy = lane.published_energy;
-    } else if (lane.status.code() == StatusCode::kCancelled) {
-      lane_stats.outcome = "cancelled";
-    } else if (lane.status.code() == StatusCode::kDeadlineExceeded) {
-      lane_stats.outcome = "deadline";
-    } else {
-      std::string code_name(StatusCodeName(lane.status.code()));
-      for (char& c : code_name) {
-        c = static_cast<char>(
-            std::tolower(static_cast<unsigned char>(c)));
-      }
-      lane_stats.outcome = std::move(code_name);
-    }
-    lane_stats.elapsed_ms = lane.elapsed_ms;
-    lane_stats.won = lane.ok && portfolio[i] == winner_backend;
-    outcome.stats.lanes.push_back(std::move(lane_stats));
-  }
-  return outcome;
+  return ReduceLanes(options, lanes, static_cast<int>(lanes.size()),
+                     /*raced=*/true, watch);
 }
 
 // ---------------------------------------------------------------------------
@@ -726,7 +615,7 @@ Backend SubproblemBackend(int num_variables, const OptimizerOptions& options) {
                               : Backend::kSimulatedAnnealing;
 }
 
-/// Solves one clamped block through the serial dispatch pipeline
+/// Solves one clamped block through the serial schedule
 /// (named helper: runs inside the decomposer's ParallelFor workers, where
 /// any nested ParallelFor the backends issue executes inline serially).
 /// Retries are disabled per block — a transient failure just keeps the
@@ -738,8 +627,6 @@ StatusOr<SubproblemResult> SolveDecomposeSubproblem(
     const OptimizerOptions& base) {
   QOPT_RETURN_IF_ERROR(CheckFaultPoint("decompose.subproblem"));
   OptimizerOptions options = base;
-  options.decompose = 0;
-  options.dispatch = DispatchMode::kSerial;
   options.backend = SubproblemBackend(subproblem.NumVariables(), base);
   options.seed = seed;
   options.budget.deadline = deadline;
@@ -754,15 +641,14 @@ StatusOr<SubproblemResult> SolveDecomposeSubproblem(
   options.anneal.num_reads = std::min(std::max(1, base.anneal.num_reads), 8);
   options.anneal.num_sweeps =
       std::min(std::max(1, base.anneal.num_sweeps), 1000);
-  QOPT_ASSIGN_OR_RETURN(DispatchOutcome outcome,
-                        DispatchWithFallback(subproblem, options));
+  QOPT_ASSIGN_OR_RETURN(DispatchOutcome outcome, RunSerial(subproblem, options));
   SubproblemResult result;
   result.bits = std::move(outcome.result.bits);
   return result;
 }
 
 /// Decomposed dispatch: run the qbsolv-style round loop with the serial
-/// pipeline as the block solver, then surface the incumbent as a regular
+/// schedule as the block solver, then surface the incumbent as a regular
 /// dispatch outcome. backend_used reports the *requested* backend — the
 /// blocks routed through it wherever they fit its budget — and a
 /// deadline-truncated loop degrades (timed_out => degraded-or-error).
@@ -810,10 +696,8 @@ StatusOr<DispatchOutcome> DispatchQubo(const QuboModel& qubo,
   if (options.decompose > 0 && qubo.NumVariables() > options.decompose) {
     return DispatchDecomposed(qubo, options);
   }
-  if (options.dispatch == DispatchMode::kRace) {
-    return DispatchRace(qubo, options);
-  }
-  return DispatchWithFallback(qubo, options);
+  return options.dispatch == DispatchMode::kRace ? RunRace(qubo, options)
+                                                 : RunSerial(qubo, options);
 }
 
 }  // namespace

@@ -37,15 +37,13 @@ std::string BackendName(Backend backend);
 
 /// How the facade schedules backends for one solve.
 enum class DispatchMode {
-  /// PR 2/3 semantics: run the requested backend (with retries), then
-  /// degrade to a classical fallback when it fails recoverably.
+  /// Run the requested backend (with retries), then degrade to a
+  /// classical stand-in when it fails recoverably.
   kSerial,
-  /// Portfolio racing: launch the requested backend plus cheap classical
-  /// and quantum lanes concurrently on the default ThreadPool, stream
-  /// incumbents through a shared best-so-far cell and return the winner.
-  /// Winner selection is deterministic (energy, then a fixed backend
-  /// priority order, then a seeded tie-break key) regardless of thread
-  /// count or lane timing.
+  /// Portfolio racing: run the requested backend plus cheap classical
+  /// and quantum lanes concurrently on the default ThreadPool and return
+  /// the winner. Winner selection is deterministic (energy, then a fixed
+  /// backend priority order) regardless of thread count or lane timing.
   kRace,
 };
 
@@ -79,10 +77,10 @@ struct RaceLaneStats {
   /// "internal", ...) when the lane failed.
   std::string outcome;
   double elapsed_ms = 0.0;    ///< Wall-clock of this lane (not stable).
-  /// Best energy this lane reported to the incumbent cell; meaningful
-  /// only when incumbent == true.
+  /// Energy of the state this lane returned; meaningful only when
+  /// incumbent == true.
   double incumbent_energy = 0.0;
-  bool incumbent = false;     ///< Lane published at least one incumbent.
+  bool incumbent = false;     ///< Lane returned a state (outcome "ok").
   bool won = false;           ///< Lane produced the returned result.
 };
 
@@ -100,9 +98,6 @@ struct SolveStats {
   /// Invariant: timed_out implies either degraded == true on the report
   /// or a kDeadlineExceeded error instead of a report.
   bool timed_out = false;
-  /// Reserved: a cancelled solve never produces a report (kCancelled is
-  /// returned instead), so this stays false on success paths.
-  bool cancelled = false;
   /// Raced dispatch only: one entry per launched lane, in backend
   /// priority order. Empty for serial dispatch.
   std::vector<RaceLaneStats> lanes;

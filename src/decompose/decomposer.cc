@@ -22,25 +22,12 @@ constexpr double kImproveEps = 1e-12;
 /// Hard cap on tabu moves per round, independent of problem size.
 constexpr int kMaxRefineIters = 20000;
 
-// AttemptSeed domains. The facade's serial retries draw attempts 1..N and
-// the race tie keys draw 1000 + rank, so the decomposer starts its bases
-// far above both and gives every (round, block) pair its own attempt.
+// AttemptSeed domains. The facade's serial lanes draw attempts 1..N, so
+// the decomposer starts its bases far above them and gives every
+// (round, block) pair its own attempt.
 constexpr std::int64_t kPartitionSeedBase = std::int64_t{1} << 16;
 constexpr std::int64_t kSubproblemSeedBase = std::int64_t{1} << 32;
 constexpr std::int64_t kSubproblemRoundStride = std::int64_t{1} << 21;
-
-/// Energy change from flipping bit `v`, in O(degree) over the CSR rows.
-double CsrFlipDelta(const QuboModel& qubo, const CsrAdjacency& adj,
-                    const std::vector<std::uint8_t>& bits, int v) {
-  double delta = qubo.Linear(v);
-  const std::size_t u = static_cast<std::size_t>(v);
-  for (std::size_t k = adj.offsets[u]; k < adj.offsets[u + 1]; ++k) {
-    if (bits[static_cast<std::size_t>(adj.neighbors[k])]) {
-      delta += adj.coeffs[k];
-    }
-  }
-  return bits[u] ? -delta : delta;
-}
 
 /// Builds the subproblem induced by `block` with the complement clamped
 /// to `incumbent`: in-block pairs keep their quadratic coefficients, and
@@ -144,7 +131,7 @@ void ApplyBlockIfImproving(const QuboModel& qubo, const CsrAdjacency& adj,
   for (std::size_t i = 0; i < block.size(); ++i) {
     const int v = block[i];
     if ((*bits)[static_cast<std::size_t>(v)] == proposal[i]) continue;
-    delta += CsrFlipDelta(qubo, adj, *bits, v);
+    delta += qubo.FlipDelta(*bits, v, adj);
     (*bits)[static_cast<std::size_t>(v)] ^= 1;
     flipped.push_back(v);
   }
@@ -173,7 +160,7 @@ Status TabuRefine(const QuboModel& qubo, const CsrAdjacency& adj,
       static_cast<std::int64_t>(options.refine_passes) * n);
   std::vector<double> delta(static_cast<std::size_t>(n), 0.0);
   for (int v = 0; v < n; ++v) {
-    delta[static_cast<std::size_t>(v)] = CsrFlipDelta(qubo, adj, *bits, v);
+    delta[static_cast<std::size_t>(v)] = qubo.FlipDelta(*bits, v, adj);
   }
   std::vector<std::int64_t> tabu_until(static_cast<std::size_t>(n), -1);
   std::vector<std::uint8_t> best_bits = *bits;

@@ -28,7 +28,7 @@ StatusOr<BruteForceResult> TrySolveQuboBruteForce(const QuboModel& qubo,
 
   // Gray-code walk: between consecutive assignments exactly one bit flips,
   // so the energy can be updated incrementally in O(degree).
-  const auto adjacency = qubo.BuildAdjacency();
+  const CsrAdjacency adjacency = qubo.BuildCsrAdjacency();
   double energy = result.best_energy;
   const std::uint64_t total = std::uint64_t{1} << n;
   for (std::uint64_t k = 1; k < total; ++k) {

@@ -91,19 +91,6 @@ SimpleGraph QuboModel::InteractionGraph() const {
   return graph;
 }
 
-std::vector<std::vector<std::pair<int, double>>> QuboModel::BuildAdjacency()
-    const {
-  std::vector<std::vector<std::pair<int, double>>> adjacency(
-      static_cast<std::size_t>(NumVariables()));
-  for (const auto& [key, coeff] : quadratic_) {
-    const int i = static_cast<int>(key >> 32);
-    const int j = static_cast<int>(key & 0xFFFFFFFFu);
-    adjacency[static_cast<std::size_t>(i)].emplace_back(j, coeff);
-    adjacency[static_cast<std::size_t>(j)].emplace_back(i, coeff);
-  }
-  return adjacency;
-}
-
 CsrAdjacency QuboModel::BuildCsrAdjacency() const {
   const std::size_t n = static_cast<std::size_t>(NumVariables());
   CsrAdjacency csr;
@@ -139,16 +126,19 @@ double QuboModel::Density() const {
   return static_cast<double>(NumQuadraticTerms()) / (n * (n - 1.0) / 2.0);
 }
 
-double QuboModel::FlipDelta(
-    const std::vector<std::uint8_t>& bits, int i,
-    const std::vector<std::vector<std::pair<int, double>>>& adjacency) const {
+double QuboModel::FlipDelta(const std::vector<std::uint8_t>& bits, int i,
+                            const CsrAdjacency& adjacency) const {
   QOPT_CHECK(i >= 0 && i < NumVariables());
-  double delta = linear_[static_cast<std::size_t>(i)];
-  for (const auto& [j, coeff] : adjacency[static_cast<std::size_t>(i)]) {
-    if (bits[static_cast<std::size_t>(j)]) delta += coeff;
+  const std::size_t u = static_cast<std::size_t>(i);
+  double delta = linear_[u];
+  for (std::size_t k = adjacency.offsets[u]; k < adjacency.offsets[u + 1];
+       ++k) {
+    if (bits[static_cast<std::size_t>(adjacency.neighbors[k])]) {
+      delta += adjacency.coeffs[k];
+    }
   }
   // Flipping 1 -> 0 removes those contributions instead of adding them.
-  return bits[static_cast<std::size_t>(i)] ? -delta : delta;
+  return bits[u] ? -delta : delta;
 }
 
 }  // namespace qopt

@@ -13,11 +13,9 @@ namespace qopt {
 /// neighbors of variable i are neighbors[offsets[i] .. offsets[i+1]), with
 /// matching coefficients, sorted by neighbor index. The sort makes the
 /// layout (and therefore every FP summation order derived from it)
-/// deterministic across platforms and standard libraries — unlike
-/// BuildAdjacency(), whose row order inherits the unordered_map iteration
-/// order. This is the local-search solvers' hot-loop format: one
-/// contiguous coefficient stream per row instead of a vector-of-vectors of
-/// pairs.
+/// deterministic across platforms and standard libraries, whatever the
+/// unordered_map iteration order of the terms. This is the local-search
+/// solvers' hot-loop format: one contiguous coefficient stream per row.
 struct CsrAdjacency {
   std::vector<std::size_t> offsets;  ///< size NumVariables() + 1
   std::vector<int> neighbors;        ///< size 2 * NumQuadraticTerms()
@@ -80,11 +78,6 @@ class QuboModel {
   /// annealer topology and that determines QAOA interaction layers.
   SimpleGraph InteractionGraph() const;
 
-  /// Per-variable adjacency: for each i the list of (j, coefficient)
-  /// partners. Useful for incremental energy updates in local-search
-  /// solvers. Rebuilt on each call.
-  std::vector<std::vector<std::pair<int, double>>> BuildAdjacency() const;
-
   /// Index-sorted flattened adjacency (see CsrAdjacency). Rebuilt on each
   /// call; O(terms log terms).
   CsrAdjacency BuildCsrAdjacency() const;
@@ -94,11 +87,10 @@ class QuboModel {
   /// dense-row sweep layout for dense problems.
   double Density() const;
 
-  /// Energy delta from flipping bit `i` of `bits`, in O(degree(i)) given a
-  /// prebuilt adjacency.
-  double FlipDelta(
-      const std::vector<std::uint8_t>& bits, int i,
-      const std::vector<std::vector<std::pair<int, double>>>& adjacency) const;
+  /// Energy delta from flipping bit `i` of `bits`, in O(degree(i)) given
+  /// this model's BuildCsrAdjacency().
+  double FlipDelta(const std::vector<std::uint8_t>& bits, int i,
+                   const CsrAdjacency& adjacency) const;
 
  private:
   static std::uint64_t Key(int i, int j) {

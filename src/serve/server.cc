@@ -1,5 +1,6 @@
 #include "serve/server.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <exception>
@@ -285,6 +286,9 @@ void Server::AdmitSolve(std::uint64_t seq, ServeRequest request) {
     ++counters_.admitted;
     QQO_COUNT("serve.requests", 1);
     if (precancelled_.erase(request.id) > 0) state->token.Cancel();
+    if (request.use_cache && cache_.Capacity() > 0) {
+      state->ticket = next_ticket_++;
+    }
     state->request = std::move(request);
     live_[state->request.id] = state;
   }
@@ -303,6 +307,7 @@ void Server::AdmitSolve(std::uint64_t seq, ServeRequest request) {
           state->request.id,
           InternalError("solve threw a non-exception object"));
     }
+    AbandonTicket(*state);
     Emit(state->seq, std::move(response));
     {
       std::lock_guard<std::mutex> lock(state_mutex_);
@@ -310,8 +315,10 @@ void Server::AdmitSolve(std::uint64_t seq, ServeRequest request) {
       ++counters_.completed;
       auto it = live_.find(state->request.id);
       if (it != live_.end() && it->second == state) live_.erase(it);
+      // Notify under the lock: once it is released, Serve() may return
+      // and ~Server destroy idle_cv_.
+      idle_cv_.notify_all();
     }
-    idle_cv_.notify_all();
   });
 }
 
@@ -347,7 +354,7 @@ std::string Server::SolveMqoRequest(RequestState& state,
     }
     signature = ComputeQuboSignature(encoding->qubo);
     key = {signature.canonical_hash, OptionsHash(kMqoKeyTag, request)};
-    holds_flight = AcquireFlight(key, state.token);
+    holds_flight = AcquireFlight(key, state);
     CacheEntry entry;
     const CacheHitKind kind =
         cache_.Lookup(key.first, key.second, signature.exact_hash, &entry);
@@ -433,7 +440,7 @@ std::string Server::SolveJoinRequest(RequestState& state,
     qubo = EncodeBilpAsQubo(encoding->bilp).qubo;
     signature = ComputeQuboSignature(*qubo);
     key = {signature.canonical_hash, OptionsHash(kJoinKeyTag, request)};
-    holds_flight = AcquireFlight(key, state.token);
+    holds_flight = AcquireFlight(key, state);
     CacheEntry entry;
     const CacheHitKind kind =
         cache_.Lookup(key.first, key.second, signature.exact_hash, &entry);
@@ -495,24 +502,63 @@ std::string Server::SolveJoinRequest(RequestState& state,
   return response;
 }
 
-bool Server::AcquireFlight(const CacheKey& key, const CancelToken& token) {
+bool Server::AcquireFlight(const CacheKey& key, RequestState& state) {
   std::unique_lock<std::mutex> lock(flights_mutex_);
-  // QQO_LOOP(serve.flight)
-  while (flights_.count(key) > 0) {
+  const std::uint64_t ticket = std::exchange(state.ticket, kNoTicket);
+  // Join the key's queue in admission order, not in worker arrival order:
+  // that order decides which duplicate solves and which hits the cache.
+  // QQO_LOOP(serve.flight_turn)
+  while (flight_turn_ != ticket) {
     QQO_COUNT("serve.wall.flight_waits", 1);
-    if (token.cancelled()) return false;
+    if (state.token.cancelled()) {
+      PassTurnLocked(ticket);
+      return false;
+    }
     flights_cv_.wait_for(lock, std::chrono::milliseconds(5));
   }
-  flights_.insert(key);
+  std::deque<std::uint64_t>& queue = flights_[key];
+  queue.push_back(ticket);
+  PassTurnLocked(ticket);
+  flights_cv_.notify_all();
+  // QQO_LOOP(serve.flight)
+  while (queue.front() != ticket) {
+    QQO_COUNT("serve.wall.flight_waits", 1);
+    if (state.token.cancelled()) {
+      queue.erase(std::find(queue.begin(), queue.end(), ticket));
+      return false;
+    }
+    flights_cv_.wait_for(lock, std::chrono::milliseconds(5));
+  }
   return true;
 }
 
 void Server::ReleaseFlight(const CacheKey& key) {
   {
     std::lock_guard<std::mutex> lock(flights_mutex_);
-    flights_.erase(key);
+    auto it = flights_.find(key);
+    it->second.pop_front();
+    if (it->second.empty()) flights_.erase(it);
   }
   flights_cv_.notify_all();
+}
+
+void Server::AbandonTicket(RequestState& state) {
+  if (state.ticket == kNoTicket) return;
+  {
+    std::lock_guard<std::mutex> lock(flights_mutex_);
+    PassTurnLocked(std::exchange(state.ticket, kNoTicket));
+  }
+  flights_cv_.notify_all();
+}
+
+void Server::PassTurnLocked(std::uint64_t ticket) {
+  if (ticket != flight_turn_) {
+    abandoned_tickets_.insert(ticket);
+    return;
+  }
+  do {
+    ++flight_turn_;
+  } while (abandoned_tickets_.erase(flight_turn_) > 0);
 }
 
 void Server::Emit(std::uint64_t seq, std::string line) {

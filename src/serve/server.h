@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <istream>
 #include <map>
@@ -78,8 +79,9 @@ struct ServerCounters {
 /// Determinism: responses are emitted strictly in request order through a
 /// sequence-numbered reorder buffer, "stats" waits for all prior solves
 /// (a barrier), and concurrent duplicates of one cache key are coalesced
-/// (single flight) — so a corpus of serial-dispatch requests produces a
-/// byte-identical response stream at any QQO_THREADS setting.
+/// (single flight) in admission order — so a corpus of serial-dispatch
+/// requests produces a byte-identical response stream at any QQO_THREADS
+/// setting.
 class Server {
  public:
   explicit Server(const ServerOptions& options);
@@ -105,10 +107,14 @@ class Server {
   const SolutionCache& Cache() const { return cache_; }
 
  private:
+  static constexpr std::uint64_t kNoTicket = ~std::uint64_t{0};
   struct RequestState {
     explicit RequestState(const CancelToken* drain_token)
         : token(drain_token) {}
     std::uint64_t seq = 0;
+    /// Admission-order place of a cacheable solve in the flight queues;
+    /// kNoTicket once used or given up (and for uncached solves).
+    std::uint64_t ticket = kNoTicket;
     ServeRequest request;
     CancelToken token;  ///< Linked to drain_token_: drain cancels all.
   };
@@ -125,10 +131,19 @@ class Server {
   std::string SolveMqoRequest(RequestState& state, const Deadline& deadline);
   std::string SolveJoinRequest(RequestState& state, const Deadline& deadline);
 
-  /// Single-flight coalescing. True when the caller now owns the key and
-  /// must ReleaseFlight; false when it gave up waiting (cancelled).
-  bool AcquireFlight(const CacheKey& key, const CancelToken& token);
+  /// Single-flight coalescing in admission order: requests join a key's
+  /// queue in ticket order, whichever worker reaches it first, and hold
+  /// the flight from the queue's front. True when the caller now owns the
+  /// key and must ReleaseFlight; false when it gave up waiting
+  /// (cancelled). Uses up state.ticket either way.
+  bool AcquireFlight(const CacheKey& key, RequestState& state);
   void ReleaseFlight(const CacheKey& key);
+  /// Gives up a ticket that never reached AcquireFlight (the solve failed
+  /// or threw first), so later tickets do not wait for it.
+  void AbandonTicket(RequestState& state);
+  /// Lets the next live ticket take its turn once `ticket` is done with
+  /// it; a ticket given up before its turn is skipped when reached.
+  void PassTurnLocked(std::uint64_t ticket);
 
   /// In-order emission: responses buffer until every earlier sequence
   /// number has been written.
@@ -146,6 +161,7 @@ class Server {
 
   // Accept-thread-only session state (no lock needed).
   std::uint64_t next_seq_ = 0;
+  std::uint64_t next_ticket_ = 0;
 
   mutable std::mutex state_mutex_;
   std::condition_variable idle_cv_;
@@ -156,7 +172,10 @@ class Server {
 
   std::mutex flights_mutex_;
   std::condition_variable flights_cv_;
-  std::set<CacheKey> flights_;
+  std::uint64_t flight_turn_ = 0;  ///< Next ticket to join a queue.
+  std::set<std::uint64_t> abandoned_tickets_;
+  /// Per key: the flight holder at the front, then waiters by ticket.
+  std::map<CacheKey, std::deque<std::uint64_t>> flights_;
 
   std::mutex emit_mutex_;
   std::ostream* out_ = nullptr;

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <set>
 #include <thread>
@@ -267,11 +269,20 @@ TEST(DecomposeTest, DeadlineMidSolvePreservesTheAnytimeInvariant) {
   options.max_rounds = 50;
   options.seed = 3;
   options.deadline = Deadline::AfterMillis(60);
+  // Round 1's eight 5-variable blocks solve at once; every later block
+  // waits out the wall, so expiry lands mid-solve at any pool size.
+  const int round_one_blocks =
+      qubo.NumVariables() / options.max_subproblem_size;
+  std::atomic<int> calls{0};
   const auto result = SolveQuboDecomposed(
       qubo, options,
-      [](const QuboModel& subproblem, std::uint64_t seed,
-         const Deadline& deadline) -> StatusOr<SubproblemResult> {
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      [&](const QuboModel& subproblem, std::uint64_t seed,
+          const Deadline& deadline) -> StatusOr<SubproblemResult> {
+        if (calls.fetch_add(1) >= round_one_blocks) {
+          while (!deadline.Expired()) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+        }
         return ExactSubproblemSolver(subproblem, seed, deadline);
       });
   ASSERT_TRUE(result.ok()) << result.status().ToString();

@@ -91,7 +91,7 @@ class QuboFlipDeltaTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(QuboFlipDeltaTest, FlipDeltaMatchesEnergyDifference) {
   const QuboModel qubo = MakeRandomQubo(8, 0.4, GetParam());
-  const auto adjacency = qubo.BuildAdjacency();
+  const CsrAdjacency adjacency = qubo.BuildCsrAdjacency();
   Rng rng(GetParam() + 100);
   std::vector<std::uint8_t> bits(8);
   for (auto& b : bits) b = rng.NextBool() ? 1 : 0;

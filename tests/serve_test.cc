@@ -38,6 +38,16 @@ constexpr const char* kRelabeledMqoWorkload =
     "{\"plans\":[{\"cost\":6},{\"cost\":9}]}],"
     "\"savings\":[{\"plan1\":1,\"plan2\":2,\"saving\":2}]}";
 
+/// Three queries of three plans: a 9-qubit QUBO whose race portfolio
+/// holds four lanes (exact, sa, qaoa, adiabatic).
+constexpr const char* kNineQubitMqoWorkload =
+    "{\"queries\":[{\"plans\":[{\"cost\":5},{\"cost\":7},{\"cost\":6}]},"
+    "{\"plans\":[{\"cost\":6},{\"cost\":9},{\"cost\":4}]},"
+    "{\"plans\":[{\"cost\":8},{\"cost\":3},{\"cost\":7}]}],"
+    "\"savings\":[{\"plan1\":0,\"plan2\":3,\"saving\":2},"
+    "{\"plan1\":4,\"plan2\":7,\"saving\":3},"
+    "{\"plan1\":2,\"plan2\":8,\"saving\":1}]}";
+
 std::string MqoRequest(const std::string& id, const std::string& workload,
                        const std::string& extra = "") {
   return "{\"id\":\"" + id + "\",\"type\":\"mqo\",\"backend\":\"exact\"" +
@@ -485,6 +495,32 @@ TEST_F(ServeServerTest, DrainBudgetCancelsStragglers) {
   EXPECT_EQ(hook_calls.load(), 1);
   EXPECT_EQ(server.Counters().cancelled, 1);
   EXPECT_EQ(server.Counters().completed, 1);
+}
+
+TEST_F(ServeServerTest, ConcurrentRacedRequestsAllAnswerOnASmallPool) {
+  // Four raced solves in flight on a 2-thread pool, then a stats barrier
+  // that waits for all of them. A raced solve runs on a pool worker; if
+  // it parked that worker waiting for lanes queued behind the other
+  // requests, no response would ever come back.
+  ThreadPool pool(2);
+  ScopedDefaultPool guard(&pool);
+  ServerOptions options;
+  std::vector<std::string> requests;
+  for (const char* id : {"r0", "r1", "r2", "r3"}) {
+    requests.push_back(MqoRequest(id, kNineQubitMqoWorkload,
+                                  ",\"dispatch\":\"race\",\"cache\":false"));
+  }
+  requests.push_back("{\"id\":\"s1\",\"type\":\"stats\"}");
+  const std::vector<std::string> responses = RunServer(options, requests);
+  ASSERT_EQ(responses.size(), 5u);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(ErrorCode(ParseResponse(responses[i])), "") << responses[i];
+  }
+  const JsonValue stats = ParseResponse(responses[4]);
+  const JsonValue* result = stats.Find("result");
+  ASSERT_NE(result, nullptr) << responses[4];
+  EXPECT_DOUBLE_EQ(
+      result->Find("server")->Find("completed")->GetNumber().value(), 4.0);
 }
 
 TEST_F(ServeServerTest, ShutdownRequestStopsAdmission) {

@@ -82,7 +82,7 @@ const std::set<std::string>& GuardTypes() {
 /// Calls that block the current thread on the pool or on other work.
 const std::set<std::string>& PoolBlockingCalls() {
   static const std::set<std::string> kBlocking = {
-      "ParallelFor", "ParallelForRange", "WaitFor", "DispatchRace"};
+      "ParallelFor", "ParallelForRange", "WaitFor"};
   return kBlocking;
 }
 

@@ -67,8 +67,8 @@ struct DefinitionInfo {
   /// Mutex chains acquired by guards in the body itself (lambda bodies
   /// excluded — a lock taken by a submitted task is not taken here).
   std::set<std::string> acquires;
-  /// True when the body itself blocks: ParallelFor*/WaitFor/DispatchRace,
-  /// a condition-variable wait, or a future .get().
+  /// True when the body itself blocks: ParallelFor*/WaitFor, a
+  /// condition-variable wait, or a future .get().
   bool blocks_directly = false;
 
   /// A budget-charging statement: `target` starts carrying the budget when

@@ -13,8 +13,9 @@
 #
 # --record appends a point to the repo's committed perf trajectory: it
 # runs the suite at QQO_THREADS=1 with 3 repetitions and writes the best
-# (minimum) time of every benchmark into BENCH_<date>_<shortsha>.json
-# (schema qqo-bench-snapshot-v1, see DESIGN.md "Performance") in <outdir>
+# (minimum) time of every benchmark, normalised to ns, into
+# BENCH_<date>_<shortsha>.json (schema qqo-bench-snapshot-v2, see
+# DESIGN.md "Performance") in <outdir>
 # (default: the repo root). Commit the file so future --check runs — and
 # future readers of the history — can see how each change moved the hot
 # paths.
@@ -83,34 +84,55 @@ def load(path):
     with open(path) as f:
         return json.load(f)
 
-def times(doc):
-    # Accept a qqo-bench-snapshot-v1 file, a raw google-benchmark file,
-    # and the legacy merged {"serial": ..., "parallel": ...} capture
-    # (serial numbers compared).
-    if doc.get("schema") == "qqo-bench-snapshot-v1":
-        return {b["name"]: float(b["real_time_ns"]) for b in doc["benchmarks"]}
-    doc = doc.get("serial", doc)
-    out = {}
+# google-benchmark reports real_time in each bench's declared time_unit.
+NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+def raw_rows(doc):
+    # (name, real_time in ns, is-median-aggregate, raw row) per compared
+    # row: the repetition entries and the median aggregates.
     for bench in doc.get("benchmarks", []):
-        # Best of the repetition entries (noise is one-sided); the median
-        # aggregate is only a fallback for legacy aggregates-only files.
         agg = bench.get("aggregate_name", "")
         if bench.get("run_type") == "aggregate" or agg:
-            if agg == "median":
-                out.setdefault(bench["name"].removesuffix("_median"),
-                               float(bench["real_time"]))
-            continue
-        name = bench["name"]
-        t = float(bench["real_time"])
-        if name not in out or t < out[name]:
+            if agg != "median":
+                continue
+            name = bench["name"].removesuffix("_median")
+        else:
+            name = bench["name"]
+        scale = NS_PER_UNIT[bench.get("time_unit", "ns")]
+        yield name, float(bench["real_time"]) * scale, bool(agg), bench
+
+def times(doc, v1_units):
+    # Accept a qqo-bench-snapshot-v2 file (rows already in ns), a v1 file,
+    # a raw google-benchmark file, and the legacy merged {"serial": ...,
+    # "parallel": ...} capture (serial numbers compared). v1 snapshots
+    # stored each bench's real_time unscaled under the real_time_ns key,
+    # so a v1 row is read in the time_unit the fresh run reports for the
+    # same bench (`v1_units`).
+    if doc.get("schema") == "qqo-bench-snapshot-v2":
+        return {b["name"]: float(b["real_time_ns"]) for b in doc["benchmarks"]}
+    if doc.get("schema") == "qqo-bench-snapshot-v1":
+        return {b["name"]: float(b["real_time_ns"]) *
+                NS_PER_UNIT[v1_units.get(b["name"], "ns")]
+                for b in doc["benchmarks"]}
+    out = {}
+    for name, t, aggregate, _ in raw_rows(doc.get("serial", doc)):
+        # Best of the repetition entries (noise is one-sided); the median
+        # aggregate is only a fallback for legacy aggregates-only files.
+        if aggregate:
+            out.setdefault(name, t)
+        elif name not in out or t < out[name]:
             out[name] = t
     return out
 
+current_docs = [load(path) for path in current_paths]
+current_units = {name: bench.get("time_unit", "ns")
+                 for doc in current_docs
+                 for name, _, _, bench in raw_rows(doc)}
 base_doc = load(baseline_path)
-base = times(base_doc)
+base = times(base_doc, current_units)
 cur = {}
-for path in current_paths:
-    for name, t in times(load(path)).items():
+for doc in current_docs:
+    for name, t in times(doc, current_units).items():
         if name not in cur or t < cur[name]:
             cur[name] = t
 failed = False
@@ -186,10 +208,13 @@ for bench in raw.get("benchmarks", []):
     if bench.get("run_type") == "aggregate":
         continue
     name = bench["name"]
+    # google-benchmark reports times in each bench's declared time_unit.
+    scale = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}[
+        bench.get("time_unit", "ns")]
     entry = {
         "name": name,
-        "real_time_ns": float(bench["real_time"]),
-        "cpu_time_ns": float(bench["cpu_time"]),
+        "real_time_ns": float(bench["real_time"]) * scale,
+        "cpu_time_ns": float(bench["cpu_time"]) * scale,
         "iterations": int(bench["iterations"]),
     }
     if name not in best or entry["real_time_ns"] < best[name]["real_time_ns"]:
@@ -199,7 +224,7 @@ if not benchmarks:
     sys.exit("error: benchmark run produced no results")
 
 snapshot = {
-    "schema": "qqo-bench-snapshot-v1",
+    "schema": "qqo-bench-snapshot-v2",
     "date": date,
     "sha": sha,
     "compiler": compiler,
