@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include "anneal/chimera.h"
+#include "anneal/embedding_composite.h"
 #include "anneal/minor_embedder.h"
 #include "anneal/pegasus.h"
 #include "anneal/simulated_annealer.h"
@@ -119,6 +120,41 @@ void BM_SaSweepDensity(benchmark::State& state) {
 }
 BENCHMARK(BM_SaSweepDensity)
     ->ArgsProduct({{32, 64, 128}, {10, 50, 100}});
+
+// The annealer's group-move path: SA on the physical problem of an MQO
+// batch embedded into Pegasus P4, with the chains as flip groups (what an
+// `annealer` solve runs after embedding). The embedding is found once,
+// outside the timed loop. range(0) = logical variables (4 plans per
+// query); items = proposals (single flips plus group moves).
+void BM_EmbeddedAnnealSweep(benchmark::State& state) {
+  MqoGeneratorOptions gen;
+  gen.num_queries = static_cast<int>(state.range(0)) / 4;
+  gen.plans_per_query = 4;
+  gen.seed = 1;
+  const QuboModel logical = EncodeMqoAsQubo(GenerateMqoProblem(gen)).qubo;
+  const SimpleGraph topology = MakePegasus(4);
+  EmbedOptions embed;
+  embed.seed = 1;
+  const auto embedding =
+      FindMinorEmbedding(logical.InteractionGraph(), topology, embed);
+  if (!embedding.has_value()) {
+    state.SkipWithError("no embedding");
+    return;
+  }
+  const EmbeddedProblem problem =
+      BuildEmbeddedProblem(logical, topology, *embedding, 0.0);
+  AnnealOptions options;
+  options.num_reads = 8;
+  options.num_sweeps = 500;
+  options.flip_groups = problem.chains;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(SolveQuboWithAnnealing(problem.qubo, options));
+  }
+  state.SetItemsProcessed(
+      state.iterations() * options.num_reads * options.num_sweeps *
+      (problem.qubo.NumVariables() + logical.NumVariables()));
+}
+BENCHMARK(BM_EmbeddedAnnealSweep)->Arg(12)->Arg(16);
 
 void BM_BruteForceQubo(benchmark::State& state) {
   MqoGeneratorOptions gen;

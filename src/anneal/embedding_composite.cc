@@ -9,19 +9,14 @@
 
 namespace qopt {
 
-StatusOr<EmbeddedSolveResult> TrySolveQuboOnTopology(
-    const QuboModel& qubo, const SimpleGraph& topology,
-    const EmbeddedSolveOptions& options) {
-  QOPT_CHECK(qubo.NumVariables() >= 1);
-  const SimpleGraph source = qubo.InteractionGraph();
-  StatusOr<Embedding> found =
-      TryFindMinorEmbedding(source, topology, options.embed);
-  if (!found.ok()) return found.status();
-  std::optional<Embedding> embedding(*std::move(found));
-
+EmbeddedProblem BuildEmbeddedProblem(const QuboModel& qubo,
+                                     const SimpleGraph& topology,
+                                     const Embedding& embedding,
+                                     double chain_strength) {
   const IsingModel logical = QuboToIsing(qubo);
+  const int num_logical = qubo.NumVariables();
+  QOPT_CHECK(static_cast<int>(embedding.chains.size()) == num_logical);
 
-  double chain_strength = options.chain_strength;
   if (chain_strength <= 0.0) {
     double scale = 0.0;
     for (int i = 0; i < logical.NumSpins(); ++i) {
@@ -35,12 +30,15 @@ StatusOr<EmbeddedSolveResult> TrySolveQuboOnTopology(
   }
 
   // Dense renumbering of the physical qubits actually used.
+  EmbeddedProblem problem;
   std::vector<int> phys_to_dense(
       static_cast<std::size_t>(topology.NumVertices()), -1);
   std::vector<int> owner(static_cast<std::size_t>(topology.NumVertices()), -1);
   int num_dense = 0;
-  for (int u = 0; u < source.NumVertices(); ++u) {
-    for (int p : embedding->chains[static_cast<std::size_t>(u)]) {
+  problem.chains.resize(static_cast<std::size_t>(num_logical));
+  for (int u = 0; u < num_logical; ++u) {
+    for (int p : embedding.chains[static_cast<std::size_t>(u)]) {
+      problem.chains[static_cast<std::size_t>(u)].push_back(num_dense);
       phys_to_dense[static_cast<std::size_t>(p)] = num_dense++;
       owner[static_cast<std::size_t>(p)] = u;
     }
@@ -48,20 +46,18 @@ StatusOr<EmbeddedSolveResult> TrySolveQuboOnTopology(
 
   IsingModel physical(num_dense);
   // Linear biases: split evenly over the chain.
-  for (int u = 0; u < source.NumVertices(); ++u) {
-    const auto& chain = embedding->chains[static_cast<std::size_t>(u)];
+  for (int u = 0; u < num_logical; ++u) {
+    const auto& chain = problem.chains[static_cast<std::size_t>(u)];
     const double share =
         logical.Field(u) / static_cast<double>(chain.size());
     if (share != 0.0) {
-      for (int p : chain) {
-        physical.AddField(phys_to_dense[static_cast<std::size_t>(p)], share);
-      }
+      for (int d : chain) physical.AddField(d, share);
     }
   }
   // Logical couplings: split evenly over the available physical couplers;
   // chain couplers get the ferromagnetic chain strength.
-  for (int u = 0; u < source.NumVertices(); ++u) {
-    for (int p : embedding->chains[static_cast<std::size_t>(u)]) {
+  for (int u = 0; u < num_logical; ++u) {
+    for (int p : embedding.chains[static_cast<std::size_t>(u)]) {
       for (int q : topology.Neighbors(p)) {
         if (q < p) continue;  // visit each physical edge once
         const int v = owner[static_cast<std::size_t>(q)];
@@ -76,7 +72,7 @@ StatusOr<EmbeddedSolveResult> TrySolveQuboOnTopology(
   }
   for (const auto& [edge, j] : logical.Couplings()) {
     if (j == 0.0) continue;
-    const auto& chain_u = embedding->chains[static_cast<std::size_t>(edge.first)];
+    const auto& chain_u = embedding.chains[static_cast<std::size_t>(edge.first)];
     // Collect the physical couplers between the two chains.
     std::vector<std::pair<int, int>> couplers;
     for (int p : chain_u) {
@@ -93,36 +89,35 @@ StatusOr<EmbeddedSolveResult> TrySolveQuboOnTopology(
                            phys_to_dense[static_cast<std::size_t>(q)], share);
     }
   }
+  problem.qubo = IsingToQubo(physical);
+  return problem;
+}
 
-  const QuboModel physical_qubo = IsingToQubo(physical);
+StatusOr<EmbeddedSolveResult> TrySolveQuboOnTopology(
+    const QuboModel& qubo, const SimpleGraph& topology,
+    const EmbeddedSolveOptions& options) {
+  QOPT_CHECK(qubo.NumVariables() >= 1);
+  const SimpleGraph source = qubo.InteractionGraph();
+  QOPT_ASSIGN_OR_RETURN(Embedding embedding,
+                        TryFindMinorEmbedding(source, topology, options.embed));
+  const EmbeddedProblem problem = BuildEmbeddedProblem(
+      qubo, topology, embedding, options.chain_strength);
   AnnealOptions anneal_options = options.anneal;
   // Whole-chain cluster moves keep logical flips possible even when the
   // ferromagnetic chain couplings freeze individual qubits.
-  anneal_options.flip_groups.reserve(
-      static_cast<std::size_t>(source.NumVertices()));
-  for (int u = 0; u < source.NumVertices(); ++u) {
-    std::vector<int> group;
-    group.reserve(embedding->chains[static_cast<std::size_t>(u)].size());
-    for (int p : embedding->chains[static_cast<std::size_t>(u)]) {
-      group.push_back(phys_to_dense[static_cast<std::size_t>(p)]);
-    }
-    anneal_options.flip_groups.push_back(std::move(group));
-  }
+  anneal_options.flip_groups = problem.chains;
   QOPT_ASSIGN_OR_RETURN(
       const AnnealResult anneal,
-      TrySolveQuboWithAnnealing(physical_qubo, anneal_options));
+      TrySolveQuboWithAnnealing(problem.qubo, anneal_options));
 
   // Unembed by majority vote per chain.
   EmbeddedSolveResult result;
   result.bits.assign(static_cast<std::size_t>(qubo.NumVariables()), 0);
   int broken_chains = 0;
   for (int u = 0; u < source.NumVertices(); ++u) {
-    const auto& chain = embedding->chains[static_cast<std::size_t>(u)];
+    const auto& chain = problem.chains[static_cast<std::size_t>(u)];
     int ones = 0;
-    for (int p : chain) {
-      ones += anneal.best_bits[static_cast<std::size_t>(
-          phys_to_dense[static_cast<std::size_t>(p)])];
-    }
+    for (int d : chain) ones += anneal.best_bits[static_cast<std::size_t>(d)];
     const int size = static_cast<int>(chain.size());
     if (ones != 0 && ones != size) ++broken_chains;
     result.bits[static_cast<std::size_t>(u)] = 2 * ones >= size ? 1 : 0;
@@ -133,7 +128,7 @@ StatusOr<EmbeddedSolveResult> TrySolveQuboOnTopology(
           ? static_cast<double>(broken_chains) /
                 static_cast<double>(source.NumVertices())
           : 0.0;
-  result.embedding = std::move(*embedding);
+  result.embedding = std::move(embedding);
   result.timed_out = anneal.timed_out;
   return result;
 }

@@ -40,6 +40,25 @@ struct EmbeddedSolveResult {
   bool timed_out = false;
 };
 
+/// The physical problem an embedded solve anneals.
+struct EmbeddedProblem {
+  /// Over the used physical qubits, renumbered densely chain by chain:
+  /// the logical fields and couplings split evenly over each chain and
+  /// its couplers, plus a -chain_strength coupling on every chain edge.
+  QuboModel qubo;
+  /// Per logical variable, its chain in the dense numbering. These are
+  /// the annealer's flip groups.
+  std::vector<std::vector<int>> chains;
+};
+
+/// Builds the physical problem of `qubo` under `embedding` (one chain per
+/// logical variable, found in `topology`). `chain_strength` <= 0 derives
+/// it as in EmbeddedSolveOptions.
+EmbeddedProblem BuildEmbeddedProblem(const QuboModel& qubo,
+                                     const SimpleGraph& topology,
+                                     const Embedding& embedding,
+                                     double chain_strength);
+
 /// Status-reporting flavour: kUnavailable when no embedding was found
 /// within the embed budget, kDeadlineExceeded / kCancelled when a stage
 /// budget ran out, injected faults verbatim. An annealing stage cut short

@@ -23,6 +23,9 @@ struct AnnealOptions {
   /// proposed as a joint flip of all its variables. The embedding
   /// composite passes the chains here so that logical flips remain
   /// possible once strong chain couplings freeze individual qubits.
+  /// Every member must be a valid variable index, and the members of one
+  /// group must be distinct (groups may overlap each other); the solver
+  /// aborts otherwise.
   std::vector<std::vector<int>> flip_groups;
   /// Wall-clock budget, checked at every sweep boundary of every read.
   /// Unbounded by default.

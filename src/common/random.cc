@@ -14,10 +14,6 @@ std::uint64_t SplitMix64(std::uint64_t* state) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t Rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -25,18 +21,6 @@ Rng::Rng(std::uint64_t seed) {
   // streams (xoshiro must not be seeded with all zeros).
   std::uint64_t sm = seed;
   for (auto& s : s_) s = SplitMix64(&sm);
-}
-
-Rng::result_type Rng::operator()() {
-  const std::uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
 }
 
 std::uint64_t Rng::NextUint64(std::uint64_t bound) {
@@ -53,10 +37,6 @@ int Rng::NextInt(int lo, int hi) {
   QOPT_CHECK(lo <= hi);
   return lo + static_cast<int>(NextUint64(
                   static_cast<std::uint64_t>(hi) - lo + 1));
-}
-
-double Rng::NextDouble() {
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
 
 double Rng::NextDouble(double lo, double hi) {

@@ -18,8 +18,19 @@ class Rng {
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~result_type{0}; }
 
-  /// Next raw 64-bit value.
-  result_type operator()();
+  /// Next raw 64-bit value. Inline, like NextDouble(): the annealer's
+  /// sweep draws one per uphill proposal.
+  result_type operator()() {
+    const std::uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound). `bound` must be > 0.
   std::uint64_t NextUint64(std::uint64_t bound);
@@ -27,8 +38,11 @@ class Rng {
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   int NextInt(int lo, int hi);
 
-  /// Uniform double in [0, 1).
-  double NextDouble();
+  /// Uniform double in [0, 1): a multiple of 2^-53, so the smallest
+  /// non-zero value is 2^-53.
+  double NextDouble() {
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
   double NextDouble(double lo, double hi);
@@ -49,6 +63,10 @@ class Rng {
   }
 
  private:
+  static std::uint64_t Rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
   bool has_cached_gaussian_ = false;
   double cached_gaussian_ = 0.0;
