@@ -381,6 +381,28 @@ BENCHMARK(BM_DecomposeSolve)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
+// The same loop on the join-order shape: a 12-relation chain's
+// penalty-dominated BILP QUBO, where many clamped blocks are forced and
+// solved in place instead of being annealed. BM_DecomposeSolve's MQO
+// blocks are not, so the two together cover both block paths.
+void BM_DecomposeJoinOrder(benchmark::State& state) {
+  const QueryGraph graph = GenerateChainQuery(12, 100.0, 0.2);
+  JoinOrderEncoderOptions encoder;
+  encoder.thresholds = {10.0, 100.0};
+  encoder.safe_slack_bounds = true;
+  OptimizerOptions options;
+  options.backend = Backend::kSimulatedAnnealing;
+  options.decompose = 26;
+  options.seed = 17;
+  options.anneal.num_reads = 2;
+  options.anneal.num_sweeps = 200;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(TrySolveJoinOrder(graph, encoder, options));
+  }
+}
+BENCHMARK(BM_DecomposeJoinOrder)->UseRealTime()->Unit(
+    benchmark::kMillisecond);
+
 void BM_JoinOrderDp(benchmark::State& state) {
   QueryGeneratorOptions gen;
   gen.num_relations = static_cast<int>(state.range(0));

@@ -587,47 +587,53 @@ StatusOr<DispatchOutcome> RunRace(const QuboModel& qubo,
 // Hybrid decomposition (OptimizerOptions::decompose > 0).
 // ---------------------------------------------------------------------------
 
-/// Serial-cap routing for one decomposition block: the requested backend
-/// handles the block when it fits that backend's qubit budget, SA (which
-/// takes any size) stands in otherwise. Deterministic in the block size.
-Backend SubproblemBackend(int num_variables, const OptimizerOptions& options) {
-  int cap = 0;
+/// Largest block the requested backend solves under its serial qubit
+/// budget; bigger blocks go to SA, which takes any size. The annealer's
+/// fabric size bounds what can possibly embed (actual embedding failures
+/// fall back per block inside the subproblem dispatch), so it is built
+/// once per decomposed solve rather than once per block.
+int SubproblemCap(const OptimizerOptions& options) {
   switch (options.backend) {
     case Backend::kExact:
-      cap = kMaxBruteForceQubits;
-      break;
+      return kMaxBruteForceQubits;
     case Backend::kSimulatedAnnealing:
-      return Backend::kSimulatedAnnealing;
+      break;
     case Backend::kQaoa:
     case Backend::kVqe:
-      cap = kMaxStatevectorQubits;
-      break;
+      return kMaxStatevectorQubits;
     case Backend::kAdiabatic:
-      cap = kMaxAdiabaticQubits;
-      break;
+      return kMaxAdiabaticQubits;
     case Backend::kAnnealerEmulation:
-      // The fabric size bounds what can possibly embed; actual embedding
-      // failures fall back per block inside the subproblem dispatch.
-      cap = MakePegasus(options.pegasus_m).NumVertices();
-      break;
+      return MakePegasus(options.pegasus_m).NumVertices();
   }
-  return num_variables <= cap ? options.backend
-                              : Backend::kSimulatedAnnealing;
+  return std::numeric_limits<int>::max();
 }
 
-/// Solves one clamped block through the serial schedule
+/// Solves one clamped block
 /// (named helper: runs inside the decomposer's ParallelFor workers, where
 /// any nested ParallelFor the backends issue executes inline serially).
-/// Retries are disabled per block — a transient failure just keeps the
-/// incumbent for this block, it must not sleep a pool worker through a
-/// backoff — and the per-block SA budget is clamped so a 400-block round
-/// costs what one facade SA solve costs, not 400 of them.
+/// A forced block (ForcedMinimizer) is solved in place: its unique
+/// minimizer is what SA's final greedy descent and the exact oracle
+/// return anyway (DESIGN.md "Decomposition"). Every other block goes
+/// through the serial schedule, routed to the requested backend when it
+/// fits `cap` and to SA otherwise. Retries are disabled per block — a
+/// transient failure just keeps the incumbent for this block, it must not
+/// sleep a pool worker through a backoff — and the per-block SA budget is
+/// clamped so a 400-block round costs what one facade SA solve costs, not
+/// 400 of them.
 StatusOr<SubproblemResult> SolveDecomposeSubproblem(
     const QuboModel& subproblem, std::uint64_t seed, const Deadline& deadline,
-    const OptimizerOptions& base) {
+    const OptimizerOptions& base, int cap) {
   QOPT_RETURN_IF_ERROR(CheckFaultPoint("decompose.subproblem"));
+  if (std::optional<std::vector<std::uint8_t>> forced =
+          ForcedMinimizer(subproblem)) {
+    QQO_COUNT("decompose.blocks_forced", 1);
+    return SubproblemResult{*std::move(forced)};
+  }
   OptimizerOptions options = base;
-  options.backend = SubproblemBackend(subproblem.NumVariables(), base);
+  options.backend = subproblem.NumVariables() <= cap
+                        ? base.backend
+                        : Backend::kSimulatedAnnealing;
   options.seed = seed;
   options.budget.deadline = deadline;
   options.budget.retry = RetryPolicy{};
@@ -656,14 +662,21 @@ StatusOr<DispatchOutcome> DispatchDecomposed(const QuboModel& qubo,
                                              const OptimizerOptions& options) {
   QQO_TRACE_SPAN("solve.decompose");
   Stopwatch watch;
+  if (options.backend == Backend::kAnnealerEmulation &&
+      options.pegasus_m < 2) {
+    return InvalidArgumentError(
+        StrFormat("pegasus_m must be >= 2, got %d", options.pegasus_m));
+  }
   DecomposeOptions decompose;
   decompose.max_subproblem_size = options.decompose;
   decompose.seed = options.seed;
   decompose.deadline = options.budget.deadline;
+  const int cap = SubproblemCap(options);
   const SubproblemSolver solver =
-      [&options](const QuboModel& subproblem, std::uint64_t seed,
-                 const Deadline& deadline) {
-        return SolveDecomposeSubproblem(subproblem, seed, deadline, options);
+      [&options, cap](const QuboModel& subproblem, std::uint64_t seed,
+                      const Deadline& deadline) {
+        return SolveDecomposeSubproblem(subproblem, seed, deadline, options,
+                                        cap);
       };
   QOPT_ASSIGN_OR_RETURN(DecomposeResult solved,
                         SolveQuboDecomposed(qubo, decompose, solver));

@@ -65,7 +65,10 @@ struct DecomposeResult {
   std::vector<std::uint8_t> bits;  ///< Final incumbent assignment.
   double energy = 0.0;             ///< Exact energy of `bits`.
   int rounds = 0;                  ///< Decomposition rounds completed.
-  int subproblems = 0;             ///< Subproblem solves dispatched.
+  /// Blocks formed across all rounds, singletons and blocks the solver
+  /// answers without running a backend (e.g. the facade's forced
+  /// blocks) included.
+  int subproblems = 0;
   /// Incumbent energy after each completed round (refinement included).
   std::vector<double> round_energies;
   /// The deadline expired before the round budget was exhausted; `bits`

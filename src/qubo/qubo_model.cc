@@ -141,4 +141,37 @@ double QuboModel::FlipDelta(const std::vector<std::uint8_t>& bits, int i,
   return bits[u] ? -delta : delta;
 }
 
+std::optional<std::vector<std::uint8_t>> ForcedMinimizer(
+    const QuboModel& qubo) {
+  // lo, hi and |h| + sum |c| per variable, in one pass over the stored
+  // terms. Skipping the sorted CSR build leaves the summation order to the
+  // hash map, which moves the sums by rounding only: far inside the
+  // margin below, so either order yields the bits every solver returns.
+  struct Row {
+    double lo, hi, magnitude;
+  };
+  const std::size_t n = static_cast<std::size_t>(qubo.NumVariables());
+  std::vector<Row> rows(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double h = qubo.linear_[i];
+    rows[i] = {h, h, std::abs(h)};
+  }
+  for (const auto& [key, c] : qubo.quadratic_) {
+    for (const std::uint64_t v : {key >> 32, key & 0xFFFFFFFFu}) {
+      Row& row = rows[static_cast<std::size_t>(v)];
+      (c < 0.0 ? row.lo : row.hi) += c;
+      row.magnitude += std::abs(c);
+    }
+  }
+  std::vector<std::uint8_t> bits(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    // A NaN anywhere in the row makes `margin` NaN, failing both tests.
+    const double margin = 1e-12 + 1e-9 * rows[i].magnitude;
+    if (rows[i].lo > margin) continue;  // forced off
+    if (!(rows[i].hi < -margin)) return std::nullopt;
+    bits[i] = 1;  // forced on
+  }
+  return bits;
+}
+
 }  // namespace qopt

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -93,6 +94,9 @@ class QuboModel {
                    const CsrAdjacency& adjacency) const;
 
  private:
+  friend std::optional<std::vector<std::uint8_t>> ForcedMinimizer(
+      const QuboModel& qubo);
+
   static std::uint64_t Key(int i, int j) {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(i)) << 32) |
            static_cast<std::uint32_t>(j);
@@ -102,5 +106,20 @@ class QuboModel {
   std::vector<double> linear_;
   std::unordered_map<std::uint64_t, double> quadratic_;  // key: i < j packed.
 };
+
+/// The QUBO's unique minimizer when every variable is *forced*: its best
+/// value is the same whatever the other bits hold. Each variable's terms
+/// are summed into lo_i = h_i + sum_j min(0, c_ij) and
+/// hi_i = h_i + sum_j max(0, c_ij), the least and greatest energy change of
+/// turning x_i on; lo_i > 0 forces x_i = 0 and hi_i < 0 forces x_i = 1.
+/// One O(n + nnz) pass.
+///
+/// The margin must clear 1e-12 (the SA greedy descent's tolerance) plus
+/// 1e-9 of the row's magnitude |h_i| + sum_j |c_ij|, so neither that
+/// descent nor the exact oracle's running energies can round a forced bit
+/// the other way. Returns nullopt when any variable falls short of that,
+/// including a zero margin or a NaN coefficient.
+std::optional<std::vector<std::uint8_t>> ForcedMinimizer(
+    const QuboModel& qubo);
 
 }  // namespace qopt

@@ -17,6 +17,7 @@
 #include "bilp/bilp_to_qubo.h"
 #include "common/deadline.h"
 #include "common/fault_injection.h"
+#include "common/retry.h"
 #include "common/thread_pool.h"
 #include "core/quantum_optimizer.h"
 #include "decompose/decomposer.h"
@@ -25,6 +26,7 @@
 #include "joinorder/query_graph.h"
 #include "mqo/mqo_generator.h"
 #include "mqo/mqo_problem.h"
+#include "obs/metrics.h"
 #include "qubo/brute_force_solver.h"
 #include "qubo/qubo_model.h"
 
@@ -443,6 +445,77 @@ TEST_F(DecomposeFacadeTest, DecomposedBeatsPlainSaAtEqualPerAttemptBudget) {
 
   EXPECT_GT(decomposed_report->stats.decompose_rounds, 0);
   EXPECT_LE(decomposed_report->qubo_energy, plain_report->qubo_energy + 1e-9);
+}
+
+TEST_F(DecomposeFacadeTest, ForcedBlocksMatchAnnealingEveryBlock) {
+  // The facade solves forced blocks in place instead of annealing them.
+  // That must not change a bit: replay the solve with SA on every block,
+  // at the facade's per-block settings (<= 8 reads, <= 1000 sweeps, the
+  // serial schedule's first-attempt seed of the block seed).
+  const QueryGraph graph = GenerateChainQuery(10, 100.0, 0.2);
+  JoinOrderEncoderOptions encoder;
+  encoder.thresholds = {10.0, 100.0};
+  encoder.safe_slack_bounds = true;
+  OptimizerOptions options;
+  options.backend = Backend::kSimulatedAnnealing;
+  options.decompose = 26;
+  options.seed = 41;
+
+  obs::Metrics& metrics = obs::Metrics::Instance();
+  metrics.Reset();
+  metrics.Enable();
+  const auto report = TrySolveJoinOrder(graph, encoder, options);
+  metrics.Disable();
+  long long forced = 0;
+  for (const obs::Metrics::Row& row : metrics.Snapshot(false)) {
+    if (row.name == "decompose.blocks_forced") forced = row.sum;
+  }
+  metrics.Reset();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_GT(forced, 0);
+
+  const StatusOr<JoinOrderEncoding> encoding =
+      TryEncodeJoinOrderAsBilp(graph, encoder);
+  ASSERT_TRUE(encoding.ok()) << encoding.status().ToString();
+  const QuboModel qubo = EncodeBilpAsQubo(encoding->bilp).qubo;
+  ASSERT_GT(qubo.NumVariables(), options.decompose);
+  DecomposeOptions decompose;
+  decompose.max_subproblem_size = options.decompose;
+  decompose.seed = options.seed;
+  const auto replica = SolveQuboDecomposed(
+      qubo, decompose,
+      [&](const QuboModel& subproblem, std::uint64_t seed,
+          const Deadline& deadline) -> StatusOr<SubproblemResult> {
+        AnnealOptions anneal = options.anneal;
+        anneal.seed = AttemptSeed(seed, 1);
+        anneal.num_reads = std::min(std::max(1, anneal.num_reads), 8);
+        anneal.num_sweeps = std::min(std::max(1, anneal.num_sweeps), 1000);
+        anneal.deadline = deadline;
+        QOPT_ASSIGN_OR_RETURN(AnnealResult sa,
+                              TrySolveQuboWithAnnealing(subproblem, anneal));
+        return SubproblemResult{std::move(sa.best_bits)};
+      });
+  ASSERT_TRUE(replica.ok()) << replica.status().ToString();
+  EXPECT_EQ(report->bits, replica->bits);
+  EXPECT_EQ(report->stats.decompose_round_energies, replica->round_energies);
+  EXPECT_EQ(report->stats.decompose_subproblems, replica->subproblems);
+  EXPECT_EQ(report->stats.attempts, replica->subproblems);
+  EXPECT_LT(forced, replica->subproblems);
+}
+
+TEST_F(DecomposeFacadeTest, AnnealerBlocksNeedAValidPegasusFabric) {
+  // The annealer's block cap comes from the Pegasus fabric, built once up
+  // front; a fabric size it cannot build is an option error, not an abort.
+  MqoGeneratorOptions gen;
+  gen.num_queries = 10;
+  gen.plans_per_query = 10;
+  gen.seed = 4;
+  OptimizerOptions options = CheapDecomposeOptions(26, 29);
+  options.backend = Backend::kAnnealerEmulation;
+  options.pegasus_m = 1;
+  const auto report = TrySolveMqo(GenerateMqoProblem(gen), options);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(DecomposeFacadeTest, DeadlineMidDecomposeReportsTimedOutDegraded) {

@@ -1,8 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <optional>
 
+#include "anneal/simulated_annealer.h"
+#include "bilp/bilp_to_qubo.h"
 #include "common/random.h"
+#include "decompose/partition.h"
+#include "joinorder/join_order_bilp_encoder.h"
+#include "joinorder/query_graph.h"
 #include "qubo/brute_force_solver.h"
 #include "qubo/conversions.h"
 #include "qubo/ising_model.h"
@@ -213,6 +221,181 @@ TEST(BruteForceTest, CallerCapBelowTheHardCapStillApplies) {
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
   EXPECT_TRUE(TrySolveQuboBruteForce(qubo, /*max_variables=*/12).ok());
+}
+
+// ---------------------------------------------------------------------------
+// ForcedMinimizer: differential checks against the exact oracle and SA.
+// ---------------------------------------------------------------------------
+
+/// A QUBO whose every variable is forced to `target`'s bit: random sparse
+/// couplings, then each linear term set so that the variable's margin
+/// (lo_i for a 0, -hi_i for a 1) is a random value in [0.25, 2].
+QuboModel MakeForcedQubo(const std::vector<std::uint8_t>& target,
+                         std::uint64_t seed) {
+  const int n = static_cast<int>(target.size());
+  Rng rng(seed);
+  QuboModel qubo(n);
+  std::vector<double> negative(static_cast<std::size_t>(n), 0.0);
+  std::vector<double> positive(static_cast<std::size_t>(n), 0.0);
+  for (int i = 0; i < n; ++i) {
+    for (int j = i + 1; j < n; ++j) {
+      if (!rng.NextBool(0.4)) continue;
+      const double c = rng.NextDouble(-3.0, 3.0);
+      qubo.AddQuadratic(i, j, c);
+      for (const int v : {i, j}) {
+        (c < 0.0 ? negative : positive)[static_cast<std::size_t>(v)] += c;
+      }
+    }
+  }
+  for (int i = 0; i < n; ++i) {
+    const std::size_t u = static_cast<std::size_t>(i);
+    const double margin = rng.NextDouble(0.25, 2.0);
+    qubo.AddLinear(i, target[u] ? -positive[u] - margin
+                                : -negative[u] + margin);
+  }
+  return qubo;
+}
+
+/// Asserts that `forced` is what the exact oracle and SA (one read of one
+/// sweep, and the decomposer's 8 x 1000 block budget) all return.
+void ExpectSolversAgree(const QuboModel& qubo,
+                        const std::vector<std::uint8_t>& forced,
+                        std::uint64_t seed) {
+  const BruteForceResult exact = SolveQuboBruteForce(qubo);
+  EXPECT_EQ(exact.best_bits, forced);
+  EXPECT_EQ(exact.num_optima, 1u);
+  for (const auto& [reads, sweeps] : {std::pair{1, 1}, std::pair{8, 1000}}) {
+    AnnealOptions anneal;
+    anneal.num_reads = reads;
+    anneal.num_sweeps = sweeps;
+    anneal.seed = seed;
+    EXPECT_EQ(SolveQuboWithAnnealing(qubo, anneal).best_bits, forced)
+        << reads << " x " << sweeps;
+  }
+}
+
+TEST(ForcedMinimizerTest, MatchesExactAndSaOnGeneratedForcedQubos) {
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    SCOPED_TRACE(seed);
+    const int n = 1 + static_cast<int>(seed % 20);
+    Rng rng(seed + 1000);
+    std::vector<std::uint8_t> target(static_cast<std::size_t>(n));
+    for (std::uint8_t& bit : target) bit = rng.NextBool(0.5) ? 1 : 0;
+    const QuboModel qubo = MakeForcedQubo(target, seed);
+    const std::optional<std::vector<std::uint8_t>> forced =
+        ForcedMinimizer(qubo);
+    ASSERT_TRUE(forced.has_value());
+    EXPECT_EQ(*forced, target);
+    ExpectSolversAgree(qubo, *forced, seed + 1);
+  }
+}
+
+/// The sub-QUBO of `block` with every other variable clamped to
+/// `incumbent`, as the decomposer builds it: in-block couplings stay,
+/// couplings to a clamped 1 fold into the linear term.
+QuboModel ClampBlock(const QuboModel& qubo, const CsrAdjacency& adjacency,
+                     const std::vector<int>& block,
+                     const std::vector<std::uint8_t>& incumbent) {
+  const int m = static_cast<int>(block.size());
+  QuboModel sub(m);
+  for (int local = 0; local < m; ++local) {
+    const int global = block[static_cast<std::size_t>(local)];
+    sub.AddLinear(local, qubo.Linear(global));
+    const std::size_t u = static_cast<std::size_t>(global);
+    for (std::size_t k = adjacency.offsets[u]; k < adjacency.offsets[u + 1];
+         ++k) {
+      const int neighbor = adjacency.neighbors[k];
+      const auto it = std::lower_bound(block.begin(), block.end(), neighbor);
+      if (it != block.end() && *it == neighbor) {
+        const int other = static_cast<int>(it - block.begin());
+        if (other > local) sub.AddQuadratic(local, other, adjacency.coeffs[k]);
+      } else if (incumbent[static_cast<std::size_t>(neighbor)]) {
+        sub.AddLinear(local, adjacency.coeffs[k]);
+      }
+    }
+  }
+  return sub;
+}
+
+TEST(ForcedMinimizerTest, MatchesExactAndSaOnClampedJoinOrderBlocks) {
+  // The blocks a decomposed join-order solve actually meets: a 10-relation
+  // chain's penalty-dominated QUBO, partitioned and clamped against the
+  // all-zeros start and against random incumbents.
+  JoinOrderEncoderOptions encoder;
+  encoder.thresholds = {10.0, 100.0};
+  encoder.safe_slack_bounds = true;
+  const StatusOr<JoinOrderEncoding> encoding =
+      TryEncodeJoinOrderAsBilp(GenerateChainQuery(10, 100.0, 0.2), encoder);
+  ASSERT_TRUE(encoding.ok()) << encoding.status().ToString();
+  const QuboModel qubo = EncodeBilpAsQubo(encoding->bilp).qubo;
+  const CsrAdjacency adjacency = qubo.BuildCsrAdjacency();
+  const std::size_t n = static_cast<std::size_t>(qubo.NumVariables());
+  int blocks = 0;
+  int forced_blocks = 0;
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    Rng rng(seed);
+    std::vector<std::uint8_t> incumbent(n, 0);
+    if (seed > 0) {
+      for (std::uint8_t& bit : incumbent) bit = rng.NextBool(0.3) ? 1 : 0;
+    }
+    for (const std::vector<int>& block : PartitionQuboVariables(
+             qubo, adjacency, /*max_block_size=*/16, seed)) {
+      const QuboModel sub = ClampBlock(qubo, adjacency, block, incumbent);
+      ++blocks;
+      const std::optional<std::vector<std::uint8_t>> forced =
+          ForcedMinimizer(sub);
+      if (!forced) continue;
+      ++forced_blocks;
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " block at "
+                                      << block.front());
+      ExpectSolversAgree(sub, *forced, seed + 7);
+    }
+  }
+  // Both outcomes occur, so neither branch passes vacuously.
+  EXPECT_GT(forced_blocks, 0);
+  EXPECT_LT(forced_blocks, blocks);
+}
+
+TEST(ForcedMinimizerTest, ReturnsNulloptUnlessEveryVariableIsForced) {
+  // One straddling variable: x0 wants 1 when x1 = 1 and 0 otherwise.
+  QuboModel straddle(2);
+  straddle.AddLinear(0, 1.0);
+  straddle.AddLinear(1, -5.0);
+  straddle.AddQuadratic(0, 1, -2.0);
+  EXPECT_FALSE(ForcedMinimizer(straddle).has_value());
+
+  // A margin of exactly 0: with x1 = 1, x0 = 0 and x0 = 1 tie.
+  QuboModel tie(2);
+  tie.AddLinear(0, 1.0);
+  tie.AddLinear(1, -5.0);
+  tie.AddQuadratic(0, 1, -1.0);
+  EXPECT_FALSE(ForcedMinimizer(tie).has_value());
+  QuboModel free_bit(1);  // no terms at all: both values tie
+  EXPECT_FALSE(ForcedMinimizer(free_bit).has_value());
+
+  // A margin inside SA's 1e-12 descent tolerance counts as a tie too.
+  QuboModel tiny(1);
+  tiny.AddLinear(0, 1e-13);
+  EXPECT_FALSE(ForcedMinimizer(tiny).has_value());
+
+  // A NaN coefficient, in the couplings or the linear part.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  QuboModel nan_coupling(2);
+  nan_coupling.AddLinear(0, 4.0);
+  nan_coupling.AddLinear(1, 4.0);
+  nan_coupling.AddQuadratic(0, 1, nan);
+  EXPECT_FALSE(ForcedMinimizer(nan_coupling).has_value());
+  QuboModel nan_linear(1);
+  nan_linear.AddLinear(0, nan);
+  EXPECT_FALSE(ForcedMinimizer(nan_linear).has_value());
+
+  // The same two-variable shape with a clear margin is forced: x0 off
+  // (lo = 2 - 1), x1 on (hi = -5 + 0).
+  QuboModel forced(2);
+  forced.AddLinear(0, 2.0);
+  forced.AddLinear(1, -5.0);
+  forced.AddQuadratic(0, 1, -1.0);
+  EXPECT_EQ(ForcedMinimizer(forced), (std::vector<std::uint8_t>{0, 1}));
 }
 
 }  // namespace
