@@ -733,6 +733,18 @@ std::string BackendName(Backend backend) {
   return "unknown";
 }
 
+StatusOr<Backend> ParseBackend(const std::string& name) {
+  for (const Backend backend :
+       {Backend::kExact, Backend::kSimulatedAnnealing, Backend::kQaoa,
+        Backend::kVqe, Backend::kAdiabatic, Backend::kAnnealerEmulation}) {
+    if (BackendName(backend) == name) return backend;
+  }
+  return InvalidArgumentError(StrFormat(
+      "unknown backend \"%s\" (known: exact, sa, qaoa, vqe, adiabatic, "
+      "annealer)",
+      name.c_str()));
+}
+
 std::string DispatchModeName(DispatchMode mode) {
   switch (mode) {
     case DispatchMode::kSerial:

@@ -35,6 +35,9 @@ enum class Backend {
 /// "annealer").
 std::string BackendName(Backend backend);
 
+/// Inverse of BackendName; any other name is kInvalidArgument.
+StatusOr<Backend> ParseBackend(const std::string& name);
+
 /// How the facade schedules backends for one solve.
 enum class DispatchMode {
   /// Run the requested backend (with retries), then degrade to a

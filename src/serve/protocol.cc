@@ -1,47 +1,80 @@
 #include "serve/protocol.h"
 
 #include <cmath>
-#include <map>
 #include <set>
 
+#include "common/check.h"
+#include "common/env.h"
+#include "common/fault_injection.h"
 #include "common/table_printer.h"
+#include "common/thread_pool.h"
 #include "io/workload_io.h"
 
 namespace qopt::serve {
 namespace {
 
-StatusOr<Backend> ParseBackendName(const std::string& name) {
-  static const std::map<std::string, Backend> kBackends = {
-      {"exact", Backend::kExact},
-      {"sa", Backend::kSimulatedAnnealing},
-      {"qaoa", Backend::kQaoa},
-      {"vqe", Backend::kVqe},
-      {"adiabatic", Backend::kAdiabatic},
-      {"annealer", Backend::kAnnealerEmulation}};
-  auto it = kBackends.find(name);
-  if (it == kBackends.end()) {
-    return InvalidArgumentError(StrFormat(
-        "field \"backend\": unknown backend \"%s\" (known: exact, sa, qaoa, "
-        "vqe, adiabatic, annealer)",
-        name.c_str()));
+/// One integer solve option: its legal range and where it lands.
+struct IntOption {
+  std::string_view name;
+  long long min;
+  long long max;
+  void (*store)(long long value, SolveRequest* request);
+};
+
+constexpr IntOption kIntOptions[] = {
+    {"seed", 0, kMaxSeed,
+     [](long long v, SolveRequest* r) {
+       r->seed = static_cast<std::uint64_t>(v);
+     }},
+    {"timeout_ms", 0, 24LL * 60 * 60 * 1000,
+     [](long long v, SolveRequest* r) { r->timeout_ms = v; }},
+    {"retries", 1, 100,
+     [](long long v, SolveRequest* r) { r->retries = static_cast<int>(v); }},
+    {"decompose", 0, 1000000,
+     [](long long v, SolveRequest* r) {
+       r->decompose = static_cast<int>(v);
+     }},
+    {"pegasus", 2, 16,
+     [](long long v, SolveRequest* r) {
+       r->pegasus_m = static_cast<int>(v);
+     }},
+    {"precision", 0, 16,
+     [](long long v, SolveRequest* r) {
+       r->join_encoder.precision_decimals = static_cast<int>(v);
+     }},
+};
+
+const IntOption& FindIntOption(std::string_view name) {
+  for (const IntOption& option : kIntOptions) {
+    if (option.name == name) return option;
   }
-  return it->second;
+  QOPT_CHECK_MSG(false, "no integer solve option of this name");
+  return kIntOptions[0];
 }
 
-/// Checked integral field in [min, max]; absent yields `fallback`.
-StatusOr<long long> IntField(const JsonValue& request, const char* name,
-                             long long fallback, long long min,
-                             long long max) {
-  const JsonValue* field = request.Find(name);
-  if (field == nullptr) return fallback;
+Status RangeError(const IntOption& option, const std::string& label) {
+  return OutOfRangeError(
+      StrFormat("%s: expected an integer in [%lld, %lld]", label.c_str(),
+                option.min, option.max));
+}
+
+std::string FieldLabel(std::string_view name) {
+  return StrFormat("field \"%s\"", std::string(name).c_str());
+}
+
+/// JSON -> integer, then the shared range check. A fraction, or a
+/// magnitude no option admits, gets the same diagnostic as any other
+/// value outside the option's range.
+Status IntField(const JsonValue& json, std::string_view name,
+                SolveRequest* request) {
+  const JsonValue* field = json.Find(std::string(name));
+  if (field == nullptr) return OkStatus();
   QOPT_ASSIGN_OR_RETURN(const double value, field->GetNumber());
-  if (value != std::floor(value) || value < static_cast<double>(min) ||
-      value > static_cast<double>(max)) {
-    return OutOfRangeError(
-        StrFormat("field \"%s\": expected an integer in [%lld, %lld]", name,
-                  min, max));
+  if (value != std::floor(value) || std::abs(value) > 0x1p62) {
+    return RangeError(FindIntOption(name), FieldLabel(name));
   }
-  return static_cast<long long>(value);
+  return SetSolveInt(name, static_cast<long long>(value), FieldLabel(name),
+                     request);
 }
 
 StatusOr<bool> BoolField(const JsonValue& request, const char* name,
@@ -89,37 +122,18 @@ Status CheckAllowedFields(const JsonValue& request,
 
 Status ParseSolveFields(const JsonValue& json, DispatchMode default_dispatch,
                         ServeRequest* request) {
-  if (const JsonValue* dispatch = json.Find("dispatch"); dispatch != nullptr) {
-    QOPT_ASSIGN_OR_RETURN(const std::string text, dispatch->GetString());
-    QOPT_ASSIGN_OR_RETURN(request->dispatch, ParseDispatchMode(text));
-  } else {
-    request->dispatch = default_dispatch;
+  request->dispatch = default_dispatch;
+  for (const char* name : {"dispatch", "backend"}) {
+    if (const JsonValue* field = json.Find(name); field != nullptr) {
+      QOPT_ASSIGN_OR_RETURN(const std::string text, field->GetString());
+      QOPT_RETURN_IF_ERROR(
+          SetSolveName(name, text, FieldLabel(name), request));
+    }
   }
-  if (const JsonValue* backend = json.Find("backend"); backend != nullptr) {
-    QOPT_ASSIGN_OR_RETURN(const std::string text, backend->GetString());
-    QOPT_ASSIGN_OR_RETURN(request->backend, ParseBackendName(text));
+  for (const char* name :
+       {"seed", "timeout_ms", "retries", "decompose", "pegasus"}) {
+    QOPT_RETURN_IF_ERROR(IntField(json, name, request));
   }
-  QOPT_ASSIGN_OR_RETURN(
-      const long long seed,
-      IntField(json, "seed", 7, 0, 1LL << 53));
-  request->seed = static_cast<std::uint64_t>(seed);
-  QOPT_ASSIGN_OR_RETURN(request->timeout_ms,
-                        IntField(json, "timeout_ms", -1, 0,
-                                 24LL * 60 * 60 * 1000));
-  QOPT_ASSIGN_OR_RETURN(const long long retries,
-                        IntField(json, "retries", 1, 1, 100));
-  request->retries = static_cast<int>(retries);
-  QOPT_ASSIGN_OR_RETURN(const long long decompose,
-                        IntField(json, "decompose", 0, 0, 1000000));
-  if (decompose == 1) {
-    return InvalidArgumentError(
-        "field \"decompose\": expected 0 (disabled) or a subproblem size "
-        ">= 2");
-  }
-  request->decompose = static_cast<int>(decompose);
-  QOPT_ASSIGN_OR_RETURN(const long long pegasus,
-                        IntField(json, "pegasus", 4, 2, 16));
-  request->pegasus_m = static_cast<int>(pegasus);
   QOPT_ASSIGN_OR_RETURN(const bool no_fallback,
                         BoolField(json, "no_fallback", false));
   request->classical_fallback = !no_fallback;
@@ -128,7 +142,6 @@ Status ParseSolveFields(const JsonValue& json, DispatchMode default_dispatch,
 }
 
 Status ParseJoinEncoderFields(const JsonValue& json, ServeRequest* request) {
-  request->join_encoder.thresholds = {10.0, 100.0};
   if (const JsonValue* thresholds = json.Find("thresholds");
       thresholds != nullptr) {
     if (!thresholds->IsArray() || thresholds->Size() == 0) {
@@ -143,11 +156,7 @@ Status ParseJoinEncoderFields(const JsonValue& json, ServeRequest* request) {
       request->join_encoder.thresholds.push_back(value);
     }
   }
-  QOPT_ASSIGN_OR_RETURN(const long long precision,
-                        IntField(json, "precision", 0, 0, 16));
-  request->join_encoder.precision_decimals = static_cast<int>(precision);
-  request->join_encoder.safe_slack_bounds = true;
-  return OkStatus();
+  return IntField(json, "precision", request);
 }
 
 const JsonValue* RequireWorkload(const JsonValue& json, Status* error) {
@@ -161,6 +170,75 @@ const JsonValue* RequireWorkload(const JsonValue& json, Status* error) {
 }
 
 }  // namespace
+
+Status SetSolveInt(std::string_view name, long long value,
+                   const std::string& label, SolveRequest* request) {
+  const IntOption& option = FindIntOption(name);
+  if (value < option.min || value > option.max) {
+    return RangeError(option, label);
+  }
+  if (name == "decompose" && value == 1) {
+    return InvalidArgumentError(
+        label + ": expected 0 (disabled) or a subproblem size >= 2");
+  }
+  option.store(value, request);
+  return OkStatus();
+}
+
+Status SetSolveName(std::string_view name, const std::string& text,
+                    const std::string& label, SolveRequest* request) {
+  if (name == "backend") {
+    StatusOr<Backend> backend = ParseBackend(text);
+    if (backend.ok()) request->backend = *backend;
+    return Annotate(backend.status(), label);
+  }
+  QOPT_CHECK_MSG(name == "dispatch", "no named solve option of this name");
+  StatusOr<DispatchMode> dispatch = ParseDispatchMode(text);
+  if (dispatch.ok()) request->dispatch = *dispatch;
+  return Annotate(dispatch.status(), label);
+}
+
+Deadline SolveDeadline(const SolveRequest& request,
+                       const CancelToken* token) {
+  const Deadline base = request.timeout_ms < 0
+                            ? Deadline::Infinite()
+                            : Deadline::AfterMillis(
+                                  static_cast<double>(request.timeout_ms));
+  return base.WithToken(token);
+}
+
+OptimizerOptions MakeOptimizerOptions(const SolveRequest& request,
+                                      const Deadline& deadline) {
+  OptimizerOptions options;
+  options.backend = request.backend;
+  options.dispatch = request.dispatch;
+  options.decompose = request.decompose;
+  options.seed = request.seed;
+  options.pegasus_m = request.pegasus_m;
+  options.classical_fallback = request.classical_fallback;
+  options.anneal.num_reads = 50;
+  options.anneal.num_sweeps = 2000;
+  options.variational.max_iterations = 250;
+  options.variational.shots = 4096;
+  options.embedded.anneal.num_reads = 100;
+  options.embedded.anneal.num_sweeps = 4000;
+  options.budget.deadline = deadline;
+  options.budget.retry.max_attempts = request.retries;
+  options.budget.retry.initial_backoff_ms = 10.0;
+  options.budget.retry.seed = request.seed;
+  return options;
+}
+
+StatusOr<DispatchMode> CheckSolveEnvironment() {
+  QOPT_RETURN_IF_ERROR(ThreadPool::PoolSizeFromEnvOrStatus().status());
+  QOPT_RETURN_IF_ERROR(FaultInjection::EnvSpecStatus());
+  SolveRequest defaults;
+  if (std::optional<std::string> text = EnvString("QQO_DISPATCH")) {
+    QOPT_RETURN_IF_ERROR(
+        SetSolveName("dispatch", *text, "QQO_DISPATCH", &defaults));
+  }
+  return defaults.dispatch;
+}
 
 StatusOr<ServeRequest> ParseServeRequest(const std::string& line,
                                          DispatchMode default_dispatch) {
@@ -178,13 +256,11 @@ StatusOr<ServeRequest> ParseServeRequest(const std::string& line,
   }
   QOPT_ASSIGN_OR_RETURN(const std::string type, StringField(json, "type"));
 
-  static const std::set<std::string> kSolveCommon = {
-      "id",      "type",       "workload",    "backend", "dispatch",
-      "seed",    "timeout_ms", "retries",     "pegasus", "no_fallback",
-      "cache",   "decompose"};
+  std::set<std::string> allowed = {"id", "type", "workload", "cache"};
+  allowed.insert(kSolveOptions.begin(), kSolveOptions.end());
   if (type == "mqo") {
     request.type = RequestType::kMqo;
-    QOPT_RETURN_IF_ERROR(CheckAllowedFields(json, kSolveCommon));
+    QOPT_RETURN_IF_ERROR(CheckAllowedFields(json, allowed));
     QOPT_RETURN_IF_ERROR(
         ParseSolveFields(json, default_dispatch, &request));
     Status workload_error = OkStatus();
@@ -195,9 +271,7 @@ StatusOr<ServeRequest> ParseServeRequest(const std::string& line,
   }
   if (type == "join") {
     request.type = RequestType::kJoin;
-    std::set<std::string> allowed = kSolveCommon;
-    allowed.insert("thresholds");
-    allowed.insert("precision");
+    allowed.insert(kJoinOptions.begin(), kJoinOptions.end());
     QOPT_RETURN_IF_ERROR(CheckAllowedFields(json, allowed));
     QOPT_RETURN_IF_ERROR(
         ParseSolveFields(json, default_dispatch, &request));

@@ -1,10 +1,13 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/deadline.h"
 #include "common/json.h"
 #include "common/status.h"
 #include "core/quantum_optimizer.h"
@@ -37,15 +40,15 @@ namespace qopt::serve {
 ///    "error": {"code": "UNAVAILABLE", "message": "..."}}
 enum class RequestType { kMqo, kJoin, kStats, kCancel, kPing };
 
-/// A validated solve/admin request.
-struct ServeRequest {
-  std::string id;
-  RequestType type = RequestType::kPing;
+/// Largest seed either front end accepts: every integer up to 2^53 is
+/// exact as a JSON number, so any seed qqo takes replays on qqo_serve.
+inline constexpr long long kMaxSeed = 1LL << 53;
 
-  // Solve requests (kMqo / kJoin).
-  std::optional<MqoProblem> mqo;
-  std::optional<QueryGraph> join_graph;
-  JoinOrderEncoderOptions join_encoder;  ///< thresholds / precision.
+/// The options of one solve: the one contract behind the `qqo mqo|join`
+/// flags and the qqo_serve solve-request fields. Both front ends fill it
+/// through SetSolveInt / SetSolveName and solve it with
+/// MakeOptimizerOptions, so a request means the same on either.
+struct SolveRequest {
   Backend backend = Backend::kSimulatedAnnealing;
   DispatchMode dispatch = DispatchMode::kSerial;
   /// 0 disables decomposition; N >= 2 decomposes problems larger than N
@@ -57,6 +60,65 @@ struct ServeRequest {
   int retries = 1;
   int pegasus_m = 4;
   bool classical_fallback = true;
+  /// Join solves only: thresholds / precision.
+  JoinOrderEncoderOptions join_encoder = {.thresholds = {10.0, 100.0},
+                                          .safe_slack_bounds = true};
+};
+
+/// Option names of every solve request; join requests also take
+/// kJoinOptions. qqo spells each one as a flag with '_' -> '-'
+/// (--timeout-ms); no_fallback is a bare switch there.
+inline constexpr std::array<const char*, 8> kSolveOptions = {
+    "backend", "dispatch", "decompose",  "seed",
+    "pegasus", "no_fallback", "timeout_ms", "retries"};
+inline constexpr std::array<const char*, 2> kJoinOptions = {"thresholds",
+                                                            "precision"};
+
+/// The one validator of a solve's options. Each front end first turns
+/// its own syntax into a value (flag text -> integer for qqo, JSON ->
+/// integer for qqo_serve), then stores it through these calls, which own
+/// every range and rule. `name` is the protocol name; `label` is how the
+/// front end's user wrote the option (`flag --timeout-ms`,
+/// `field "timeout_ms"`, `QQO_DECOMPOSE`) and starts every diagnostic.
+///
+/// Integers: seed [0, kMaxSeed], timeout_ms [0, one day], retries
+/// [1, 100], decompose 0 or [2, 10^6], pegasus [2, 16], precision
+/// [0, 16]. Outside its range is kOutOfRange; decompose 1 is
+/// kInvalidArgument.
+Status SetSolveInt(std::string_view name, long long value,
+                   const std::string& label, SolveRequest* request);
+
+/// Names: backend (ParseBackend) and dispatch (ParseDispatchMode). An
+/// unknown name is kInvalidArgument.
+Status SetSolveName(std::string_view name, const std::string& text,
+                    const std::string& label, SolveRequest* request);
+
+/// The solve's deadline: timeout_ms from now (unbounded when negative),
+/// cancelled early through `token` when one is given.
+Deadline SolveDeadline(const SolveRequest& request,
+                       const CancelToken* token = nullptr);
+
+/// The only OptimizerOptions builder of the front ends: the request's
+/// options plus the fixed caller budgets (SA 50 reads x 2000 sweeps,
+/// QAOA/VQE 250 iterations x 4096 shots, embedded annealing 100 x 4000,
+/// 10 ms retry backoff seeded like the solve).
+OptimizerOptions MakeOptimizerOptions(const SolveRequest& request,
+                                      const Deadline& deadline);
+
+/// Checks the environment knobs both binaries read (QQO_THREADS,
+/// QQO_FAULTS, QQO_DISPATCH) before any work runs, and returns the
+/// default dispatch mode: QQO_DISPATCH, else serial. An error names its
+/// variable.
+StatusOr<DispatchMode> CheckSolveEnvironment();
+
+/// A validated solve/admin request.
+struct ServeRequest : SolveRequest {
+  std::string id;
+  RequestType type = RequestType::kPing;
+
+  // Solve requests (kMqo / kJoin).
+  std::optional<MqoProblem> mqo;
+  std::optional<QueryGraph> join_graph;
   bool use_cache = true;
 
   // kCancel.

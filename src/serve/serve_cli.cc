@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <cstring>
 #include <istream>
-#include <map>
 #include <ostream>
 #include <streambuf>
 
@@ -15,11 +14,11 @@
 #include <unistd.h>
 
 #include "common/env.h"
-#include "common/fault_injection.h"
+#include "common/flags.h"
 #include "common/status.h"
 #include "common/table_printer.h"
-#include "common/thread_pool.h"
 #include "obs/metrics.h"
+#include "serve/protocol.h"
 #include "serve/server.h"
 
 namespace qopt::serve {
@@ -132,53 +131,6 @@ int Fail(int exit_code, const Status& status) {
   return exit_code;
 }
 
-using FlagMap = std::map<std::string, std::string>;
-
-/// --key=value / --metrics parser with a strict allowlist, mirroring the
-/// qqo CLI: a typo must be an error, never a silently applied default.
-StatusOr<FlagMap> ParseServeFlags(const std::vector<std::string>& args) {
-  static const std::map<std::string, bool> kAllowed = {
-      {"socket", true},         {"queue", true},    {"cache", true},
-      {"drain-ms", true},       {"dispatch", true}, {"max-line-bytes", true},
-      {"metrics", false},  // bool flag: no value
-  };
-  FlagMap flags;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    if (arg.rfind("--", 0) != 0) {
-      return InvalidArgumentError(
-          StrFormat("unexpected argument \"%s\"", arg.c_str()));
-    }
-    const std::size_t eq = arg.find('=');
-    const std::string key = arg.substr(2, eq == std::string::npos
-                                              ? std::string::npos
-                                              : eq - 2);
-    auto it = kAllowed.find(key);
-    if (it == kAllowed.end()) {
-      return InvalidArgumentError(
-          StrFormat("unknown flag \"%s\"", arg.c_str()));
-    }
-    if (flags.count(key) != 0) {
-      return InvalidArgumentError(
-          StrFormat("duplicate flag --%s", key.c_str()));
-    }
-    if (it->second) {
-      if (eq == std::string::npos || eq + 1 >= arg.size()) {
-        return InvalidArgumentError(
-            StrFormat("flag --%s: expected =VALUE", key.c_str()));
-      }
-      flags[key] = arg.substr(eq + 1);
-    } else {
-      if (eq != std::string::npos) {
-        return InvalidArgumentError(
-            StrFormat("flag --%s takes no value", key.c_str()));
-      }
-      flags[key] = "";
-    }
-  }
-  return flags;
-}
-
 /// Flag beats environment variable beats default, every source strictly
 /// validated against [min, max].
 StatusOr<long long> IntKnob(const FlagMap& flags, const char* flag,
@@ -192,7 +144,8 @@ StatusOr<long long> IntKnob(const FlagMap& flags, const char* flag,
   return env_value.value_or(fallback);
 }
 
-StatusOr<ServerOptions> MakeServerOptions(const FlagMap& flags) {
+StatusOr<ServerOptions> MakeServerOptions(const FlagMap& flags,
+                                          DispatchMode env_dispatch) {
   ServerOptions options;
   QOPT_ASSIGN_OR_RETURN(
       const long long queue,
@@ -210,20 +163,14 @@ StatusOr<ServerOptions> MakeServerOptions(const FlagMap& flags) {
       IntKnob(flags, "max-line-bytes", "QQO_SERVE_MAX_LINE_BYTES", 1 << 20,
               1, 1 << 30));
   options.max_line_bytes = static_cast<std::size_t>(max_line);
-  std::string dispatch_text = "serial";
-  if (std::optional<std::string> env = EnvString("QQO_DISPATCH")) {
-    dispatch_text = *env;
-  }
+  // --dispatch beats QQO_DISPATCH (already checked) beats serial.
+  SolveRequest defaults;
+  defaults.dispatch = env_dispatch;
   if (auto it = flags.find("dispatch"); it != flags.end()) {
-    dispatch_text = it->second;
+    QOPT_RETURN_IF_ERROR(
+        SetSolveName("dispatch", it->second, "flag --dispatch", &defaults));
   }
-  if (StatusOr<DispatchMode> mode = ParseDispatchMode(dispatch_text);
-      mode.ok()) {
-    options.default_dispatch = *mode;
-  } else {
-    return InvalidArgumentError(StrFormat(
-        "flag --dispatch: %s", mode.status().message().c_str()));
-  }
+  options.default_dispatch = defaults.dispatch;
   return options;
 }
 
@@ -323,27 +270,19 @@ int RunQqoServe(const std::vector<std::string>& args) {
   // Environment knobs are validated before any work runs — same contract
   // as the qqo CLI: a typo in QQO_THREADS or QQO_FAULTS is usage misuse
   // (exit 2), never a silent fallback.
-  if (StatusOr<int> pool = ThreadPool::PoolSizeFromEnvOrStatus();
-      !pool.ok()) {
-    return Fail(kServeExitUsage, pool.status());
+  StatusOr<DispatchMode> env_dispatch = CheckSolveEnvironment();
+  if (!env_dispatch.ok()) {
+    return Fail(kServeExitUsage, env_dispatch.status());
   }
-  if (Status faults = FaultInjection::EnvSpecStatus(); !faults.ok()) {
-    return Fail(kServeExitUsage, faults);
-  }
-  if (std::optional<std::string> dispatch_env = EnvString("QQO_DISPATCH")) {
-    if (StatusOr<DispatchMode> mode = ParseDispatchMode(*dispatch_env);
-        !mode.ok()) {
-      return Fail(kServeExitUsage,
-                  InvalidArgumentError(StrFormat(
-                      "QQO_DISPATCH: %s", mode.status().message().c_str())));
-    }
-  }
-  StatusOr<FlagMap> flags = ParseServeFlags(args);
+  StatusOr<FlagMap> flags = ParseFlags(
+      args, 1,
+      {{"socket"}, {"queue"}, {"cache"}, {"drain-ms"}, {"dispatch"},
+       {"max-line-bytes"}, {"metrics", /*takes_value=*/false}});
   if (!flags.ok()) {
     Fail(kServeExitUsage, flags.status());
     return Usage();
   }
-  StatusOr<ServerOptions> options = MakeServerOptions(*flags);
+  StatusOr<ServerOptions> options = MakeServerOptions(*flags, *env_dispatch);
   if (!options.ok()) return Fail(kServeExitUsage, options.status());
   const bool want_metrics = flags->count("metrics") != 0;
 

@@ -40,39 +40,6 @@ std::uint64_t OptionsHash(std::uint64_t kind_tag, const ServeRequest& r) {
   return HashCombine(h, r.classical_fallback ? 1 : 0);
 }
 
-/// Mirrors the qqo_cli solver defaults so a request answered by the
-/// daemon matches the same request run through the CLI.
-OptimizerOptions MakeOptimizerOptions(const ServeRequest& request,
-                                      const Deadline& deadline) {
-  OptimizerOptions options;
-  options.backend = request.backend;
-  options.dispatch = request.dispatch;
-  options.decompose = request.decompose;
-  options.seed = request.seed;
-  options.pegasus_m = request.pegasus_m;
-  options.classical_fallback = request.classical_fallback;
-  options.anneal.num_reads = 50;
-  options.anneal.num_sweeps = 2000;
-  options.variational.max_iterations = 250;
-  options.variational.shots = 4096;
-  options.embedded.anneal.num_reads = 100;
-  options.embedded.anneal.num_sweeps = 4000;
-  options.budget.deadline = deadline;
-  options.budget.retry.max_attempts = request.retries;
-  options.budget.retry.initial_backoff_ms = 10.0;
-  options.budget.retry.seed = request.seed;
-  return options;
-}
-
-Deadline RequestDeadline(const ServeRequest& request,
-                         const CancelToken* token) {
-  const Deadline base = request.timeout_ms < 0
-                            ? Deadline::Infinite()
-                            : Deadline::AfterMillis(
-                                  static_cast<double>(request.timeout_ms));
-  return base.WithToken(token);
-}
-
 /// Relative-tolerance energy check for transported solutions. Isomorphic
 /// relabelings re-associate the FP sums, so exact equality is too strict;
 /// anything beyond 1e-9 relative means the canonical hash collided on
@@ -324,7 +291,7 @@ void Server::AdmitSolve(std::uint64_t seq, ServeRequest request) {
 
 std::string Server::SolveToResponse(RequestState& state) {
   const ServeRequest& request = state.request;
-  const Deadline deadline = RequestDeadline(request, &state.token);
+  const Deadline deadline = SolveDeadline(request, &state.token);
   if (options_.test_request_hook) options_.test_request_hook(deadline);
   // Per-request fault site: an injected failure surfaces as this
   // request's error response and nothing else.

@@ -246,7 +246,7 @@ TEST(CliFlagTest, OverflowingIntegerFlagIsRejected) {
 }
 
 TEST(CliFlagTest, NonNumericFlagErrorSaysSoNotOutOfRange) {
-  // Regression for the from_chars errc ordering in ParseIntToken: on
+  // Regression for the from_chars errc ordering in ParseEnvInt: on
   // invalid input the parsed value is untouched, so the old range-first
   // check reported --retries=abc as "0 out of range" instead of naming
   // the real problem.
@@ -256,6 +256,40 @@ TEST(CliFlagTest, NonNumericFlagErrorSaysSoNotOutOfRange) {
   const std::string err = ::testing::internal::GetCapturedStderr();
   EXPECT_NE(err.find("expected an integer"), std::string::npos) << err;
   EXPECT_EQ(err.find("out of range"), std::string::npos) << err;
+}
+
+TEST(CliFlagTest, BareValueFlagIsUsageError) {
+  // A bare --seed used to run as seed 1 and a bare --backend failed as
+  // `unknown backend "1"`: a value flag without =VALUE is misuse.
+  for (const char* bare : {"--seed", "--backend"}) {
+    SCOPED_TRACE(bare);
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(cli::RunQqoCli({"qqo", "mqo", "w.json", bare}),
+              cli::kExitUsage);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("expected =VALUE"), std::string::npos) << err;
+  }
+}
+
+TEST(CliFlagTest, SwitchGivenAValueIsUsageError) {
+  // --no-fallback=0 used to turn the fallback *off*.
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(cli::RunQqoCli({"qqo", "mqo", "w.json", "--no-fallback=0"}),
+            cli::kExitUsage);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("takes no value"), std::string::npos) << err;
+}
+
+TEST(CliFlagTest, PositionalsStillParseAroundFlags) {
+  // The subcommand and path positionals come before the shared flag
+  // parser; a missing file after valid flags is a runtime error, not a
+  // usage error.
+  EXPECT_EQ(cli::RunQqoCli({"qqo", "mqo", "/no/such/file.json", "--seed=3",
+                            "--no-fallback"}),
+            cli::kExitError);
+  EXPECT_EQ(cli::RunQqoCli({"qqo", "estimate", "join", "/no/such/file.json",
+                            "--precision=2"}),
+            cli::kExitError);
 }
 
 TEST(CliFlagTest, InvalidQqoThreadsIsUsageErrorOnEverySubcommand) {

@@ -17,22 +17,22 @@
 
 #include "qqo_cli.h"
 
-#include <charconv>
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
-#include <set>
+#include <limits>
+#include <span>
 #include <string>
+#include <string_view>
 
 #include "bilp/bilp_to_qubo.h"
 #include "circuit/qasm_exporter.h"
 #include "common/env.h"
-#include "common/fault_injection.h"
+#include "common/flags.h"
 #include "common/json.h"
 #include "common/status.h"
 #include "common/table_printer.h"
-#include "common/thread_pool.h"
 #include "core/device_model.h"
 #include "core/quantum_optimizer.h"
 #include "core/resource_estimator.h"
@@ -42,6 +42,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "qubo/conversions.h"
+#include "serve/protocol.h"
 #include "transpile/ibm_topologies.h"
 #include "variational/qaoa.h"
 #include "variational/vqe_ansatz.h"
@@ -82,163 +83,21 @@ int Fail(int exit_code, const Status& status) {
   return exit_code;
 }
 
-using FlagMap = std::map<std::string, std::string>;
-
-/// Splits arguments after `first` into --key[=value] flags and bare
-/// positionals. Flags are validated against `allowed` (a typo like
-/// --sed=5 must not silently run with the default seed), duplicates are
-/// rejected, and the caller states how many positionals it expects (so a
-/// stray non-flag token is an error rather than silently ignored).
-StatusOr<FlagMap> ParseFlags(int argc, const char* const* argv, int first,
-                             const std::set<std::string>& allowed,
-                             int expected_positionals = 0) {
-  FlagMap flags;
-  int positionals = 0;
-  for (int i = first; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      ++positionals;
-      if (positionals > expected_positionals) {
-        return InvalidArgumentError(
-            StrFormat("unexpected argument \"%s\"", arg.c_str()));
-      }
-      continue;
-    }
-    const std::size_t eq = arg.find('=');
-    const std::string key =
-        eq == std::string::npos ? arg.substr(2) : arg.substr(2, eq - 2);
-    if (key.empty()) {
-      return InvalidArgumentError(
-          StrFormat("malformed flag \"%s\"", arg.c_str()));
-    }
-    if (allowed.find(key) == allowed.end()) {
-      std::string known;
-      for (const std::string& name : allowed) {
-        known += known.empty() ? "--" : ", --";
-        known += name;
-      }
-      return InvalidArgumentError(StrFormat(
-          "unknown flag --%s for this subcommand (known: %s)", key.c_str(),
-          known.empty() ? "none" : known.c_str()));
-    }
-    if (flags.count(key) != 0) {
-      return InvalidArgumentError(
-          StrFormat("duplicate flag --%s", key.c_str()));
-    }
-    flags[key] = eq == std::string::npos ? "1" : arg.substr(eq + 1);
-  }
-  if (positionals != expected_positionals) {
-    return InvalidArgumentError(
-        StrFormat("expected %d positional argument(s), got %d",
-                  expected_positionals, positionals));
-  }
-  return flags;
-}
-
 std::string FlagOr(const FlagMap& flags, const std::string& key,
                    const std::string& fallback) {
   auto it = flags.find(key);
   return it == flags.end() ? fallback : it->second;
 }
 
-/// Strict integer flag: full-token std::from_chars parse with range
-/// check, so --queries=abc and --seed=9999999999999 are hard errors
-/// instead of silently becoming 0 / overflowing.
-StatusOr<long long> ParseIntToken(const std::string& key,
-                                  const std::string& text, long long min,
-                                  long long max) {
-  long long value = 0;
-  const char* begin = text.data();
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, value);
-  // Malformedness is tested before the range: from_chars leaves `value`
-  // untouched on invalid input, so the old range-first order reported
-  // --retries=abc as "0 out of range" instead of "expected an integer".
-  if (ec == std::errc::invalid_argument || ptr != end || text.empty()) {
-    return InvalidArgumentError(
-        StrFormat("flag --%s: expected an integer, got \"%s\"", key.c_str(),
-                  text.c_str()));
-  }
-  if (ec == std::errc::result_out_of_range || value < min || value > max) {
-    return OutOfRangeError(
-        StrFormat("flag --%s: value %s is out of range [%lld, %lld]",
-                  key.c_str(), text.c_str(), min, max));
-  }
-  return value;
-}
-
-StatusOr<int> IntFlag(const FlagMap& flags, const std::string& key,
-                      int fallback, int min, int max) {
+/// Integer flag through the strict parser every integer knob shares, so
+/// --queries=abc and --seed=9999999999999999999 are hard errors instead
+/// of silently becoming 0 / overflowing.
+StatusOr<long long> IntFlag(const FlagMap& flags, const std::string& key,
+                            long long fallback, long long min,
+                            long long max) {
   auto it = flags.find(key);
   if (it == flags.end()) return fallback;
-  QOPT_ASSIGN_OR_RETURN(const long long value,
-                        ParseIntToken(key, it->second, min, max));
-  return static_cast<int>(value);
-}
-
-StatusOr<std::uint64_t> Uint64Flag(const FlagMap& flags,
-                                   const std::string& key,
-                                   std::uint64_t fallback) {
-  auto it = flags.find(key);
-  if (it == flags.end()) return fallback;
-  const std::string& text = it->second;
-  std::uint64_t value = 0;
-  const char* begin = text.data();
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, value);
-  // Same ordering as ParseIntToken: malformedness before range.
-  if (ec == std::errc::invalid_argument || ptr != end || text.empty()) {
-    return InvalidArgumentError(StrFormat(
-        "flag --%s: expected a non-negative integer, got \"%s\"",
-        key.c_str(), text.c_str()));
-  }
-  if (ec == std::errc::result_out_of_range) {
-    return OutOfRangeError(StrFormat(
-        "flag --%s: value %s does not fit in 64 bits", key.c_str(),
-        text.c_str()));
-  }
-  return value;
-}
-
-/// Decompose block size: 0 (off) or a subproblem cap >= 2. Shared by
-/// --decompose and its QQO_DECOMPOSE environment default; `origin` names
-/// whichever of the two is being parsed so the diagnostic points at it.
-StatusOr<int> ParseDecomposeValue(const std::string& origin,
-                                  const std::string& text) {
-  long long value = 0;
-  const char* begin = text.data();
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec == std::errc::invalid_argument || ptr != end || text.empty()) {
-    return InvalidArgumentError(
-        StrFormat("%s: expected an integer, got \"%s\"", origin.c_str(),
-                  text.c_str()));
-  }
-  if (ec == std::errc::result_out_of_range || value < 0 || value == 1 ||
-      value > 1000000) {
-    return OutOfRangeError(StrFormat(
-        "%s: value %s must be 0 (off) or in [2, 1000000]", origin.c_str(),
-        text.c_str()));
-  }
-  return static_cast<int>(value);
-}
-
-StatusOr<Backend> ParseBackend(const std::string& name) {
-  static const std::map<std::string, Backend> kBackends = {
-      {"exact", Backend::kExact},
-      {"sa", Backend::kSimulatedAnnealing},
-      {"qaoa", Backend::kQaoa},
-      {"vqe", Backend::kVqe},
-      {"adiabatic", Backend::kAdiabatic},
-      {"annealer", Backend::kAnnealerEmulation}};
-  auto it = kBackends.find(name);
-  if (it == kBackends.end()) {
-    return InvalidArgumentError(StrFormat(
-        "unknown backend \"%s\" (known: exact, sa, qaoa, vqe, adiabatic, "
-        "annealer)",
-        name.c_str()));
-  }
-  return it->second;
+  return ParseEnvInt("flag --" + key, it->second, min, max);
 }
 
 /// Comma-separated doubles; empty tokens and non-numeric garbage are
@@ -266,52 +125,79 @@ StatusOr<std::vector<double>> ParseThresholds(const std::string& spec) {
   return thresholds;
 }
 
-StatusOr<OptimizerOptions> MakeOptions(const FlagMap& flags,
-                                       Backend backend) {
-  OptimizerOptions options;
-  options.backend = backend;
-  // --dispatch beats QQO_DISPATCH beats the serial default. The env value
-  // was already validated up front in RunQqoCli, so a parse failure here
-  // can only come from the flag itself.
-  const std::string dispatch_text =
-      FlagOr(flags, "dispatch", EnvString("QQO_DISPATCH").value_or("serial"));
-  if (StatusOr<DispatchMode> mode = ParseDispatchMode(dispatch_text);
-      mode.ok()) {
-    options.dispatch = *mode;
-  } else {
-    return InvalidArgumentError(StrFormat(
-        "flag --dispatch: %s", mode.status().message().c_str()));
+/// A solve option's flag: its protocol name with '_' -> '-'.
+std::string FlagName(std::string_view option) {
+  std::string name(option);
+  std::replace(name.begin(), name.end(), '_', '-');
+  return name;
+}
+
+void AddOptionFlags(std::span<const char* const> options,
+                    std::vector<FlagSpec>* specs) {
+  for (const char* option : options) {
+    specs->push_back({FlagName(option), std::string_view(option) !=
+                                            "no_fallback"});
   }
-  // --decompose beats QQO_DECOMPOSE beats off, mirroring --dispatch; the
-  // env value was validated up front in RunQqoCli as well.
-  const std::string decompose_text =
-      FlagOr(flags, "decompose", EnvString("QQO_DECOMPOSE").value_or("0"));
+}
+
+/// Text -> integer, then the validator qqo_serve shares, which owns the
+/// option's range.
+Status SetSolveIntText(std::string_view option, const std::string& text,
+                       const std::string& label,
+                       serve::SolveRequest* request) {
   QOPT_ASSIGN_OR_RETURN(
-      options.decompose,
-      ParseDecomposeValue("flag --decompose", decompose_text));
-  QOPT_ASSIGN_OR_RETURN(options.seed, Uint64Flag(flags, "seed", 7));
-  options.anneal.num_reads = 50;
-  options.anneal.num_sweeps = 2000;
-  options.variational.max_iterations = 250;
-  options.variational.shots = 4096;
-  QOPT_ASSIGN_OR_RETURN(options.pegasus_m,
-                        IntFlag(flags, "pegasus", 4, 2, 16));
-  options.embedded.anneal.num_reads = 100;
-  options.embedded.anneal.num_sweeps = 4000;
-  options.classical_fallback = flags.count("no-fallback") == 0;
-  // --timeout-ms=0 is a legal (instantly exhausted) budget: the solve
-  // returns kDeadlineExceeded without running any backend.
-  if (flags.count("timeout-ms") != 0) {
-    QOPT_ASSIGN_OR_RETURN(
-        const int timeout_ms,
-        IntFlag(flags, "timeout-ms", 0, 0, 24 * 60 * 60 * 1000));
-    options.budget.deadline = Deadline::AfterMillis(timeout_ms);
+      const long long value,
+      ParseEnvInt(label, text, std::numeric_limits<long long>::min(),
+                  std::numeric_limits<long long>::max()));
+  return serve::SetSolveInt(option, value, label, request);
+}
+
+/// The CLI's syntax step for one solve option (flag text -> value) in
+/// front of the validator it shares with qqo_serve.
+Status ApplyOptionFlag(const FlagMap& flags, std::string_view option,
+                       serve::SolveRequest* request) {
+  const std::string flag = FlagName(option);
+  auto it = flags.find(flag);
+  if (it == flags.end()) return OkStatus();
+  const std::string label = "flag --" + flag;
+  if (option == "no_fallback") {
+    request->classical_fallback = false;
+    return OkStatus();
   }
-  QOPT_ASSIGN_OR_RETURN(options.budget.retry.max_attempts,
-                        IntFlag(flags, "retries", 1, 1, 100));
-  options.budget.retry.initial_backoff_ms = 10.0;
-  options.budget.retry.seed = options.seed;
-  return options;
+  if (option == "thresholds") {
+    QOPT_ASSIGN_OR_RETURN(request->join_encoder.thresholds,
+                          ParseThresholds(it->second));
+    return OkStatus();
+  }
+  if (option == "backend" || option == "dispatch") {
+    return serve::SetSolveName(option, it->second, label, request);
+  }
+  return SetSolveIntText(option, it->second, label, request);
+}
+
+/// `request` overridden by whichever solve-option flags were given.
+StatusOr<serve::SolveRequest> ParseSolveFlags(
+    const FlagMap& flags, serve::SolveRequest request) {
+  for (const char* option : serve::kSolveOptions) {
+    QOPT_RETURN_IF_ERROR(ApplyOptionFlag(flags, option, &request));
+  }
+  for (const char* option : serve::kJoinOptions) {
+    QOPT_RETURN_IF_ERROR(ApplyOptionFlag(flags, option, &request));
+  }
+  return request;
+}
+
+/// The defaults under the solve flags: QQO_DISPATCH (checked by
+/// CheckSolveEnvironment) and QQO_DECOMPOSE, which goes through the
+/// shared validator under its own name.
+StatusOr<serve::SolveRequest> EnvDefaults(DispatchMode dispatch) {
+  serve::SolveRequest request;
+  request.dispatch = dispatch;
+  if (std::optional<std::string> text = EnvString("QQO_DECOMPOSE")) {
+    QOPT_RETURN_IF_ERROR(
+        SetSolveIntText("decompose", *text, "QQO_DECOMPOSE", &request));
+  }
+  return request;
 }
 
 /// Exit code for a failed solve: deadline expiry (and cancellation, its
@@ -363,49 +249,59 @@ void PrintStats(const SolveStats& stats) {
   std::fprintf(stderr, "qqo: elapsed ms: %.1f\n", stats.elapsed_ms);
 }
 
-StatusOr<JoinOrderEncoderOptions> MakeJoinEncoderOptions(
-    const FlagMap& flags) {
-  JoinOrderEncoderOptions encoder;
-  QOPT_ASSIGN_OR_RETURN(encoder.thresholds,
-                        ParseThresholds(FlagOr(flags, "thresholds",
-                                               "10,100")));
-  QOPT_ASSIGN_OR_RETURN(encoder.precision_decimals,
-                        IntFlag(flags, "precision", 0, 0, 16));
-  encoder.safe_slack_bounds = true;
-  return encoder;
-}
-
 /// The path positional must not look like a flag (catches
 /// `qqo mqo --backend=sa` with the workload file forgotten).
 bool LooksLikeFlag(const std::string& arg) {
   return arg.rfind("--", 0) == 0;
 }
 
-void PrintDegradation(const std::string& reason, Backend backend_used) {
-  std::fprintf(stderr,
-               "qqo: warning: degraded to classical fallback \"%s\": %s\n",
-               BackendName(backend_used).c_str(), reason.c_str());
+/// The report of a `qqo mqo|join` solve: the lines both kinds share, then
+/// `print_solution` for a solution that decoded.
+template <typename SolveReport, typename PrintSolution>
+int PrintReport(const StatusOr<SolveReport>& solved, const char* non_solution,
+                PrintSolution print_solution) {
+  if (!solved.ok()) {
+    return Fail(SolveExitCode(solved.status()), solved.status());
+  }
+  const SolveReport& report = *solved;
+  if (report.degraded) {
+    std::fprintf(stderr,
+                 "qqo: warning: degraded to classical fallback \"%s\": %s\n",
+                 BackendName(report.backend_used).c_str(),
+                 report.degradation_reason.c_str());
+  }
+  std::printf("backend: %s%s\nqubits: %d\nquadratic terms: %d\n",
+              BackendName(report.backend_used).c_str(),
+              report.degraded ? " (degraded)" : "", report.qubits,
+              report.quadratic_terms);
+  PrintStats(report.stats);
+  if (!report.valid) {
+    std::printf("result: INVALID (backend returned a %s)\n", non_solution);
+    return kExitError;
+  }
+  print_solution(report.solution);
+  return kExitOk;
 }
 
-int RunGenerate(int argc, const char* const* argv) {
-  if (argc < 4) return Usage();
-  const std::string what = argv[2];
-  const std::string path = argv[3];
+int RunGenerate(const std::vector<std::string>& args) {
+  if (args.size() < 4) return Usage();
+  const std::string& what = args[2];
+  const std::string& path = args[3];
   if (LooksLikeFlag(what) || LooksLikeFlag(path)) return Usage();
   if (what == "mqo") {
     StatusOr<FlagMap> flags =
-        ParseFlags(argc, argv, 4, {"queries", "ppq", "seed"});
+        ParseFlags(args, 4, {{"queries"}, {"ppq"}, {"seed"}});
     if (!flags.ok()) return Fail(kExitUsage, flags.status());
     MqoGeneratorOptions gen;
-    StatusOr<int> queries = IntFlag(*flags, "queries", 4, 1, 1000);
+    StatusOr<long long> queries = IntFlag(*flags, "queries", 4, 1, 1000);
     if (!queries.ok()) return Fail(kExitUsage, queries.status());
-    gen.num_queries = *queries;
-    StatusOr<int> ppq = IntFlag(*flags, "ppq", 4, 1, 1000);
+    gen.num_queries = static_cast<int>(*queries);
+    StatusOr<long long> ppq = IntFlag(*flags, "ppq", 4, 1, 1000);
     if (!ppq.ok()) return Fail(kExitUsage, ppq.status());
-    gen.plans_per_query = *ppq;
-    StatusOr<std::uint64_t> seed = Uint64Flag(*flags, "seed", 1);
+    gen.plans_per_query = static_cast<int>(*ppq);
+    StatusOr<long long> seed = IntFlag(*flags, "seed", 1, 0, serve::kMaxSeed);
     if (!seed.ok()) return Fail(kExitUsage, seed.status());
-    gen.seed = *seed;
+    gen.seed = static_cast<std::uint64_t>(*seed);
     const MqoProblem problem = GenerateMqoProblem(gen);
     if (const Status saved = SaveMqoProblem(problem, path); !saved.ok()) {
       return Fail(kExitError, saved);
@@ -417,7 +313,7 @@ int RunGenerate(int argc, const char* const* argv) {
   }
   if (what == "join") {
     StatusOr<FlagMap> flags = ParseFlags(
-        argc, argv, 4, {"relations", "predicates", "seed", "topology"});
+        args, 4, {{"relations"}, {"predicates"}, {"seed"}, {"topology"}});
     if (!flags.ok()) return Fail(kExitUsage, flags.status());
     const std::string topology = FlagOr(*flags, "topology", "random");
     if (topology != "random" && topology != "chain" && topology != "star" &&
@@ -428,10 +324,14 @@ int RunGenerate(int argc, const char* const* argv) {
                       "star, cycle, or clique",
                       topology.c_str())));
     }
-    StatusOr<int> relations = IntFlag(*flags, "relations", 5, 2, 1000);
-    if (!relations.ok()) return Fail(kExitUsage, relations.status());
-    StatusOr<std::uint64_t> seed = Uint64Flag(*flags, "seed", 1);
-    if (!seed.ok()) return Fail(kExitUsage, seed.status());
+    StatusOr<long long> relations_flag =
+        IntFlag(*flags, "relations", 5, 2, 1000);
+    if (!relations_flag.ok()) return Fail(kExitUsage, relations_flag.status());
+    const int relations = static_cast<int>(*relations_flag);
+    StatusOr<long long> seed_flag =
+        IntFlag(*flags, "seed", 1, 0, serve::kMaxSeed);
+    if (!seed_flag.ok()) return Fail(kExitUsage, seed_flag.status());
+    const std::uint64_t seed = static_cast<std::uint64_t>(*seed_flag);
     if (topology != "random" && flags->count("predicates") > 0) {
       return Fail(kExitUsage,
                   InvalidArgumentError(StrFormat(
@@ -442,17 +342,16 @@ int RunGenerate(int argc, const char* const* argv) {
     QueryGraph graph({1.0});
     if (topology == "random") {
       QueryGeneratorOptions gen;
-      gen.num_relations = *relations;
-      StatusOr<int> predicates =
-          IntFlag(*flags, "predicates", gen.num_relations - 1,
-                  gen.num_relations - 1,
-                  gen.num_relations * (gen.num_relations - 1) / 2);
+      gen.num_relations = relations;
+      StatusOr<long long> predicates =
+          IntFlag(*flags, "predicates", relations - 1, relations - 1,
+                  relations * (relations - 1) / 2);
       if (!predicates.ok()) return Fail(kExitUsage, predicates.status());
-      gen.num_predicates = *predicates;
+      gen.num_predicates = static_cast<int>(*predicates);
       gen.cardinality_min = 10.0;
       gen.cardinality_max = 100000.0;
       gen.selectivity_min = 0.001;
-      gen.seed = *seed;
+      gen.seed = seed;
       graph = GenerateRandomQuery(gen);
     } else {
       // Fixed-topology stressors for the decomposition sweeps share one
@@ -461,17 +360,13 @@ int RunGenerate(int argc, const char* const* argv) {
       const double cardinality = 1000.0;
       const double selectivity = 0.1;
       if (topology == "chain") {
-        graph = GenerateChainQuery(*relations, cardinality, selectivity,
-                                   *seed);
+        graph = GenerateChainQuery(relations, cardinality, selectivity, seed);
       } else if (topology == "star") {
-        graph = GenerateStarQuery(*relations, cardinality, selectivity,
-                                  *seed);
+        graph = GenerateStarQuery(relations, cardinality, selectivity, seed);
       } else if (topology == "cycle") {
-        graph = GenerateCycleQuery(*relations, cardinality, selectivity,
-                                   *seed);
+        graph = GenerateCycleQuery(relations, cardinality, selectivity, seed);
       } else {
-        graph = GenerateCliqueQuery(*relations, cardinality, selectivity,
-                                    *seed);
+        graph = GenerateCliqueQuery(relations, cardinality, selectivity, seed);
       }
     }
     if (const Status saved = SaveQueryGraph(graph, path); !saved.ok()) {
@@ -484,88 +379,50 @@ int RunGenerate(int argc, const char* const* argv) {
   return Usage();
 }
 
-int RunMqo(int argc, const char* const* argv) {
-  if (argc < 3 || LooksLikeFlag(argv[2])) return Usage();
-  StatusOr<FlagMap> flags =
-      ParseFlags(argc, argv, 3,
-                 {"backend", "dispatch", "decompose", "seed", "pegasus",
-                  "no-fallback", "timeout-ms", "retries"});
+/// `qqo mqo|join <file>`: flags -> SolveRequest -> the options builder
+/// qqo_serve uses, so a solve means the same on either front end.
+int RunSolve(const std::vector<std::string>& args,
+             const serve::SolveRequest& defaults) {
+  if (args.size() < 3 || LooksLikeFlag(args[2])) return Usage();
+  const bool join = args[1] == "join";
+  std::vector<FlagSpec> specs;
+  AddOptionFlags(serve::kSolveOptions, &specs);
+  if (join) AddOptionFlags(serve::kJoinOptions, &specs);
+  StatusOr<FlagMap> flags = ParseFlags(args, 3, specs);
   if (!flags.ok()) return Fail(kExitUsage, flags.status());
   // Validate every flag value before touching the file: a usage error is
   // diagnosed the same way whether or not the workload path exists.
-  StatusOr<Backend> backend = ParseBackend(FlagOr(*flags, "backend", "sa"));
-  if (!backend.ok()) return Fail(kExitUsage, backend.status());
-  StatusOr<OptimizerOptions> options = MakeOptions(*flags, *backend);
-  if (!options.ok()) return Fail(kExitUsage, options.status());
-  StatusOr<MqoProblem> problem = LoadMqoProblem(argv[2]);
+  StatusOr<serve::SolveRequest> request = ParseSolveFlags(*flags, defaults);
+  if (!request.ok()) return Fail(kExitUsage, request.status());
+  const OptimizerOptions options =
+      serve::MakeOptimizerOptions(*request, serve::SolveDeadline(*request));
+  if (join) {
+    StatusOr<QueryGraph> graph = LoadQueryGraph(args[2]);
+    if (!graph.ok()) return Fail(kExitError, graph.status());
+    return PrintReport(
+        TrySolveJoinOrder(*graph, request->join_encoder, options),
+        "non-permutation", [](const JoinOrderSolution& solution) {
+          std::printf("C_out cost: %.6g\norder:", solution.cost);
+          for (int r : solution.order) std::printf(" R%d", r);
+          std::printf("\n");
+        });
+  }
+  StatusOr<MqoProblem> problem = LoadMqoProblem(args[2]);
   if (!problem.ok()) return Fail(kExitError, problem.status());
-  StatusOr<MqoSolveReport> solved = TrySolveMqo(*problem, *options);
-  if (!solved.ok()) return Fail(SolveExitCode(solved.status()),
-                                solved.status());
-  const MqoSolveReport& report = *solved;
-  if (report.degraded) {
-    PrintDegradation(report.degradation_reason, report.backend_used);
-  }
-  std::printf("backend: %s%s\nqubits: %d\nquadratic terms: %d\n",
-              BackendName(report.backend_used).c_str(),
-              report.degraded ? " (degraded)" : "", report.qubits,
-              report.quadratic_terms);
-  PrintStats(report.stats);
-  if (!report.valid) {
-    std::printf("result: INVALID (backend returned a non-selection)\n");
-    return kExitError;
-  }
-  std::printf("cost: %.6g\nselection (query: plan):", report.solution.cost);
-  for (int q = 0; q < problem->NumQueries(); ++q) {
-    std::printf(" %d:%d", q,
-                report.solution.selection[static_cast<std::size_t>(q)]);
-  }
-  std::printf("\n");
-  return kExitOk;
-}
-
-int RunJoin(int argc, const char* const* argv) {
-  if (argc < 3 || LooksLikeFlag(argv[2])) return Usage();
-  StatusOr<FlagMap> flags =
-      ParseFlags(argc, argv, 3,
-                 {"backend", "dispatch", "decompose", "seed", "pegasus",
-                  "thresholds", "precision", "no-fallback", "timeout-ms",
-                  "retries"});
-  if (!flags.ok()) return Fail(kExitUsage, flags.status());
-  StatusOr<Backend> backend = ParseBackend(FlagOr(*flags, "backend", "sa"));
-  if (!backend.ok()) return Fail(kExitUsage, backend.status());
-  StatusOr<JoinOrderEncoderOptions> encoder = MakeJoinEncoderOptions(*flags);
-  if (!encoder.ok()) return Fail(kExitUsage, encoder.status());
-  StatusOr<OptimizerOptions> options = MakeOptions(*flags, *backend);
-  if (!options.ok()) return Fail(kExitUsage, options.status());
-  StatusOr<QueryGraph> graph = LoadQueryGraph(argv[2]);
-  if (!graph.ok()) return Fail(kExitError, graph.status());
-  StatusOr<JoinOrderSolveReport> solved =
-      TrySolveJoinOrder(*graph, *encoder, *options);
-  if (!solved.ok()) return Fail(SolveExitCode(solved.status()),
-                                solved.status());
-  const JoinOrderSolveReport& report = *solved;
-  if (report.degraded) {
-    PrintDegradation(report.degradation_reason, report.backend_used);
-  }
-  std::printf("backend: %s%s\nqubits: %d\nquadratic terms: %d\n",
-              BackendName(report.backend_used).c_str(),
-              report.degraded ? " (degraded)" : "", report.qubits,
-              report.quadratic_terms);
-  PrintStats(report.stats);
-  if (!report.valid) {
-    std::printf("result: INVALID (backend returned a non-permutation)\n");
-    return kExitError;
-  }
-  std::printf("C_out cost: %.6g\norder:", report.solution.cost);
-  for (int r : report.solution.order) std::printf(" R%d", r);
-  std::printf("\n");
-  return kExitOk;
+  return PrintReport(
+      TrySolveMqo(*problem, options), "non-selection",
+      [](const MqoSolution& solution) {
+        std::printf("cost: %.6g\nselection (query: plan):", solution.cost);
+        for (std::size_t q = 0; q < solution.selection.size(); ++q) {
+          std::printf(" %d:%d", static_cast<int>(q), solution.selection[q]);
+        }
+        std::printf("\n");
+      });
 }
 
 StatusOr<QuboModel> LoadAsQubo(const std::string& what,
                                const std::string& path,
-                               const FlagMap& flags) {
+                               const JoinOrderEncoderOptions& encoder) {
   if (what == "mqo") {
     QOPT_ASSIGN_OR_RETURN(const MqoProblem problem, LoadMqoProblem(path));
     QOPT_ASSIGN_OR_RETURN(const MqoQuboEncoding encoding,
@@ -574,8 +431,6 @@ StatusOr<QuboModel> LoadAsQubo(const std::string& what,
   }
   if (what == "join") {
     QOPT_ASSIGN_OR_RETURN(const QueryGraph graph, LoadQueryGraph(path));
-    QOPT_ASSIGN_OR_RETURN(const JoinOrderEncoderOptions encoder,
-                          MakeJoinEncoderOptions(flags));
     QOPT_ASSIGN_OR_RETURN(const JoinOrderEncoding encoding,
                           TryEncodeJoinOrderAsBilp(graph, encoder));
     return EncodeBilpAsQubo(encoding.bilp).qubo;
@@ -585,14 +440,28 @@ StatusOr<QuboModel> LoadAsQubo(const std::string& what,
                 what.c_str()));
 }
 
-int RunEstimate(int argc, const char* const* argv) {
-  if (argc < 4 || LooksLikeFlag(argv[2]) || LooksLikeFlag(argv[3])) {
+/// `qqo estimate|qasm` flags: `own` plus the join encoder's, which parse
+/// like a solve's into `encoder`.
+StatusOr<FlagMap> ParseQuboFlags(const std::vector<std::string>& args,
+                                 std::vector<FlagSpec> own,
+                                 JoinOrderEncoderOptions* encoder) {
+  AddOptionFlags(serve::kJoinOptions, &own);
+  QOPT_ASSIGN_OR_RETURN(FlagMap flags, ParseFlags(args, 4, own));
+  QOPT_ASSIGN_OR_RETURN(const serve::SolveRequest request,
+                        ParseSolveFlags(flags, serve::SolveRequest()));
+  *encoder = request.join_encoder;
+  return flags;
+}
+
+int RunEstimate(const std::vector<std::string>& args) {
+  if (args.size() < 4 || LooksLikeFlag(args[2]) || LooksLikeFlag(args[3])) {
     return Usage();
   }
-  StatusOr<FlagMap> flags = ParseFlags(
-      argc, argv, 4, {"device", "trials", "thresholds", "precision"});
+  JoinOrderEncoderOptions encoder;
+  StatusOr<FlagMap> flags =
+      ParseQuboFlags(args, {{"device"}, {"trials"}}, &encoder);
   if (!flags.ok()) return Fail(kExitUsage, flags.status());
-  StatusOr<QuboModel> qubo = LoadAsQubo(argv[2], argv[3], *flags);
+  StatusOr<QuboModel> qubo = LoadAsQubo(args[2], args[3], encoder);
   if (!qubo.ok()) return Fail(kExitError, qubo.status());
   const std::string device_name = FlagOr(*flags, "device", "mumbai");
   if (device_name != "mumbai" && device_name != "brooklyn") {
@@ -606,9 +475,9 @@ int RunEstimate(int argc, const char* const* argv) {
   const CouplingMap coupling =
       device_name == "brooklyn" ? MakeBrooklyn65() : MakeMumbai27();
   GateEstimateOptions options;
-  StatusOr<int> trials = IntFlag(*flags, "trials", 10, 1, 1000);
+  StatusOr<long long> trials = IntFlag(*flags, "trials", 10, 1, 1000);
   if (!trials.ok()) return Fail(kExitUsage, trials.status());
-  options.transpile_trials = *trials;
+  options.transpile_trials = static_cast<int>(*trials);
   const GateResourceEstimate estimate =
       EstimateGateResources(*qubo, coupling, device, options);
   std::printf("device: %s (max reliable depth %d)\n", device.name.c_str(),
@@ -627,14 +496,14 @@ int RunEstimate(int argc, const char* const* argv) {
   return kExitOk;
 }
 
-int RunQasm(int argc, const char* const* argv) {
-  if (argc < 4 || LooksLikeFlag(argv[2]) || LooksLikeFlag(argv[3])) {
+int RunQasm(const std::vector<std::string>& args) {
+  if (args.size() < 4 || LooksLikeFlag(args[2]) || LooksLikeFlag(args[3])) {
     return Usage();
   }
-  StatusOr<FlagMap> flags =
-      ParseFlags(argc, argv, 4, {"algorithm", "thresholds", "precision"});
+  JoinOrderEncoderOptions encoder;
+  StatusOr<FlagMap> flags = ParseQuboFlags(args, {{"algorithm"}}, &encoder);
   if (!flags.ok()) return Fail(kExitUsage, flags.status());
-  StatusOr<QuboModel> qubo = LoadAsQubo(argv[2], argv[3], *flags);
+  StatusOr<QuboModel> qubo = LoadAsQubo(args[2], args[3], encoder);
   if (!qubo.ok()) return Fail(kExitError, qubo.status());
   const std::string algorithm = FlagOr(*flags, "algorithm", "qaoa");
   QuantumCircuit circuit;
@@ -652,14 +521,14 @@ int RunQasm(int argc, const char* const* argv) {
   return kExitOk;
 }
 
-int Dispatch(int argc, const char* const* argv) {
-  if (argc < 2) return Usage();
-  const std::string command = argv[1];
-  if (command == "generate") return RunGenerate(argc, argv);
-  if (command == "mqo") return RunMqo(argc, argv);
-  if (command == "join") return RunJoin(argc, argv);
-  if (command == "estimate") return RunEstimate(argc, argv);
-  if (command == "qasm") return RunQasm(argc, argv);
+int Dispatch(const std::vector<std::string>& args,
+             const serve::SolveRequest& defaults) {
+  if (args.size() < 2) return Usage();
+  const std::string& command = args[1];
+  if (command == "generate") return RunGenerate(args);
+  if (command == "mqo" || command == "join") return RunSolve(args, defaults);
+  if (command == "estimate") return RunEstimate(args);
+  if (command == "qasm") return RunQasm(args);
   std::fprintf(stderr, "qqo: error: unknown command \"%s\"\n",
                command.c_str());
   return Usage();
@@ -696,30 +565,12 @@ int RunQqoCli(int argc, const char* const* argv) {
 
 int RunQqoCli(const std::vector<std::string>& args) {
   // Environment knobs are validated before any work runs: a typo in
-  // QQO_THREADS or QQO_FAULTS is command-line misuse (exit 2), never a
-  // silent fallback to defaults.
-  if (StatusOr<int> pool = ThreadPool::PoolSizeFromEnvOrStatus();
-      !pool.ok()) {
-    return Fail(kExitUsage, pool.status());
-  }
-  if (Status faults = FaultInjection::EnvSpecStatus(); !faults.ok()) {
-    return Fail(kExitUsage, faults);
-  }
-  if (std::optional<std::string> dispatch_env = EnvString("QQO_DISPATCH")) {
-    if (StatusOr<DispatchMode> mode = ParseDispatchMode(*dispatch_env);
-        !mode.ok()) {
-      return Fail(kExitUsage,
-                  InvalidArgumentError(StrFormat(
-                      "QQO_DISPATCH: %s", mode.status().message().c_str())));
-    }
-  }
-  if (std::optional<std::string> decompose_env = EnvString("QQO_DECOMPOSE")) {
-    if (StatusOr<int> value =
-            ParseDecomposeValue("QQO_DECOMPOSE", *decompose_env);
-        !value.ok()) {
-      return Fail(kExitUsage, value.status());
-    }
-  }
+  // QQO_THREADS, QQO_FAULTS, QQO_DISPATCH or QQO_DECOMPOSE is command-line
+  // misuse (exit 2), never a silent fallback to defaults.
+  StatusOr<DispatchMode> env_dispatch = serve::CheckSolveEnvironment();
+  if (!env_dispatch.ok()) return Fail(kExitUsage, env_dispatch.status());
+  StatusOr<serve::SolveRequest> defaults = EnvDefaults(*env_dispatch);
+  if (!defaults.ok()) return Fail(kExitUsage, defaults.status());
 
   // The observability flags are global: strip them here so every
   // subcommand accepts them without widening its own allowlist.
@@ -756,10 +607,7 @@ int RunQqoCli(const std::vector<std::string>& args) {
     obs::Metrics::Instance().Enable();
   }
 
-  std::vector<const char*> argv;
-  argv.reserve(rest.size());
-  for (const std::string& arg : rest) argv.push_back(arg.c_str());
-  int code = Dispatch(static_cast<int>(argv.size()), argv.data());
+  int code = Dispatch(rest, *defaults);
 
   if (!trace_out.empty()) {
     obs::Tracer::Instance().Disable();
