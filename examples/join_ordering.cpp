@@ -61,7 +61,8 @@ int main() {
   options.anneal.num_reads = 60;
   options.anneal.num_sweeps = 2000;
   options.seed = 11;
-  const JoinOrderSolveReport report = SolveJoinOrder(small, encoder, options);
+  const JoinOrderSolveReport report =
+      TrySolveJoinOrder(small, encoder, options).value();
   std::printf("BILP -> QUBO pipeline on the Sec. 6.1.2 example:\n"
               "  qubits: %d, quadratic terms: %d\n",
               report.qubits, report.quadratic_terms);

@@ -56,7 +56,7 @@ int main() {
   options.anneal.num_reads = 50;
   options.anneal.num_sweeps = 2000;
   options.seed = 3;
-  const MqoSolveReport report = SolveMqo(batch, options);
+  const MqoSolveReport report = TrySolveMqo(batch, options).value();
   std::printf("\nQUBO pipeline (SA backend): valid=%s cost=%.2f "
               "(%d qubits, %d quadratic terms)\n",
               report.valid ? "yes" : "no",

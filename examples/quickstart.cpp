@@ -35,7 +35,7 @@ int main() {
     options.pegasus_m = 3;
     options.embedded.anneal.num_reads = 50;
     options.embedded.anneal.num_sweeps = 2000;
-    const MqoSolveReport report = SolveMqo(problem, options);
+    const MqoSolveReport report = TrySolveMqo(problem, options).value();
     std::string plans;
     if (report.valid) {
       for (int q = 0; q < problem.NumQueries(); ++q) {

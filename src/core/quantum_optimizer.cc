@@ -7,11 +7,11 @@
 #include <limits>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <utility>
 
 #include "anneal/pegasus.h"
 #include "bilp/bilp_to_qubo.h"
-#include "common/check.h"
 #include "common/fault_injection.h"
 #include "common/table_printer.h"
 #include "common/thread_pool.h"
@@ -762,74 +762,78 @@ StatusOr<DispatchMode> ParseDispatchMode(const std::string& text) {
       "unknown dispatch mode '%s' (expected serial|race)", text.c_str()));
 }
 
-StatusOr<MqoSolveReport> TrySolveMqo(const MqoProblem& problem,
-                                     const OptimizerOptions& options) {
-  QQO_TRACE_SPAN("solve.mqo");
+StatusOr<EncodedProblem<MqoSolution>> EncodeMqoProblem(
+    const MqoProblem& problem) {
+  QOPT_ASSIGN_OR_RETURN(MqoQuboEncoding encoding, TryEncodeMqoAsQubo(problem));
+  return EncodedProblem<MqoSolution>{
+      std::move(encoding.qubo),
+      [&problem](const std::vector<std::uint8_t>& bits)
+          -> std::optional<MqoSolution> {
+        MqoSolution solution;
+        if (!problem.DecodeBits(bits, &solution.selection)) return {};
+        solution.cost = problem.SelectionCost(solution.selection);
+        return solution;
+      }};
+}
+
+StatusOr<EncodedProblem<JoinOrderSolution>> EncodeJoinOrderProblem(
+    const QueryGraph& graph, const JoinOrderEncoderOptions& encoder_options) {
+  QOPT_ASSIGN_OR_RETURN(JoinOrderEncoding encoding,
+                        TryEncodeJoinOrderAsBilp(graph, encoder_options));
+  QuboModel qubo = EncodeBilpAsQubo(encoding.bilp).qubo;
+  return EncodedProblem<JoinOrderSolution>{
+      std::move(qubo),
+      [&graph, encoding = std::move(encoding)](
+          const std::vector<std::uint8_t>& bits)
+          -> std::optional<JoinOrderSolution> {
+        JoinOrderSolution solution;
+        if (!DecodeJoinOrder(encoding, bits, &solution.order)) return {};
+        solution.cost = CoutCost(graph, solution.order);
+        return solution;
+      }};
+}
+
+template <typename Solution>
+StatusOr<SolveReport<Solution>> TrySolveEncoded(
+    const ProblemEncoder<Solution>& encode, const OptimizerOptions& options) {
+  QQO_TRACE_SPAN((std::is_same_v<Solution, MqoSolution> ? "solve.mqo"
+                                                       : "solve.join"));
   QOPT_RETURN_IF_ERROR(options.budget.deadline.Check());
-  QOPT_ASSIGN_OR_RETURN(const MqoQuboEncoding encoding,
-                        TryEncodeMqoAsQubo(problem));
-  MqoSolveReport report;
-  report.qubits = encoding.qubo.NumVariables();
-  report.quadratic_terms = encoding.qubo.NumQuadraticTerms();
+  QOPT_ASSIGN_OR_RETURN(const EncodedProblem<Solution> problem, encode());
+  SolveReport<Solution> report;
+  report.qubits = problem.qubo.NumVariables();
+  report.quadratic_terms = problem.qubo.NumQuadraticTerms();
   QOPT_ASSIGN_OR_RETURN(DispatchOutcome outcome,
-                        DispatchQubo(encoding.qubo, options));
+                        DispatchQubo(problem.qubo, options));
   report.backend_used = outcome.backend_used;
   report.degraded = outcome.degraded;
   report.degradation_reason = std::move(outcome.degradation_reason);
-  report.stats = outcome.stats;
+  report.stats = std::move(outcome.stats);
   report.qubo_energy = outcome.result.energy;
-  std::vector<int> selection;
-  report.valid = problem.DecodeBits(outcome.result.bits, &selection);
-  if (report.valid) {
-    report.solution.cost = problem.SelectionCost(selection);
-    report.solution.selection = std::move(selection);
+  if (std::optional<Solution> solution = problem.decode(outcome.result.bits)) {
+    report.valid = true;
+    report.solution = *std::move(solution);
   }
   report.bits = std::move(outcome.result.bits);
   return report;
 }
 
-MqoSolveReport SolveMqo(const MqoProblem& problem,
-                        const OptimizerOptions& options) {
-  StatusOr<MqoSolveReport> report = TrySolveMqo(problem, options);
-  QOPT_CHECK_MSG(report.ok(), report.status().ToString().c_str());
-  return *std::move(report);
+template StatusOr<MqoSolveReport> TrySolveEncoded(
+    const ProblemEncoder<MqoSolution>&, const OptimizerOptions&);
+template StatusOr<JoinOrderSolveReport> TrySolveEncoded(
+    const ProblemEncoder<JoinOrderSolution>&, const OptimizerOptions&);
+
+StatusOr<MqoSolveReport> TrySolveMqo(const MqoProblem& problem,
+                                     const OptimizerOptions& options) {
+  return TrySolveEncoded<MqoSolution>(
+      [&problem] { return EncodeMqoProblem(problem); }, options);
 }
 
 StatusOr<JoinOrderSolveReport> TrySolveJoinOrder(
     const QueryGraph& graph, const JoinOrderEncoderOptions& encoder_options,
     const OptimizerOptions& options) {
-  QQO_TRACE_SPAN("solve.join");
-  QOPT_RETURN_IF_ERROR(options.budget.deadline.Check());
-  QOPT_ASSIGN_OR_RETURN(const JoinOrderEncoding encoding,
-                        TryEncodeJoinOrderAsBilp(graph, encoder_options));
-  const BilpQuboEncoding qubo_encoding = EncodeBilpAsQubo(encoding.bilp);
-  JoinOrderSolveReport report;
-  report.qubits = qubo_encoding.qubo.NumVariables();
-  report.quadratic_terms = qubo_encoding.qubo.NumQuadraticTerms();
-  QOPT_ASSIGN_OR_RETURN(DispatchOutcome outcome,
-                        DispatchQubo(qubo_encoding.qubo, options));
-  report.backend_used = outcome.backend_used;
-  report.degraded = outcome.degraded;
-  report.degradation_reason = std::move(outcome.degradation_reason);
-  report.stats = outcome.stats;
-  report.qubo_energy = outcome.result.energy;
-  std::vector<int> order;
-  report.valid = DecodeJoinOrder(encoding, outcome.result.bits, &order);
-  if (report.valid) {
-    report.solution.cost = CoutCost(graph, order);
-    report.solution.order = std::move(order);
-  }
-  report.bits = std::move(outcome.result.bits);
-  return report;
-}
-
-JoinOrderSolveReport SolveJoinOrder(
-    const QueryGraph& graph, const JoinOrderEncoderOptions& encoder_options,
-    const OptimizerOptions& options) {
-  StatusOr<JoinOrderSolveReport> report =
-      TrySolveJoinOrder(graph, encoder_options, options);
-  QOPT_CHECK_MSG(report.ok(), report.status().ToString().c_str());
-  return *std::move(report);
+  return TrySolveEncoded<JoinOrderSolution>(
+      [&] { return EncodeJoinOrderProblem(graph, encoder_options); }, options);
 }
 
 }  // namespace qopt

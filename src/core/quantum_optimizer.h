@@ -1,6 +1,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "joinorder/query_graph.h"
 #include "mqo/mqo_baselines.h"
 #include "mqo/mqo_problem.h"
+#include "qubo/qubo_model.h"
 #include "variational/adiabatic.h"
 #include "variational/variational_solver.h"
 
@@ -151,10 +154,14 @@ struct OptimizerOptions {
   bool classical_fallback = true;
 };
 
-/// Outcome of solving an MQO problem through the QUBO pipeline.
-struct MqoSolveReport {
-  bool valid = false;       ///< Solution decodes to one plan per query.
-  MqoSolution solution;     ///< Meaningful only when valid.
+/// Outcome of one facade solve, for either problem kind: the QUBO's size,
+/// the dispatch's accounting and the plan decoded from the returned bits.
+template <typename Solution>
+struct SolveReport {
+  /// The bits decode to a plan: one per query (MQO) or a permutation
+  /// (join order).
+  bool valid = false;
+  Solution solution;        ///< Meaningful only when valid.
   double qubo_energy = 0.0; ///< Energy of the returned bit string.
   int qubits = 0;
   int quadratic_terms = 0;
@@ -170,42 +177,52 @@ struct MqoSolveReport {
   std::vector<std::uint8_t> bits;
 };
 
-/// Encodes `problem` as a QUBO (Sec. 5.1), solves it with the selected
-/// backend and decodes the plan selection. Recoverable failures (invalid
-/// problem/options, backend budget exceeded with fallback disabled) come
-/// back as a Status instead of aborting.
+using MqoSolveReport = SolveReport<MqoSolution>;
+using JoinOrderSolveReport = SolveReport<JoinOrderSolution>;
+
+/// A workload of either kind encoded as one QUBO, with the way back from a
+/// solver's bits to a priced plan. Past the encoder both kinds share one
+/// path: the facade's solve body and the serving layer's cache.
+template <typename Solution>
+struct EncodedProblem {
+  QuboModel qubo;
+  /// The plan `bits` describe, with its cost; nullopt when they describe
+  /// none.
+  std::function<std::optional<Solution>(const std::vector<std::uint8_t>& bits)>
+      decode;
+};
+
+/// Encodes a workload on demand: the problem, or the encoder's error.
+template <typename Solution>
+using ProblemEncoder = std::function<StatusOr<EncodedProblem<Solution>>()>;
+
+/// MQO as a QUBO (Sec. 5.1); decodes with DecodeBits and prices with
+/// SelectionCost. `problem` must outlive the result.
+StatusOr<EncodedProblem<MqoSolution>> EncodeMqoProblem(
+    const MqoProblem& problem);
+
+/// Join order as a BILP (Sec. 6.1.2/6.1.3), then as a QUBO (Sec. 6.1.4);
+/// decodes with DecodeJoinOrder and prices with CoutCost. `graph` must
+/// outlive the result.
+StatusOr<EncodedProblem<JoinOrderSolution>> EncodeJoinOrderProblem(
+    const QueryGraph& graph, const JoinOrderEncoderOptions& encoder_options);
+
+/// The solve body of both kinds. Under the kind's trace span
+/// ("solve.mqo" / "solve.join") it checks the deadline, then encodes
+/// (`encode`), dispatches the QUBO, decodes the bits and reports.
+/// Recoverable failures (invalid problem/options, backend budget exceeded
+/// with fallback disabled) come back as a Status instead of aborting.
+template <typename Solution>
+StatusOr<SolveReport<Solution>> TrySolveEncoded(
+    const ProblemEncoder<Solution>& encode, const OptimizerOptions& options);
+
+/// Encodes `problem` (EncodeMqoProblem) and solves it (TrySolveEncoded).
 StatusOr<MqoSolveReport> TrySolveMqo(const MqoProblem& problem,
                                      const OptimizerOptions& options = {});
 
-/// Abort-on-error flavour for internal callers with trusted input.
-MqoSolveReport SolveMqo(const MqoProblem& problem,
-                        const OptimizerOptions& options = {});
-
-/// Outcome of solving a join ordering problem through the two-step
-/// BILP -> QUBO pipeline.
-struct JoinOrderSolveReport {
-  bool valid = false;          ///< Bits decode to a permutation.
-  JoinOrderSolution solution;  ///< Meaningful only when valid.
-  double qubo_energy = 0.0;
-  int qubits = 0;
-  int quadratic_terms = 0;
-  Backend backend_used = Backend::kSimulatedAnnealing;
-  bool degraded = false;
-  std::string degradation_reason;
-  SolveStats stats;  ///< Attempt / timing accounting.
-  /// Raw QUBO assignment the report was decoded from (see MqoSolveReport).
-  std::vector<std::uint8_t> bits;
-};
-
-/// Encodes `graph` as BILP (Sec. 6.1.2/6.1.3), then QUBO (Sec. 6.1.4),
-/// solves with the selected backend and decodes the join order. Same
-/// error/degradation contract as TrySolveMqo.
+/// Encodes `graph` (EncodeJoinOrderProblem) and solves it
+/// (TrySolveEncoded).
 StatusOr<JoinOrderSolveReport> TrySolveJoinOrder(
-    const QueryGraph& graph, const JoinOrderEncoderOptions& encoder_options,
-    const OptimizerOptions& options = {});
-
-/// Abort-on-error flavour for internal callers with trusted input.
-JoinOrderSolveReport SolveJoinOrder(
     const QueryGraph& graph, const JoinOrderEncoderOptions& encoder_options,
     const OptimizerOptions& options = {});
 

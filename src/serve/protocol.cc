@@ -344,72 +344,67 @@ std::string MakeErrorResponse(const std::string& id, const Status& status) {
 
 namespace {
 
-/// Shared deterministic solve fields: no wall-clock values (elapsed_ms and
-/// per-lane timings stay in the metrics / stderr diagnostics), so the
-/// payload is byte-identical across thread counts.
-void FillCommonReportFields(const std::string& kind, Backend backend_used,
-                            bool degraded,
-                            const std::string& degradation_reason,
-                            int qubits, int quadratic_terms,
-                            const SolveStats& stats, bool valid,
-                            double energy, JsonValue* result) {
-  result->Set("kind", JsonValue::String(kind));
-  result->Set("backend", JsonValue::String(BackendName(backend_used)));
-  result->Set("degraded", JsonValue::Bool(degraded));
-  if (degraded) {
-    result->Set("degradation_reason", JsonValue::String(degradation_reason));
-  }
-  result->Set("qubits", JsonValue::Number(qubits));
-  result->Set("quadratic_terms", JsonValue::Number(quadratic_terms));
-  result->Set("attempts", JsonValue::Number(stats.attempts));
-  result->Set("timed_out", JsonValue::Bool(stats.timed_out));
-  if (!stats.lanes.empty()) {
-    result->Set("race_lanes",
-                JsonValue::Number(static_cast<int>(stats.lanes.size())));
-  }
-  if (stats.decompose_rounds > 0) {
-    result->Set("decompose_rounds", JsonValue::Number(stats.decompose_rounds));
-    result->Set("decompose_subproblems",
-                JsonValue::Number(stats.decompose_subproblems));
-  }
-  result->Set("valid", JsonValue::Bool(valid));
-  result->Set("energy", JsonValue::Number(energy));
+/// How a payload names each problem kind and its plan.
+struct PlanView {
+  const char* kind;
+  const char* field;
+  const std::vector<int>& plan;
+};
+
+PlanView ViewOf(const MqoSolution& solution) {
+  return {"mqo", "selection", solution.selection};
+}
+
+PlanView ViewOf(const JoinOrderSolution& solution) {
+  return {"join", "order", solution.order};
 }
 
 }  // namespace
 
-JsonValue MqoReportToJson(const MqoSolveReport& report) {
+template <typename Solution>
+void SetSolutionFields(const Solution& solution, JsonValue* result) {
+  const PlanView view = ViewOf(solution);
+  result->Set("cost", JsonValue::Number(solution.cost));
+  JsonValue plan = JsonValue::Array();
+  for (int item : view.plan) plan.Append(JsonValue::Number(item));
+  result->Set(view.field, plan);
+}
+
+/// No wall-clock values (elapsed_ms and per-lane timings stay in the
+/// metrics / stderr diagnostics).
+template <typename Solution>
+JsonValue ReportToJson(const SolveReport<Solution>& report) {
   JsonValue result = JsonValue::Object();
-  FillCommonReportFields("mqo", report.backend_used, report.degraded,
-                         report.degradation_reason, report.qubits,
-                         report.quadratic_terms, report.stats, report.valid,
-                         report.qubo_energy, &result);
-  if (report.valid) {
-    result.Set("cost", JsonValue::Number(report.solution.cost));
-    JsonValue selection = JsonValue::Array();
-    for (int plan : report.solution.selection) {
-      selection.Append(JsonValue::Number(plan));
-    }
-    result.Set("selection", selection);
+  result.Set("kind", JsonValue::String(ViewOf(report.solution).kind));
+  result.Set("backend", JsonValue::String(BackendName(report.backend_used)));
+  result.Set("degraded", JsonValue::Bool(report.degraded));
+  if (report.degraded) {
+    result.Set("degradation_reason",
+               JsonValue::String(report.degradation_reason));
   }
+  result.Set("qubits", JsonValue::Number(report.qubits));
+  result.Set("quadratic_terms", JsonValue::Number(report.quadratic_terms));
+  const SolveStats& stats = report.stats;
+  result.Set("attempts", JsonValue::Number(stats.attempts));
+  result.Set("timed_out", JsonValue::Bool(stats.timed_out));
+  if (!stats.lanes.empty()) {
+    result.Set("race_lanes",
+               JsonValue::Number(static_cast<int>(stats.lanes.size())));
+  }
+  if (stats.decompose_rounds > 0) {
+    result.Set("decompose_rounds", JsonValue::Number(stats.decompose_rounds));
+    result.Set("decompose_subproblems",
+               JsonValue::Number(stats.decompose_subproblems));
+  }
+  result.Set("valid", JsonValue::Bool(report.valid));
+  result.Set("energy", JsonValue::Number(report.qubo_energy));
+  if (report.valid) SetSolutionFields(report.solution, &result);
   return result;
 }
 
-JsonValue JoinReportToJson(const JoinOrderSolveReport& report) {
-  JsonValue result = JsonValue::Object();
-  FillCommonReportFields("join", report.backend_used, report.degraded,
-                         report.degradation_reason, report.qubits,
-                         report.quadratic_terms, report.stats, report.valid,
-                         report.qubo_energy, &result);
-  if (report.valid) {
-    result.Set("cost", JsonValue::Number(report.solution.cost));
-    JsonValue order = JsonValue::Array();
-    for (int relation : report.solution.order) {
-      order.Append(JsonValue::Number(relation));
-    }
-    result.Set("order", order);
-  }
-  return result;
-}
+template JsonValue ReportToJson(const MqoSolveReport&);
+template JsonValue ReportToJson(const JoinOrderSolveReport&);
+template void SetSolutionFields(const MqoSolution&, JsonValue*);
+template void SetSolutionFields(const JoinOrderSolution&, JsonValue*);
 
 }  // namespace qopt::serve

@@ -152,12 +152,15 @@ std::string MakeErrorResponse(const std::string& id, const Status& status);
 /// request. Empty when the line is not an object with a legal string id.
 std::string BestEffortRequestId(const std::string& line);
 
-/// Result payload of a solved MQO request. Deterministic: holds no
-/// wall-clock fields, so response streams are byte-identical across
-/// QQO_THREADS (see the replay harness).
-JsonValue MqoReportToJson(const MqoSolveReport& report);
+/// Result payload of a solved request of either kind. Deterministic:
+/// holds no wall-clock fields, so response streams are byte-identical
+/// across QQO_THREADS (see the replay harness).
+template <typename Solution>
+JsonValue ReportToJson(const SolveReport<Solution>& report);
 
-/// Result payload of a solved join-order request.
-JsonValue JoinReportToJson(const JoinOrderSolveReport& report);
+/// Sets a payload's `cost` and its plan: "selection" (MQO) or "order"
+/// (join order).
+template <typename Solution>
+void SetSolutionFields(const Solution& solution, JsonValue* result);
 
 }  // namespace qopt::serve

@@ -2,17 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <exception>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "bilp/bilp_to_qubo.h"
 #include "common/fault_injection.h"
 #include "common/table_printer.h"
 #include "common/thread_pool.h"
-#include "joinorder/join_order.h"
-#include "mqo/mqo_qubo_encoder.h"
 #include "obs/metrics.h"
 #include "qubo/qubo_canonical.h"
 
@@ -38,16 +35,6 @@ std::uint64_t OptionsHash(std::uint64_t kind_tag, const ServeRequest& r) {
   h = HashCombine(h, static_cast<std::uint64_t>(r.pegasus_m));
   h = HashCombine(h, static_cast<std::uint64_t>(r.decompose));
   return HashCombine(h, r.classical_fallback ? 1 : 0);
-}
-
-/// Relative-tolerance energy check for transported solutions. Isomorphic
-/// relabelings re-associate the FP sums, so exact equality is too strict;
-/// anything beyond 1e-9 relative means the canonical hash collided on
-/// non-isomorphic problems and the entry must be rejected.
-bool EnergiesMatch(double a, double b) {
-  const double tolerance = 1e-9 * std::max(1.0, std::max(std::abs(a),
-                                                         std::abs(b)));
-  return std::abs(a - b) <= tolerance;
 }
 
 }  // namespace
@@ -298,72 +285,51 @@ std::string Server::SolveToResponse(RequestState& state) {
   if (Status fault = CheckFaultPoint("serve.request"); !fault.ok()) {
     return MakeErrorResponse(request.id, fault);
   }
+  const OptimizerOptions options = MakeOptimizerOptions(request, deadline);
   if (request.type == RequestType::kMqo) {
-    return SolveMqoRequest(state, deadline);
+    return SolveProblem<MqoSolution>(
+        state, options, [&] { return EncodeMqoProblem(*request.mqo); });
   }
-  return SolveJoinRequest(state, deadline);
+  return SolveProblem<JoinOrderSolution>(state, options, [&] {
+    return EncodeJoinOrderProblem(*request.join_graph, request.join_encoder);
+  });
 }
 
-std::string Server::SolveMqoRequest(RequestState& state,
-                                    const Deadline& deadline) {
+template <typename Solution>
+std::string Server::SolveProblem(RequestState& state,
+                                 const OptimizerOptions& options,
+                                 const ProblemEncoder<Solution>& encode) {
   const ServeRequest& request = state.request;
-  const MqoProblem& problem = *request.mqo;
   const bool use_cache = request.use_cache && cache_.Capacity() > 0;
   QuboSignature signature;
   CacheKey key{0, 0};
   bool holds_flight = false;
+  std::optional<EncodedProblem<Solution>> problem;
   if (use_cache) {
     // The encoding is cheap relative to a solve; computing it up front
     // lets a cache hit skip the solver entirely.
-    StatusOr<MqoQuboEncoding> encoding = TryEncodeMqoAsQubo(problem);
-    if (!encoding.ok()) {
-      return MakeErrorResponse(request.id, encoding.status());
-    }
-    signature = ComputeQuboSignature(encoding->qubo);
-    key = {signature.canonical_hash, OptionsHash(kMqoKeyTag, request)};
+    StatusOr<EncodedProblem<Solution>> encoded = encode();
+    if (!encoded.ok()) return MakeErrorResponse(request.id, encoded.status());
+    problem = *std::move(encoded);
+    signature = ComputeQuboSignature(problem->qubo);
+    key = {signature.canonical_hash,
+           OptionsHash(std::is_same_v<Solution, MqoSolution> ? kMqoKeyTag
+                                                             : kJoinKeyTag,
+                       request)};
     holds_flight = AcquireFlight(key, state);
-    CacheEntry entry;
-    const CacheHitKind kind =
-        cache_.Lookup(key.first, key.second, signature.exact_hash, &entry);
-    if (kind == CacheHitKind::kExact) {
-      QQO_COUNT("serve.cache.hit", 1);
+    if (std::optional<JsonValue> payload =
+            CachedPayload(key, signature, *problem)) {
       if (holds_flight) ReleaseFlight(key);
-      StatusOr<JsonValue> payload = JsonValue::ParseOrStatus(entry.payload);
-      QOPT_CHECK_MSG(payload.ok(), "cached payload failed to re-parse");
       return MakeOkResponse(request.id, true, *payload);
-    }
-    if (kind == CacheHitKind::kIsomorphic) {
-      // Same canonical form under a different labeling: transport the
-      // cached bits through this instance's canonical ranks, then verify
-      // — the WL hash is strong evidence, not proof, of isomorphism.
-      const std::vector<std::uint8_t> bits =
-          MapBitsFromCanonical(signature, entry.canonical_bits);
-      const double energy = encoding->qubo.Energy(bits);
-      std::vector<int> selection;
-      if (bits.size() == entry.canonical_bits.size() &&
-          EnergiesMatch(energy, entry.energy) &&
-          problem.DecodeBits(bits, &selection)) {
-        QQO_COUNT("serve.cache.hit", 1);
-        if (holds_flight) ReleaseFlight(key);
-        StatusOr<JsonValue> payload =
-            JsonValue::ParseOrStatus(entry.payload);
-        QOPT_CHECK_MSG(payload.ok(), "cached payload failed to re-parse");
-        payload->Set("energy", JsonValue::Number(energy));
-        payload->Set("cost",
-                     JsonValue::Number(problem.SelectionCost(selection)));
-        JsonValue selection_json = JsonValue::Array();
-        for (int plan : selection) {
-          selection_json.Append(JsonValue::Number(plan));
-        }
-        payload->Set("selection", selection_json);
-        return MakeOkResponse(request.id, true, *payload);
-      }
-      cache_.RecordRejection(key.first, key.second);
     }
     QQO_COUNT("serve.cache.miss", 1);
   }
-  StatusOr<MqoSolveReport> report =
-      TrySolveMqo(problem, MakeOptimizerOptions(request, deadline));
+  // A miss solves the encoding it already holds.
+  const ProblemEncoder<Solution> held = [&problem] {
+    return *std::move(problem);
+  };
+  StatusOr<SolveReport<Solution>> report =
+      TrySolveEncoded(problem ? held : encode, options);
   std::string response;
   if (!report.ok()) {
     if (report.status().code() == StatusCode::kCancelled) {
@@ -372,7 +338,7 @@ std::string Server::SolveMqoRequest(RequestState& state,
     }
     response = MakeErrorResponse(request.id, report.status());
   } else {
-    const JsonValue payload = MqoReportToJson(*report);
+    const JsonValue payload = ReportToJson(*report);
     if (use_cache && report->valid && !report->stats.timed_out) {
       CacheEntry entry;
       entry.exact_hash = signature.exact_hash;
@@ -387,86 +353,36 @@ std::string Server::SolveMqoRequest(RequestState& state,
   return response;
 }
 
-std::string Server::SolveJoinRequest(RequestState& state,
-                                     const Deadline& deadline) {
-  const ServeRequest& request = state.request;
-  const QueryGraph& graph = *request.join_graph;
-  const bool use_cache = request.use_cache && cache_.Capacity() > 0;
-  QuboSignature signature;
-  CacheKey key{0, 0};
-  bool holds_flight = false;
-  std::optional<JoinOrderEncoding> encoding;
-  std::optional<QuboModel> qubo;
-  if (use_cache) {
-    StatusOr<JoinOrderEncoding> encoded =
-        TryEncodeJoinOrderAsBilp(graph, request.join_encoder);
-    if (!encoded.ok()) {
-      return MakeErrorResponse(request.id, encoded.status());
+template <typename Solution>
+std::optional<JsonValue> Server::CachedPayload(
+    const CacheKey& key, const QuboSignature& signature,
+    const EncodedProblem<Solution>& problem) {
+  CacheEntry entry;
+  const CacheHitKind kind =
+      cache_.Lookup(key.first, key.second, signature.exact_hash, &entry);
+  if (kind == CacheHitKind::kMiss) return std::nullopt;
+  std::optional<Solution> solution;
+  double energy = 0.0;
+  if (kind == CacheHitKind::kIsomorphic) {
+    // Same canonical form under a different labeling: transport the
+    // cached bits through this instance's canonical ranks, then verify.
+    if (std::optional<std::vector<std::uint8_t>> bits =
+            TransportCanonicalBits(entry, signature, problem.qubo, &energy)) {
+      solution = problem.decode(*bits);
     }
-    encoding = *std::move(encoded);
-    qubo = EncodeBilpAsQubo(encoding->bilp).qubo;
-    signature = ComputeQuboSignature(*qubo);
-    key = {signature.canonical_hash, OptionsHash(kJoinKeyTag, request)};
-    holds_flight = AcquireFlight(key, state);
-    CacheEntry entry;
-    const CacheHitKind kind =
-        cache_.Lookup(key.first, key.second, signature.exact_hash, &entry);
-    if (kind == CacheHitKind::kExact) {
-      QQO_COUNT("serve.cache.hit", 1);
-      if (holds_flight) ReleaseFlight(key);
-      StatusOr<JsonValue> payload = JsonValue::ParseOrStatus(entry.payload);
-      QOPT_CHECK_MSG(payload.ok(), "cached payload failed to re-parse");
-      return MakeOkResponse(request.id, true, *payload);
-    }
-    if (kind == CacheHitKind::kIsomorphic) {
-      const std::vector<std::uint8_t> bits =
-          MapBitsFromCanonical(signature, entry.canonical_bits);
-      const double energy = qubo->Energy(bits);
-      std::vector<int> order;
-      if (bits.size() == entry.canonical_bits.size() &&
-          EnergiesMatch(energy, entry.energy) &&
-          DecodeJoinOrder(*encoding, bits, &order)) {
-        QQO_COUNT("serve.cache.hit", 1);
-        if (holds_flight) ReleaseFlight(key);
-        StatusOr<JsonValue> payload =
-            JsonValue::ParseOrStatus(entry.payload);
-        QOPT_CHECK_MSG(payload.ok(), "cached payload failed to re-parse");
-        payload->Set("energy", JsonValue::Number(energy));
-        payload->Set("cost", JsonValue::Number(CoutCost(graph, order)));
-        JsonValue order_json = JsonValue::Array();
-        for (int relation : order) {
-          order_json.Append(JsonValue::Number(relation));
-        }
-        payload->Set("order", order_json);
-        return MakeOkResponse(request.id, true, *payload);
-      }
+    if (!solution) {
       cache_.RecordRejection(key.first, key.second);
+      return std::nullopt;
     }
-    QQO_COUNT("serve.cache.miss", 1);
   }
-  StatusOr<JoinOrderSolveReport> report = TrySolveJoinOrder(
-      graph, request.join_encoder, MakeOptimizerOptions(request, deadline));
-  std::string response;
-  if (!report.ok()) {
-    if (report.status().code() == StatusCode::kCancelled) {
-      std::lock_guard<std::mutex> lock(state_mutex_);
-      ++counters_.cancelled;
-    }
-    response = MakeErrorResponse(request.id, report.status());
-  } else {
-    const JsonValue payload = JoinReportToJson(*report);
-    if (use_cache && report->valid && !report->stats.timed_out) {
-      CacheEntry entry;
-      entry.exact_hash = signature.exact_hash;
-      entry.canonical_bits = MapBitsToCanonical(signature, report->bits);
-      entry.energy = report->qubo_energy;
-      entry.payload = payload.Dump();
-      cache_.Insert(key.first, key.second, std::move(entry));
-    }
-    response = MakeOkResponse(request.id, false, payload);
+  QQO_COUNT("serve.cache.hit", 1);
+  StatusOr<JsonValue> payload = JsonValue::ParseOrStatus(entry.payload);
+  QOPT_CHECK_MSG(payload.ok(), "cached payload failed to re-parse");
+  if (solution) {
+    payload->Set("energy", JsonValue::Number(energy));
+    SetSolutionFields(*solution, &*payload);
   }
-  if (holds_flight) ReleaseFlight(key);
-  return response;
+  return *std::move(payload);
 }
 
 bool Server::AcquireFlight(const CacheKey& key, RequestState& state) {

@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <set>
 #include <string>
@@ -128,8 +129,21 @@ class Server {
 
   /// Worker-side solve (exception-isolated by the Submit wrapper).
   std::string SolveToResponse(RequestState& state);
-  std::string SolveMqoRequest(RequestState& state, const Deadline& deadline);
-  std::string SolveJoinRequest(RequestState& state, const Deadline& deadline);
+  /// The one solve path of both problem kinds. A cached solve encodes the
+  /// workload first (`encode`), answers a verified cache hit from the
+  /// cache, and solves that same encoding on a miss; an uncached solve
+  /// leaves the encoding to the facade.
+  template <typename Solution>
+  std::string SolveProblem(RequestState& state,
+                           const OptimizerOptions& options,
+                           const ProblemEncoder<Solution>& encode);
+  /// The payload of a cache hit for `problem`, or nullopt on a miss. An
+  /// isomorphic hit is transported and verified (TransportCanonicalBits,
+  /// then decode); one that fails is rejected and is a miss.
+  template <typename Solution>
+  std::optional<JsonValue> CachedPayload(
+      const CacheKey& key, const QuboSignature& signature,
+      const EncodedProblem<Solution>& problem);
 
   /// Single-flight coalescing in admission order: requests join a key's
   /// queue in ticket order, whichever worker reaches it first, and hold

@@ -1,6 +1,35 @@
 #include "serve/solution_cache.h"
 
+#include <algorithm>
+#include <cmath>
+
 namespace qopt::serve {
+namespace {
+
+/// Relative-tolerance energy check for transported solutions. Isomorphic
+/// relabelings re-associate the FP sums, so exact equality is too strict;
+/// anything beyond 1e-9 relative means the canonical hash collided on
+/// non-isomorphic problems.
+bool EnergiesMatch(double a, double b) {
+  const double tolerance = 1e-9 * std::max(1.0, std::max(std::abs(a),
+                                                         std::abs(b)));
+  return std::abs(a - b) <= tolerance;
+}
+
+}  // namespace
+
+std::optional<std::vector<std::uint8_t>> TransportCanonicalBits(
+    const CacheEntry& entry, const QuboSignature& signature,
+    const QuboModel& qubo, double* energy) {
+  if (entry.canonical_bits.size() != signature.canonical_rank.size()) {
+    return std::nullopt;
+  }
+  std::vector<std::uint8_t> bits =
+      MapBitsFromCanonical(signature, entry.canonical_bits);
+  *energy = qubo.Energy(bits);
+  if (!EnergiesMatch(*energy, entry.energy)) return std::nullopt;
+  return bits;
+}
 
 CacheHitKind SolutionCache::Lookup(std::uint64_t canonical_hash,
                                    std::uint64_t options_hash,

@@ -4,9 +4,13 @@
 #include <list>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "qubo/qubo_canonical.h"
+#include "qubo/qubo_model.h"
 
 namespace qopt::serve {
 
@@ -32,6 +36,15 @@ struct CacheEntry {
   /// byte-identically on exact hits.
   std::string payload;
 };
+
+/// Transports an isomorphic hit onto the probing QUBO: reads the entry's
+/// canonical bits back into `signature`'s labeling and re-checks their
+/// energy on `qubo`, which it stores in *energy. The canonical hash does
+/// not prove isomorphism, so an entry of another variable count or another
+/// energy is a hash collision: nullopt, for the caller to reject.
+std::optional<std::vector<std::uint8_t>> TransportCanonicalBits(
+    const CacheEntry& entry, const QuboSignature& signature,
+    const QuboModel& qubo, double* energy);
 
 /// Monotonic counters for the stats payload (obs metrics mirror the hit /
 /// miss pair; the rest are cache internals).

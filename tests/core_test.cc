@@ -87,7 +87,8 @@ TEST(QuantumOptimizerTest, BackendNames) {
 TEST(QuantumOptimizerTest, MqoExactBackendSolvesPaperExample) {
   OptimizerOptions options;
   options.backend = Backend::kExact;
-  const MqoSolveReport report = SolveMqo(MakePaperExampleMqo(), options);
+  const MqoSolveReport report =
+      TrySolveMqo(MakePaperExampleMqo(), options).value();
   ASSERT_TRUE(report.valid);
   EXPECT_DOUBLE_EQ(report.solution.cost, 21.0);
   EXPECT_EQ(report.qubits, 8);
@@ -98,7 +99,8 @@ TEST(QuantumOptimizerTest, MqoSimulatedAnnealingBackend) {
   options.backend = Backend::kSimulatedAnnealing;
   options.anneal.num_reads = 20;
   options.seed = 3;
-  const MqoSolveReport report = SolveMqo(MakePaperExampleMqo(), options);
+  const MqoSolveReport report =
+      TrySolveMqo(MakePaperExampleMqo(), options).value();
   ASSERT_TRUE(report.valid);
   EXPECT_DOUBLE_EQ(report.solution.cost, 21.0);
 }
@@ -109,7 +111,8 @@ TEST(QuantumOptimizerTest, MqoQaoaBackend) {
   options.variational.max_iterations = 150;
   options.variational.shots = 4096;
   options.seed = 7;
-  const MqoSolveReport report = SolveMqo(MakePaperExampleMqo(), options);
+  const MqoSolveReport report =
+      TrySolveMqo(MakePaperExampleMqo(), options).value();
   ASSERT_TRUE(report.valid);
   EXPECT_DOUBLE_EQ(report.solution.cost, 21.0);
 }
@@ -121,7 +124,8 @@ TEST(QuantumOptimizerTest, MqoAdiabaticBackend) {
   options.adiabatic.steps = 400;
   options.adiabatic.shots = 2048;
   options.seed = 9;
-  const MqoSolveReport report = SolveMqo(MakePaperExampleMqo(), options);
+  const MqoSolveReport report =
+      TrySolveMqo(MakePaperExampleMqo(), options).value();
   ASSERT_TRUE(report.valid);
   EXPECT_DOUBLE_EQ(report.solution.cost, 21.0);
 }
@@ -133,7 +137,8 @@ TEST(QuantumOptimizerTest, MqoAnnealerEmulationBackend) {
   options.embedded.anneal.num_reads = 30;
   options.embedded.anneal.num_sweeps = 800;
   options.seed = 5;
-  const MqoSolveReport report = SolveMqo(MakePaperExampleMqo(), options);
+  const MqoSolveReport report =
+      TrySolveMqo(MakePaperExampleMqo(), options).value();
   ASSERT_TRUE(report.valid);
   EXPECT_DOUBLE_EQ(report.solution.cost, 21.0);
 }
@@ -151,7 +156,8 @@ TEST(QuantumOptimizerTest, JoinOrderSaBackendOnSection612Example) {
   options.anneal.num_reads = 60;
   options.anneal.num_sweeps = 2000;
   options.seed = 11;
-  const JoinOrderSolveReport report = SolveJoinOrder(graph, encoder, options);
+  const JoinOrderSolveReport report =
+      TrySolveJoinOrder(graph, encoder, options).value();
   // 24 qubits with the paper's bounds; the safe slack bound costs one more.
   EXPECT_EQ(report.qubits, 25);
   ASSERT_TRUE(report.valid);
@@ -166,7 +172,8 @@ TEST(QuantumOptimizerTest, JoinOrderExactBackendFindsOptimum) {
   encoder.safe_slack_bounds = true;
   OptimizerOptions options;
   options.backend = Backend::kExact;
-  const JoinOrderSolveReport report = SolveJoinOrder(graph, encoder, options);
+  const JoinOrderSolveReport report =
+      TrySolveJoinOrder(graph, encoder, options).value();
   ASSERT_TRUE(report.valid);
   // Optimal order joins A and B first.
   EXPECT_TRUE((report.solution.order[0] == 0 && report.solution.order[1] == 1) ||

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "graph/edge_coloring.h"
 #include "graph/shortest_paths.h"
 #include "graph/simple_graph.h"
 
@@ -154,52 +153,6 @@ TEST(ShortestPathsTest, MultiSourceStartsAtZero) {
   EXPECT_DOUBLE_EQ(tree.distance[5], 0.0);
   EXPECT_DOUBLE_EQ(tree.distance[2], 2.0);
   EXPECT_DOUBLE_EQ(tree.distance[3], 2.0);
-}
-
-class EdgeColoringParamTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(EdgeColoringParamTest, ColoringIsProperAndBounded) {
-  const int seed = GetParam();
-  SimpleGraph g = MakeRandomGraph(14, 0.25 + 0.05 * (seed % 5), seed);
-  const EdgeColoring coloring = GreedyEdgeColoring(g);
-  const auto edges = g.Edges();
-  ASSERT_EQ(coloring.color.size(), edges.size());
-  // Proper: edges sharing a vertex have different colors.
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    for (std::size_t j = i + 1; j < edges.size(); ++j) {
-      const bool share = edges[i].first == edges[j].first ||
-                         edges[i].first == edges[j].second ||
-                         edges[i].second == edges[j].first ||
-                         edges[i].second == edges[j].second;
-      if (share) {
-        EXPECT_NE(coloring.color[i], coloring.color[j]);
-      }
-    }
-  }
-  // Vizing-style bound for greedy: < 2 * max degree.
-  if (g.NumEdges() > 0) {
-    EXPECT_GE(coloring.num_colors, g.MaxDegree());
-    EXPECT_LE(coloring.num_colors, 2 * g.MaxDegree() - 1);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(RandomGraphs, EdgeColoringParamTest,
-                         ::testing::Range(0, 10));
-
-TEST(EdgeColoringTest, EmptyGraph) {
-  SimpleGraph g(3);
-  const EdgeColoring coloring = GreedyEdgeColoring(g);
-  EXPECT_EQ(coloring.num_colors, 0);
-}
-
-TEST(EdgeColoringTest, CompleteGraphK4NeedsAtLeastThreeColors) {
-  SimpleGraph g(4);
-  for (int i = 0; i < 4; ++i) {
-    for (int j = i + 1; j < 4; ++j) g.AddEdge(i, j);
-  }
-  const EdgeColoring coloring = GreedyEdgeColoring(g);
-  EXPECT_GE(coloring.num_colors, 3);
-  EXPECT_LE(coloring.num_colors, 5);
 }
 
 }  // namespace

@@ -34,7 +34,7 @@ TEST(IntegrationTest, MqoQaoaPipelineMatchesExhaustiveOptimum) {
   options.variational.max_iterations = 150;
   options.variational.shots = 2048;
   options.seed = 23;
-  const MqoSolveReport report = SolveMqo(problem, options);
+  const MqoSolveReport report = TrySolveMqo(problem, options).value();
   ASSERT_TRUE(report.valid);
   EXPECT_NEAR(report.solution.cost, exact.cost, 1e-9);
 }
@@ -50,7 +50,7 @@ TEST(IntegrationTest, MqoVqePipelineProducesValidSolution) {
   options.variational.max_iterations = 250;
   options.variational.shots = 2048;
   options.seed = 33;
-  const MqoSolveReport report = SolveMqo(problem, options);
+  const MqoSolveReport report = TrySolveMqo(problem, options).value();
   EXPECT_TRUE(report.valid);
 }
 
@@ -66,7 +66,8 @@ TEST(IntegrationTest, JoinOrderAnnealerEmulationPipeline) {
   options.embedded.anneal.num_reads = 100;
   options.embedded.anneal.num_sweeps = 4000;
   options.seed = 5;
-  const JoinOrderSolveReport report = SolveJoinOrder(graph, encoder, options);
+  const JoinOrderSolveReport report =
+      TrySolveJoinOrder(graph, encoder, options).value();
   ASSERT_TRUE(report.valid);
   EXPECT_TRUE(IsValidJoinOrder(graph, report.solution.order));
 }

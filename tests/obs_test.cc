@@ -264,7 +264,7 @@ std::pair<std::string, std::string> TracedSolve(const MqoProblem& problem,
   Tracer::Instance().Reset();
   Metrics::Instance().Enable();
   Tracer::Instance().Enable();
-  const MqoSolveReport report = SolveMqo(problem, options);
+  const MqoSolveReport report = TrySolveMqo(problem, options).value();
   Metrics::Instance().Disable();
   Tracer::Instance().Disable();
   EXPECT_TRUE(report.valid);
@@ -316,7 +316,7 @@ TEST_F(ObsTest, QaoaSolveCoversAcceptanceMetrics) {
 
   Metrics::Instance().Enable();
   Tracer::Instance().Enable();
-  const MqoSolveReport report = SolveMqo(problem, options);
+  const MqoSolveReport report = TrySolveMqo(problem, options).value();
   Metrics::Instance().Disable();
   Tracer::Instance().Disable();
   ASSERT_TRUE(report.valid);

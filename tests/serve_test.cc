@@ -19,6 +19,8 @@
 #include "common/json.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
+#include "qubo/qubo_canonical.h"
+#include "qubo/qubo_model.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "serve/solution_cache.h"
@@ -47,6 +49,19 @@ constexpr const char* kNineQubitMqoWorkload =
     "\"savings\":[{\"plan1\":0,\"plan2\":3,\"saving\":2},"
     "{\"plan1\":4,\"plan2\":7,\"saving\":3},"
     "{\"plan1\":2,\"plan2\":8,\"saving\":1}]}";
+
+/// A 3-relation chain join, and the same join with its relations
+/// relabeled (R0 -> R1, R1 -> R2, R2 -> R0).
+constexpr const char* kJoinWorkload =
+    "{\"relations\":[{\"cardinality\":10},{\"cardinality\":20},"
+    "{\"cardinality\":40}],"
+    "\"predicates\":[{\"rel1\":0,\"rel2\":1,\"selectivity\":0.1},"
+    "{\"rel1\":1,\"rel2\":2,\"selectivity\":0.5}]}";
+constexpr const char* kRelabeledJoinWorkload =
+    "{\"relations\":[{\"cardinality\":40},{\"cardinality\":10},"
+    "{\"cardinality\":20}],"
+    "\"predicates\":[{\"rel1\":1,\"rel2\":2,\"selectivity\":0.1},"
+    "{\"rel1\":2,\"rel2\":0,\"selectivity\":0.5}]}";
 
 std::string MqoRequest(const std::string& id, const std::string& workload,
                        const std::string& extra = "") {
@@ -278,6 +293,23 @@ TEST(SolutionCacheTest, CapacityZeroDisablesCaching) {
   EXPECT_EQ(cache.Counters().insertions, 0);
 }
 
+TEST(SolutionCacheTest, TransportRejectsAnEntryOfAnotherSize) {
+  QuboModel qubo(3);
+  qubo.AddLinear(0, -1.0);
+  qubo.AddLinear(2, -2.5);
+  qubo.AddQuadratic(0, 1, 0.5);
+  const QuboSignature signature = ComputeQuboSignature(qubo);
+  double energy = 0.0;
+  CacheEntry entry = MakeEntry(11);
+  entry.canonical_bits = MapBitsToCanonical(signature, {1, 0, 1});
+  ASSERT_TRUE(TransportCanonicalBits(entry, signature, qubo, &energy));
+  EXPECT_DOUBLE_EQ(energy, -3.5);
+  // A canonical-hash collision with a 2-variable QUBO: the server gets
+  // nullopt and rejects the entry, instead of aborting in the mapping.
+  entry.canonical_bits = {1, 0};
+  EXPECT_FALSE(TransportCanonicalBits(entry, signature, qubo, &energy));
+}
+
 // ---------------------------------------------------------------------------
 // Server robustness.
 
@@ -402,6 +434,35 @@ TEST_F(ServeServerTest, IsomorphicRelabelingHitsThroughCanonicalForm) {
   ASSERT_NE(result, nullptr);
   EXPECT_DOUBLE_EQ(result->Find("cost")->GetNumber().value(), 9.0);
   EXPECT_EQ(result->Find("selection")->Dump(), "[1,2]");
+  EXPECT_EQ(server.Cache().Counters().hits_isomorphic, 1);
+  EXPECT_EQ(server.Cache().Counters().rejections, 0);
+}
+
+TEST_F(ServeServerTest, JoinRepeatsHitExactlyAndIsomorphically) {
+  const auto join = [](const std::string& id, const char* workload) {
+    return "{\"id\":\"" + id +
+           "\",\"type\":\"join\",\"backend\":\"sa\",\"seed\":3,"
+           "\"thresholds\":[10],\"workload\":" +
+           workload + "}";
+  };
+  ServerOptions options;
+  Server server(options);
+  const std::vector<std::string> responses = RunServer(
+      options,
+      {join("j1", kJoinWorkload), join("j2", kJoinWorkload),
+       join("j3", kRelabeledJoinWorkload)},
+      &server);
+  ASSERT_EQ(responses.size(), 3u);
+  for (const std::string& line : responses) {
+    const JsonValue response = ParseResponse(line);
+    const JsonValue* result = response.Find("result");
+    ASSERT_NE(result, nullptr) << line;
+    EXPECT_DOUBLE_EQ(result->Find("cost")->GetNumber().value(), 420.0);
+  }
+  // The transported order joins the relabeled R1 (cardinality 10) first.
+  const JsonValue hit = ParseResponse(responses[2]);
+  EXPECT_EQ(hit.Find("result")->Find("order")->Dump(), "[1,2,0]");
+  EXPECT_EQ(server.Cache().Counters().hits_exact, 1);
   EXPECT_EQ(server.Cache().Counters().hits_isomorphic, 1);
   EXPECT_EQ(server.Cache().Counters().rejections, 0);
 }

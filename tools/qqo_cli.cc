@@ -26,7 +26,6 @@
 #include <string>
 #include <string_view>
 
-#include "bilp/bilp_to_qubo.h"
 #include "circuit/qasm_exporter.h"
 #include "common/env.h"
 #include "common/flags.h"
@@ -38,7 +37,6 @@
 #include "core/resource_estimator.h"
 #include "io/workload_io.h"
 #include "mqo/mqo_generator.h"
-#include "mqo/mqo_qubo_encoder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "qubo/conversions.h"
@@ -425,15 +423,15 @@ StatusOr<QuboModel> LoadAsQubo(const std::string& what,
                                const JoinOrderEncoderOptions& encoder) {
   if (what == "mqo") {
     QOPT_ASSIGN_OR_RETURN(const MqoProblem problem, LoadMqoProblem(path));
-    QOPT_ASSIGN_OR_RETURN(const MqoQuboEncoding encoding,
-                          TryEncodeMqoAsQubo(problem));
-    return encoding.qubo;
+    QOPT_ASSIGN_OR_RETURN(EncodedProblem<MqoSolution> encoded,
+                          EncodeMqoProblem(problem));
+    return std::move(encoded.qubo);
   }
   if (what == "join") {
     QOPT_ASSIGN_OR_RETURN(const QueryGraph graph, LoadQueryGraph(path));
-    QOPT_ASSIGN_OR_RETURN(const JoinOrderEncoding encoding,
-                          TryEncodeJoinOrderAsBilp(graph, encoder));
-    return EncodeBilpAsQubo(encoding.bilp).qubo;
+    QOPT_ASSIGN_OR_RETURN(EncodedProblem<JoinOrderSolution> encoded,
+                          EncodeJoinOrderProblem(graph, encoder));
+    return std::move(encoded.qubo);
   }
   return InvalidArgumentError(
       StrFormat("unknown workload kind \"%s\" (known: mqo, join)",
