@@ -21,7 +21,8 @@ int main() {
 
   const MqoProblem problem = MakePaperExampleMqo();
   const MqoQuboEncoding encoding = EncodeMqoAsQubo(problem);
-  const double ground = SolveQuboBruteForce(encoding.qubo).best_energy;
+  const double ground =
+      TrySolveQuboBruteForce(encoding.qubo).value().best_energy;
   std::printf("Problem: paper MQO example (8 qubits); ground energy %.1f\n\n",
               ground);
 
@@ -34,7 +35,7 @@ int main() {
     options.shots = 2048;
     options.seed = 3;
     const AdiabaticResult result =
-        SolveQuboAdiabatically(encoding.qubo, options);
+        TrySolveQuboAdiabatically(encoding.qubo, options).value();
     std::vector<int> selection;
     const bool valid = problem.DecodeBits(result.best_bits, &selection);
     table.AddRow({StrFormat("%.1f", total_time),

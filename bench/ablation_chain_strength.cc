@@ -51,8 +51,9 @@ int main() {
     options.anneal.num_reads = 40;
     options.anneal.num_sweeps = 2000;
     options.anneal.seed = 9;
-    const auto result = SolveQuboOnTopology(encoding.qubo, chimera, options);
-    if (!result.has_value()) {
+    const auto result =
+        TrySolveQuboOnTopology(encoding.qubo, chimera, options);
+    if (!result.ok()) {
       table.AddRow({StrFormat("%.2f", multiplier), "-", "no embedding", "-",
                     StrFormat("%.2f", exact.cost)});
       continue;

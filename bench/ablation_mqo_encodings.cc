@@ -42,9 +42,9 @@ int main() {
     anneal.num_sweeps = 2000;
     anneal.seed = 3;
     const AnnealResult direct_sa =
-        SolveQuboWithAnnealing(direct.qubo, anneal);
+        TrySolveQuboWithAnnealing(direct.qubo, anneal).value();
     const AnnealResult bilp_sa =
-        SolveQuboWithAnnealing(bilp_qubo.qubo, anneal);
+        TrySolveQuboWithAnnealing(bilp_qubo.qubo, anneal).value();
 
     std::vector<int> selection;
     const bool direct_valid =

@@ -47,7 +47,7 @@ int main() {
     TranspileOptions transpile_options;
     transpile_options.seed = 1;
     const TranspileResult transpiled =
-        Transpile(qaoa, mumbai, transpile_options);
+        TryTranspile(qaoa, mumbai, transpile_options).value();
 
     // Noise trajectories simulate only the logical qubits; restrict the
     // noisy run to the untranspiled circuit but use the transpiled gate

@@ -79,7 +79,7 @@ int main() {
       gen.seed = 900 + static_cast<std::uint64_t>(i);
       const MqoProblem problem = GenerateMqoProblem(gen);
       const QuboModel qubo = EncodeWithScaledPenalties(problem, factor);
-      const BruteForceResult ground = SolveQuboBruteForce(qubo);
+      const BruteForceResult ground = TrySolveQuboBruteForce(qubo).value();
       std::vector<int> selection;
       if (!problem.DecodeBits(ground.best_bits, &selection)) continue;
       ++valid;

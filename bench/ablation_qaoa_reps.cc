@@ -25,7 +25,8 @@ int main() {
   const MqoProblem problem = MakePaperExampleMqo();
   const MqoQuboEncoding encoding = EncodeMqoAsQubo(problem);
   const IsingModel ising = QuboToIsing(encoding.qubo);
-  const double ground = SolveQuboBruteForce(encoding.qubo).best_energy;
+  const double ground =
+      TrySolveQuboBruteForce(encoding.qubo).value().best_energy;
   const CouplingMap mumbai = MakeMumbai27();
   const CouplingMap full = MakeFullyConnected(encoding.qubo.NumVariables());
 
@@ -42,7 +43,7 @@ int main() {
     options.shots = 4096;
     options.seed = 7;
     const VariationalResult result =
-        SolveQuboWithQaoa(encoding.qubo, options);
+        TrySolveQuboWithQaoa(encoding.qubo, options).value();
     std::vector<int> selection;
     const bool valid = problem.DecodeBits(result.best_bits, &selection);
     table.AddRow({StrFormat("%d", p), StrFormat("%.0f", ideal),

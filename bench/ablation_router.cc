@@ -31,7 +31,7 @@ double MeanDepthWith(const QuantumCircuit& circuit, const CouplingMap& device,
     options.seed = static_cast<std::uint64_t>(t);
     options.router.commute_diagonal = commute;
     options.router.lookahead = lookahead;
-    depths.push_back(Transpile(circuit, device, options).depth);
+    depths.push_back(TryTranspile(circuit, device, options).value().depth);
   }
   return Mean(depths);
 }

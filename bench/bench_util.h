@@ -1,15 +1,12 @@
 #ifndef QQO_BENCH_BENCH_UTIL_H_
 #define QQO_BENCH_BENCH_UTIL_H_
 
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <vector>
 
 #include "common/check.h"
 #include "common/env.h"
-#include "transpile/transpiler.h"
 
 namespace qopt_bench {
 
@@ -31,29 +28,6 @@ inline bool FastMode() { return EnvInt("QQO_BENCH_FAST", 0) != 0; }
 
 /// Samples per data point (paper default: 20).
 inline int Samples(int fallback) { return EnvInt("QQO_BENCH_SAMPLES", fallback); }
-
-/// Mean transpiled depth over `trials` routing seeds seed0, seed0+1, ...
-/// via the parallel TranspileManySeeds sweep (results are indexed by seed,
-/// so the mean is identical for any QQO_THREADS). The figure benches use
-/// this instead of looping over Transpile themselves.
-inline double MeanTranspiledDepth(const qopt::QuantumCircuit& circuit,
-                                  const qopt::CouplingMap& coupling,
-                                  int trials, std::uint64_t seed0 = 0) {
-  // Guard before the final division: trials <= 0 used to produce an empty
-  // sweep and a silent 0/0 = NaN in the printed tables.
-  QOPT_CHECK_MSG(trials >= 1, "MeanTranspiledDepth needs trials >= 1");
-  if (coupling.IsFullyConnected()) trials = 1;  // deterministic routing
-  std::vector<std::uint64_t> seeds;
-  seeds.reserve(static_cast<std::size_t>(trials));
-  for (int t = 0; t < trials; ++t) {
-    seeds.push_back(seed0 + static_cast<std::uint64_t>(t));
-  }
-  const std::vector<qopt::TranspileResult> results =
-      qopt::TranspileManySeeds(circuit, coupling, seeds);
-  double total = 0.0;
-  for (const qopt::TranspileResult& result : results) total += result.depth;
-  return total / static_cast<double>(results.size());
-}
 
 inline void PrintHeader(const char* id, const char* title) {
   std::printf("==============================================================\n");

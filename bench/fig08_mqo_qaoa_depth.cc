@@ -46,9 +46,10 @@ double MeanQaoaDepth(int num_queries, int ppq, int samples,
             BuildQaoaTemplate(QuboToIsing(encoding.qubo));
         if (device == nullptr) {
           const CouplingMap full = MakeFullyConnected(qaoa.NumQubits());
-          depths[i] = qopt_bench::MeanTranspiledDepth(qaoa, full, 1);
+          depths[i] = TranspiledDepthStats(qaoa, full, 1).mean;
         } else {
-          depths[i] = TranspileManySeeds(qaoa, *device, {i})[0].depth;
+          depths[i] =
+              TryTranspileManySeeds(qaoa, *device, {i}).value()[0].depth;
         }
       });
   return Mean(depths);

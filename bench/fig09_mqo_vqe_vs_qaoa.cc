@@ -25,11 +25,6 @@ namespace {
 
 using namespace qopt;
 
-double MeanDepth(const QuantumCircuit& circuit, const CouplingMap& coupling,
-                 int trials) {
-  return qopt_bench::MeanTranspiledDepth(circuit, coupling, trials);
-}
-
 double MeanQaoaDepth(int num_queries, int ppq, int samples,
                      const CouplingMap& coupling, int trials_per_instance) {
   std::vector<double> depths;
@@ -40,8 +35,10 @@ double MeanQaoaDepth(int num_queries, int ppq, int samples,
     gen.saving_density = 0.1;
     gen.seed = 2000 + static_cast<std::uint64_t>(i) * 17 + ppq;
     const MqoQuboEncoding encoding = EncodeMqoAsQubo(GenerateMqoProblem(gen));
-    depths.push_back(MeanDepth(BuildQaoaTemplate(QuboToIsing(encoding.qubo)),
-                               coupling, trials_per_instance));
+    depths.push_back(
+        TranspiledDepthStats(BuildQaoaTemplate(QuboToIsing(encoding.qubo)),
+                             coupling, trials_per_instance)
+            .mean);
   }
   return Mean(depths);
 }
@@ -67,8 +64,8 @@ int main() {
     const QuantumCircuit vqe = BuildVqeTemplate(plans, 3);
     const CouplingMap full = MakeFullyConnected(plans);
     table.AddRow(
-        {static_cast<double>(plans), MeanDepth(vqe, full, 1),
-         MeanDepth(vqe, mumbai, vqe_trials),
+        {static_cast<double>(plans), TranspiledDepthStats(vqe, full, 1).mean,
+         TranspiledDepthStats(vqe, mumbai, vqe_trials).mean,
          MeanQaoaDepth(plans / 4, 4, samples, full, 1),
          MeanQaoaDepth(plans / 4, 4, samples, mumbai, 1),
          MeanQaoaDepth(plans / 8, 8, samples, full, 1),
@@ -78,15 +75,19 @@ int main() {
   table.Print();
 
   const QuantumCircuit vqe24 = BuildVqeTemplate(24, 3);
-  const double vqe_ideal = MeanDepth(vqe24, MakeFullyConnected(24), 1);
-  const double vqe_device = MeanDepth(vqe24, mumbai, vqe_trials);
+  const double vqe_ideal =
+      TranspiledDepthStats(vqe24, MakeFullyConnected(24), 1).mean;
+  const double vqe_device =
+      TranspiledDepthStats(vqe24, mumbai, vqe_trials).mean;
   std::printf("\nVQE at 24 plans: %.0f ideal -> %.0f on Mumbai "
               "(+%.0f%%; paper: 97 -> ~970, +900%%)\n",
               vqe_ideal, vqe_device, 100.0 * (vqe_device / vqe_ideal - 1.0));
   std::printf("Mumbai coherence budget (Eq. 37): depth %d\n", budget);
   std::printf("VQE exceeds the budget beyond ~12 plans: 12-plan depth %.0f, "
               "16-plan depth %.0f\n",
-              MeanDepth(BuildVqeTemplate(12, 3), mumbai, vqe_trials),
-              MeanDepth(BuildVqeTemplate(16, 3), mumbai, vqe_trials));
+              TranspiledDepthStats(BuildVqeTemplate(12, 3), mumbai, vqe_trials)
+                  .mean,
+              TranspiledDepthStats(BuildVqeTemplate(16, 3), mumbai, vqe_trials)
+                  .mean);
   return 0;
 }

@@ -66,10 +66,10 @@ int main() {
     const CouplingMap full1 = MakeFullyConnected(qaoa1.NumQubits());
     const CouplingMap full2 = MakeFullyConnected(qaoa2.NumQubits());
     left.AddRow({static_cast<double>(s1.NumVariables()),
-                 qopt_bench::MeanTranspiledDepth(qaoa1, full1, 1),
-                 qopt_bench::MeanTranspiledDepth(qaoa1, brooklyn, trials),
-                 qopt_bench::MeanTranspiledDepth(qaoa2, full2, 1),
-                 qopt_bench::MeanTranspiledDepth(qaoa2, brooklyn, trials)},
+                 TranspiledDepthStats(qaoa1, full1, 1).mean,
+                 TranspiledDepthStats(qaoa1, brooklyn, trials).mean,
+                 TranspiledDepthStats(qaoa2, full2, 1).mean,
+                 TranspiledDepthStats(qaoa2, brooklyn, trials).mean},
                 1);
   }
   left.Print();
@@ -84,20 +84,22 @@ int main() {
     const QuantumCircuit vqe = BuildVqeTemplate(n, 3);
     const CouplingMap full = MakeFullyConnected(n);
     right.AddRow({static_cast<double>(n),
-                  qopt_bench::MeanTranspiledDepth(qaoa, full, 1),
-                  qopt_bench::MeanTranspiledDepth(qaoa, brooklyn, trials),
-                  qopt_bench::MeanTranspiledDepth(vqe, full, 1),
-                  qopt_bench::MeanTranspiledDepth(vqe, brooklyn, trials)},
+                  TranspiledDepthStats(qaoa, full, 1).mean,
+                  TranspiledDepthStats(qaoa, brooklyn, trials).mean,
+                  TranspiledDepthStats(vqe, full, 1).mean,
+                  TranspiledDepthStats(vqe, brooklyn, trials).mean},
                  1);
   }
   right.Print();
 
   const QuboModel s1_30 = MakeStrategyQubo(false, 3);
   const QuboModel s2_30 = MakeStrategyQubo(true, 3);
-  const double d1 = qopt_bench::MeanTranspiledDepth(
-      BuildQaoaTemplate(QuboToIsing(s1_30)), MakeFullyConnected(30), 1);
-  const double d2 = qopt_bench::MeanTranspiledDepth(
-      BuildQaoaTemplate(QuboToIsing(s2_30)), MakeFullyConnected(30), 1);
+  const double d1 = TranspiledDepthStats(BuildQaoaTemplate(QuboToIsing(s1_30)),
+                                         MakeFullyConnected(30), 1)
+                        .mean;
+  const double d2 = TranspiledDepthStats(BuildQaoaTemplate(QuboToIsing(s2_30)),
+                                         MakeFullyConnected(30), 1)
+                        .mean;
   std::printf("\nStrategy 2 overhead at 30 qubits (optimal topology): "
               "+%.0f%% (paper: ~57%%)\n",
               100.0 * (d2 / d1 - 1.0));

@@ -82,7 +82,8 @@ void BM_SimulatedAnnealing(benchmark::State& state) {
   options.num_reads = 5;
   options.num_sweeps = 200;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(SolveQuboWithAnnealing(encoding.qubo, options));
+    benchmark::DoNotOptimize(
+        TrySolveQuboWithAnnealing(encoding.qubo, options).value());
   }
 }
 BENCHMARK(BM_SimulatedAnnealing)->Arg(4)->Arg(16)->Arg(64);
@@ -113,7 +114,7 @@ void BM_SaSweepDensity(benchmark::State& state) {
   options.num_reads = 4;
   options.num_sweeps = 300;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(SolveQuboWithAnnealing(qubo, options));
+    benchmark::DoNotOptimize(TrySolveQuboWithAnnealing(qubo, options).value());
   }
   state.SetItemsProcessed(state.iterations() * options.num_reads *
                           options.num_sweeps * n);
@@ -136,8 +137,8 @@ void BM_EmbeddedAnnealSweep(benchmark::State& state) {
   EmbedOptions embed;
   embed.seed = 1;
   const auto embedding =
-      FindMinorEmbedding(logical.InteractionGraph(), topology, embed);
-  if (!embedding.has_value()) {
+      TryFindMinorEmbedding(logical.InteractionGraph(), topology, embed);
+  if (!embedding.ok()) {
     state.SkipWithError("no embedding");
     return;
   }
@@ -148,7 +149,8 @@ void BM_EmbeddedAnnealSweep(benchmark::State& state) {
   options.num_sweeps = 500;
   options.flip_groups = problem.chains;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(SolveQuboWithAnnealing(problem.qubo, options));
+    benchmark::DoNotOptimize(
+        TrySolveQuboWithAnnealing(problem.qubo, options).value());
   }
   state.SetItemsProcessed(
       state.iterations() * options.num_reads * options.num_sweeps *
@@ -163,7 +165,7 @@ void BM_BruteForceQubo(benchmark::State& state) {
   gen.seed = 1;
   const MqoQuboEncoding encoding = EncodeMqoAsQubo(GenerateMqoProblem(gen));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(SolveQuboBruteForce(encoding.qubo));
+    benchmark::DoNotOptimize(TrySolveQuboBruteForce(encoding.qubo).value());
   }
 }
 BENCHMARK(BM_BruteForceQubo)->Arg(3)->Arg(4)->Arg(5);
@@ -217,7 +219,7 @@ void BM_TranspileToMumbai(benchmark::State& state) {
   for (auto _ : state) {
     TranspileOptions options;
     options.seed = seed++;
-    benchmark::DoNotOptimize(Transpile(qaoa, mumbai, options));
+    benchmark::DoNotOptimize(TryTranspile(qaoa, mumbai, options).value());
   }
 }
 BENCHMARK(BM_TranspileToMumbai)->Arg(3)->Arg(5)->Arg(6);
@@ -236,7 +238,8 @@ void BM_TranspileManySeeds(benchmark::State& state) {
     seeds.push_back(s);
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(TranspileManySeeds(qaoa, mumbai, seeds));
+    benchmark::DoNotOptimize(
+        TryTranspileManySeeds(qaoa, mumbai, seeds).value());
   }
 }
 BENCHMARK(BM_TranspileManySeeds)->Arg(4)->Arg(20)->UseRealTime();
@@ -250,7 +253,8 @@ void BM_QaoaSolveEndToEnd(benchmark::State& state) {
   VariationalOptions options;
   options.seed = 5;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(SolveQuboWithQaoa(encoding.qubo, options));
+    benchmark::DoNotOptimize(
+        TrySolveQuboWithQaoa(encoding.qubo, options).value());
   }
 }
 BENCHMARK(BM_QaoaSolveEndToEnd)->Arg(12)->Arg(16)->UseRealTime()
@@ -279,7 +283,7 @@ void BM_MinorEmbedIntoChimera(benchmark::State& state) {
   for (auto _ : state) {
     EmbedOptions embed;
     embed.seed = seed++;
-    benchmark::DoNotOptimize(FindMinorEmbedding(source, target, embed));
+    benchmark::DoNotOptimize(TryFindMinorEmbedding(source, target, embed));
   }
 }
 BENCHMARK(BM_MinorEmbedIntoChimera);

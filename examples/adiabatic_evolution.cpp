@@ -38,7 +38,7 @@ int main() {
   // for the exact solver.
   QuboModel demo(8);
   {
-    const BruteForceResult exact = SolveQuboBruteForce(qubo.qubo);
+    const BruteForceResult exact = TrySolveQuboBruteForce(qubo.qubo).value();
     std::vector<int> order;
     if (DecodeJoinOrder(encoding, exact.best_bits, &order)) {
       std::printf("Exact QUBO ground state joins R%d and R%d first "
@@ -62,7 +62,8 @@ int main() {
     AdiabaticOptions options;
     options.total_time = total_time;
     options.steps = 400;
-    const AdiabaticResult result = SolveQuboAdiabatically(demo, options);
+    const AdiabaticResult result =
+        TrySolveQuboAdiabatically(demo, options).value();
     sweep.AddRow({total_time, result.ground_state_probability}, 3);
   }
   sweep.Print();

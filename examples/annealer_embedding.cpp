@@ -49,8 +49,9 @@ int main() {
                            {"Pegasus P16       [Advantage]", MakePegasus(16)}}) {
     EmbedOptions options;
     options.seed = 7;
-    const auto embedding = FindMinorEmbedding(source, target.graph, options);
-    if (!embedding.has_value()) {
+    const auto embedding =
+        TryFindMinorEmbedding(source, target.graph, options);
+    if (!embedding.ok()) {
       table.AddRow({target.name, StrFormat("%d", target.graph.NumVertices()),
                     "no embedding found", "-", "-"});
       continue;
@@ -70,8 +71,8 @@ int main() {
   solve_options.anneal.num_sweeps = 8000;
   solve_options.anneal.seed = 7;
   const auto result =
-      SolveQuboOnTopology(qubo.qubo, MakePegasus(6), solve_options);
-  if (result.has_value()) {
+      TrySolveQuboOnTopology(qubo.qubo, MakePegasus(6), solve_options);
+  if (result.ok()) {
     std::vector<int> order;
     const bool valid = DecodeJoinOrder(encoding, result->bits, &order);
     std::printf("\nEmbedded anneal on Pegasus P6: energy %.2f, chain breaks "

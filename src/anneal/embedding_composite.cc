@@ -133,13 +133,4 @@ StatusOr<EmbeddedSolveResult> TrySolveQuboOnTopology(
   return result;
 }
 
-std::optional<EmbeddedSolveResult> SolveQuboOnTopology(
-    const QuboModel& qubo, const SimpleGraph& topology,
-    const EmbeddedSolveOptions& options) {
-  StatusOr<EmbeddedSolveResult> result =
-      TrySolveQuboOnTopology(qubo, topology, options);
-  if (!result.ok()) return std::nullopt;
-  return *std::move(result);
-}
-
 }  // namespace qopt

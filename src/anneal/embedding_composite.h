@@ -1,6 +1,5 @@
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "anneal/embedding.h"
@@ -59,20 +58,13 @@ EmbeddedProblem BuildEmbeddedProblem(const QuboModel& qubo,
                                      const Embedding& embedding,
                                      double chain_strength);
 
-/// Status-reporting flavour: kUnavailable when no embedding was found
-/// within the embed budget, kDeadlineExceeded / kCancelled when a stage
-/// budget ran out, injected faults verbatim. An annealing stage cut short
-/// by its deadline still returns OK with `timed_out` set (anytime
-/// semantics).
-StatusOr<EmbeddedSolveResult> TrySolveQuboOnTopology(
-    const QuboModel& qubo, const SimpleGraph& topology,
-    const EmbeddedSolveOptions& options = {});
-
 /// Embeds `qubo`'s interaction graph into `topology`, anneals the chained
 /// physical Ising problem, and unembeds by per-chain majority vote.
-/// Returns std::nullopt when no embedding could be found (or any other
-/// error of TrySolveQuboOnTopology occurred).
-std::optional<EmbeddedSolveResult> SolveQuboOnTopology(
+/// Returns kUnavailable when no embedding was found within the embed
+/// budget, kDeadlineExceeded / kCancelled when a stage budget ran out,
+/// injected faults verbatim. An annealing stage cut short by its deadline
+/// still returns OK with `timed_out` set (anytime semantics).
+StatusOr<EmbeddedSolveResult> TrySolveQuboOnTopology(
     const QuboModel& qubo, const SimpleGraph& topology,
     const EmbeddedSolveOptions& options = {});
 

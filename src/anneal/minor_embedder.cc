@@ -559,14 +559,6 @@ StatusOr<Embedding> TryFindMinorEmbedding(const SimpleGraph& source,
       "no minor embedding found within %d tries", options.tries));
 }
 
-std::optional<Embedding> FindMinorEmbedding(const SimpleGraph& source,
-                                            const SimpleGraph& target,
-                                            const EmbedOptions& options) {
-  StatusOr<Embedding> embedding = TryFindMinorEmbedding(source, target, options);
-  if (!embedding.ok()) return std::nullopt;
-  return *std::move(embedding);
-}
-
 std::vector<std::optional<Embedding>> FindMinorEmbeddingManySeeds(
     const SimpleGraph& source, const SimpleGraph& target,
     const std::vector<std::uint64_t>& seeds, const EmbedOptions& base) {
@@ -576,7 +568,9 @@ std::vector<std::optional<Embedding>> FindMinorEmbeddingManySeeds(
                    [&](std::size_t i) {
                      EmbedOptions options = base;
                      options.seed = seeds[i];
-                     results[i] = FindMinorEmbedding(source, target, options);
+                     StatusOr<Embedding> embedding =
+                         TryFindMinorEmbedding(source, target, options);
+                     if (embedding.ok()) results[i] = *std::move(embedding);
                    })
       .IgnoreError();  // skipped seeds simply stay std::nullopt
   return results;

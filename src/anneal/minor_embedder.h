@@ -45,18 +45,11 @@ struct EmbedOptions {
 /// Roy 2014): vertex models are grown along congestion-weighted shortest
 /// paths, overused qubits are penalized exponentially, and nodes are
 /// re-embedded in random order until no physical qubit is shared.
-/// Returns std::nullopt when no embedding was found within the budget —
-/// the paper's Fig. 14 counts exactly these failures ("embedding can be
-/// reliably found" = success rate >= 50%).
-std::optional<Embedding> FindMinorEmbedding(const SimpleGraph& source,
-                                            const SimpleGraph& target,
-                                            const EmbedOptions& options = {});
-
-/// Status-reporting flavour with retry semantics. Each of the
-/// `options.tries` attempts re-seeds the heuristic before running; the
-/// "embedder.attempt" fault point fires once per attempt, and a retryable
-/// injected fault (kUnavailable) merely consumes that attempt — the next
-/// re-seeded attempt still runs. Returns:
+///
+/// Each of the `options.tries` attempts re-seeds the heuristic before
+/// running; the "embedder.attempt" fault point fires once per attempt, and
+/// a retryable injected fault (kUnavailable) merely consumes that attempt —
+/// the next re-seeded attempt still runs. Returns:
 ///   - the embedding on success,
 ///   - kUnavailable when every attempt failed (the paper's Fig. 14
 ///     "embedding not reliably found" outcome),
@@ -66,9 +59,10 @@ StatusOr<Embedding> TryFindMinorEmbedding(const SimpleGraph& source,
                                           const SimpleGraph& target,
                                           const EmbedOptions& options = {});
 
-/// Runs one FindMinorEmbedding per entry of `seeds` (with `base.seed`
-/// replaced by the entry) and returns the outcomes indexed like `seeds` —
-/// the multi-seed sweep behind the paper's embedding-reliability figures.
+/// Runs one TryFindMinorEmbedding per entry of `seeds` (with `base.seed`
+/// replaced by the entry) and returns the outcomes indexed like `seeds`,
+/// std::nullopt for every seed that found no embedding — the multi-seed
+/// sweep behind the paper's embedding-reliability figures.
 /// Attempts run on ThreadPool::Default(); results are independent of the
 /// QQO_THREADS setting because each attempt has its own seed and slot.
 /// `base.deadline` is honored: attempts not yet started when it trips are

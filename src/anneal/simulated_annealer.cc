@@ -418,11 +418,4 @@ StatusOr<AnnealResult> TrySolveQuboWithAnnealing(const QuboModel& qubo,
   return result;
 }
 
-AnnealResult SolveQuboWithAnnealing(const QuboModel& qubo,
-                                    const AnnealOptions& options) {
-  StatusOr<AnnealResult> result = TrySolveQuboWithAnnealing(qubo, options);
-  QOPT_CHECK_MSG(result.ok(), result.status().ToString().c_str());
-  return std::move(result).value();
-}
-
 }  // namespace qopt

@@ -46,25 +46,21 @@ struct AnnealResult {
   bool timed_out = false;
 };
 
-/// Deadline- and fault-aware annealing. Simulated annealing is an anytime
-/// algorithm: when `options.deadline` expires mid-run the best state found
-/// so far is returned with `timed_out = true` and an OK status. Only a
-/// fired CancelToken (kCancelled) or an injected fault at the
-/// "annealer.sweep" site produces a non-OK status.
-StatusOr<AnnealResult> TrySolveQuboWithAnnealing(
-    const QuboModel& qubo, const AnnealOptions& options = {});
-
 /// Samples low-energy states of `qubo` with Metropolis simulated annealing
-/// on a geometric inverse-temperature schedule. Infinite-deadline wrapper
-/// around TrySolveQuboWithAnnealing; aborts on cancellation or injected
-/// faults, which cannot occur in normal operation.
+/// on a geometric inverse-temperature schedule.
 ///
 /// Sweep kernel: each read maintains a per-variable local-field array so a
 /// flip proposal is an O(1) lookup and only *accepted* flips pay
 /// O(degree) to update neighbor fields (dense problems use contiguous
 /// coefficient rows instead of the CSR gather). Group flips share the
 /// same cache. See DESIGN.md "Performance".
-AnnealResult SolveQuboWithAnnealing(const QuboModel& qubo,
-                                    const AnnealOptions& options = {});
+///
+/// Simulated annealing is an anytime algorithm: when `options.deadline`
+/// expires mid-run the best state found so far is returned with
+/// `timed_out = true` and an OK status. Only a fired CancelToken
+/// (kCancelled) or an injected fault at the "annealer.sweep" site
+/// produces a non-OK status.
+StatusOr<AnnealResult> TrySolveQuboWithAnnealing(
+    const QuboModel& qubo, const AnnealOptions& options = {});
 
 }  // namespace qopt

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <utility>
 
-#include "common/check.h"
 #include "common/table_printer.h"
 
 namespace qopt {
@@ -44,14 +42,6 @@ StatusOr<BruteForceResult> TrySolveQuboBruteForce(const QuboModel& qubo,
     }
   }
   return result;
-}
-
-BruteForceResult SolveQuboBruteForce(const QuboModel& qubo,
-                                     int max_variables) {
-  StatusOr<BruteForceResult> result = TrySolveQuboBruteForce(qubo,
-                                                             max_variables);
-  QOPT_CHECK_MSG(result.ok(), result.status().ToString().c_str());
-  return *std::move(result);
 }
 
 }  // namespace qopt

@@ -31,8 +31,4 @@ inline constexpr int kBruteForceHardCap = 30;
 StatusOr<BruteForceResult> TrySolveQuboBruteForce(const QuboModel& qubo,
                                                   int max_variables = 26);
 
-/// Abort-on-error flavour for trusted callers (tests, tiny examples).
-BruteForceResult SolveQuboBruteForce(const QuboModel& qubo,
-                                     int max_variables = 26);
-
 }  // namespace qopt

@@ -204,14 +204,4 @@ StatusOr<RoutedCircuit> TryRouteCircuit(const QuantumCircuit& circuit,
   return result;
 }
 
-RoutedCircuit RouteCircuit(const QuantumCircuit& circuit,
-                           const CouplingMap& coupling,
-                           const std::vector<int>& initial_layout, Rng* rng,
-                           const RouterOptions& router_options) {
-  StatusOr<RoutedCircuit> routed =
-      TryRouteCircuit(circuit, coupling, initial_layout, rng, router_options);
-  QOPT_CHECK_MSG(routed.ok(), routed.status().ToString().c_str());
-  return *std::move(routed);
-}
-
 }  // namespace qopt

@@ -42,15 +42,11 @@ struct RouterOptions {
 /// endpoints are not adjacent, SWAPs are inserted along a shortest path,
 /// choosing among distance-reducing moves by lookahead score and
 /// uniformly at random among ties.
-RoutedCircuit RouteCircuit(const QuantumCircuit& circuit,
-                           const CouplingMap& coupling,
-                           const std::vector<int>& initial_layout, Rng* rng,
-                           const RouterOptions& router_options = {});
-
-/// Status-reporting flavour: the "transpile.route" fault point fires once
-/// per invocation, and `router_options.deadline` is checked once per
-/// routed gate — a partially routed circuit is useless, so expiry returns
-/// kDeadlineExceeded (or kCancelled) instead of a truncated result.
+///
+/// The "transpile.route" fault point fires once per invocation, and
+/// `router_options.deadline` is checked once per routed gate — a partially
+/// routed circuit is useless, so expiry returns kDeadlineExceeded (or
+/// kCancelled) instead of a truncated result.
 StatusOr<RoutedCircuit> TryRouteCircuit(
     const QuantumCircuit& circuit, const CouplingMap& coupling,
     const std::vector<int>& initial_layout, Rng* rng,

@@ -50,14 +50,6 @@ StatusOr<TranspileResult> TryTranspile(const QuantumCircuit& circuit,
   return result;
 }
 
-TranspileResult Transpile(const QuantumCircuit& circuit,
-                          const CouplingMap& coupling,
-                          const TranspileOptions& options) {
-  StatusOr<TranspileResult> result = TryTranspile(circuit, coupling, options);
-  QOPT_CHECK_MSG(result.ok(), result.status().ToString().c_str());
-  return *std::move(result);
-}
-
 StatusOr<std::vector<TranspileResult>> TryTranspileManySeeds(
     const QuantumCircuit& circuit, const CouplingMap& coupling,
     const std::vector<std::uint64_t>& seeds, const TranspileOptions& base) {
@@ -83,15 +75,6 @@ StatusOr<std::vector<TranspileResult>> TryTranspileManySeeds(
   return results;
 }
 
-std::vector<TranspileResult> TranspileManySeeds(
-    const QuantumCircuit& circuit, const CouplingMap& coupling,
-    const std::vector<std::uint64_t>& seeds, const TranspileOptions& base) {
-  StatusOr<std::vector<TranspileResult>> results =
-      TryTranspileManySeeds(circuit, coupling, seeds, base);
-  QOPT_CHECK_MSG(results.ok(), results.status().ToString().c_str());
-  return *std::move(results);
-}
-
 Summary TranspiledDepthStats(const QuantumCircuit& circuit,
                              const CouplingMap& coupling, int num_trials,
                              std::uint64_t seed0) {
@@ -104,7 +87,7 @@ Summary TranspiledDepthStats(const QuantumCircuit& circuit,
         seed0 + static_cast<std::uint64_t>(t);
   }
   const std::vector<TranspileResult> results =
-      TranspileManySeeds(circuit, coupling, seeds);
+      TryTranspileManySeeds(circuit, coupling, seeds).value();
   std::vector<double> depths;
   depths.reserve(results.size());
   for (const TranspileResult& result : results) {

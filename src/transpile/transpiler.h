@@ -40,21 +40,18 @@ struct TranspileResult {
 
 /// Full pipeline: layout -> stochastic swap routing -> basis decomposition
 /// -> peephole optimization. On a fully connected device no swaps are
-/// inserted and the layout is trivial.
-TranspileResult Transpile(const QuantumCircuit& circuit,
-                          const CouplingMap& coupling,
-                          const TranspileOptions& options = {});
-
-/// Status-reporting flavour: kDeadlineExceeded / kCancelled when
-/// `options.deadline` trips mid-pipeline, injected routing faults
-/// verbatim.
+/// inserted and the layout is trivial. Returns kDeadlineExceeded /
+/// kCancelled when `options.deadline` trips mid-pipeline, injected routing
+/// faults verbatim.
 StatusOr<TranspileResult> TryTranspile(const QuantumCircuit& circuit,
                                        const CouplingMap& coupling,
                                        const TranspileOptions& options = {});
 
-/// Status-reporting multi-seed sweep: seed trials run on
-/// ThreadPool::Default() with per-slot determinism; trials not yet
-/// started when `base.deadline` trips are skipped and the whole sweep
+/// Transpiles once per entry of `seeds` (with `base.seed` replaced by the
+/// entry) and returns the results indexed like `seeds`. The sweeps run on
+/// ThreadPool::Default(); because every result lands in the slot of its
+/// seed, the output is identical for any QQO_THREADS setting. Trials not
+/// yet started when `base.deadline` trips are skipped and the whole sweep
 /// reports kDeadlineExceeded / kCancelled (partial sweeps would bias the
 /// depth statistics, so they are not returned).
 StatusOr<std::vector<TranspileResult>> TryTranspileManySeeds(
@@ -62,19 +59,10 @@ StatusOr<std::vector<TranspileResult>> TryTranspileManySeeds(
     const std::vector<std::uint64_t>& seeds,
     const TranspileOptions& base = {});
 
-/// Transpiles once per entry of `seeds` (with `base.seed` replaced by the
-/// entry) and returns the results indexed like `seeds`. The sweeps run on
-/// ThreadPool::Default(); because every result lands in the slot of its
-/// seed, the output is identical for any QQO_THREADS setting.
-std::vector<TranspileResult> TranspileManySeeds(
-    const QuantumCircuit& circuit, const CouplingMap& coupling,
-    const std::vector<std::uint64_t>& seeds,
-    const TranspileOptions& base = {});
-
 /// Transpiles `num_trials` times with seeds seed0, seed0+1, ... and
 /// summarizes the resulting depths — the "mean circuit depth over 20
 /// transpilations" statistic reported throughout the paper's evaluation.
-/// Runs the trials through TranspileManySeeds (i.e. in parallel).
+/// Runs the trials through TryTranspileManySeeds (i.e. in parallel).
 Summary TranspiledDepthStats(const QuantumCircuit& circuit,
                              const CouplingMap& coupling, int num_trials,
                              std::uint64_t seed0 = 0);

@@ -230,13 +230,6 @@ StatusOr<AdiabaticResult> TrySolveQuboAdiabatically(
   return result;
 }
 
-AdiabaticResult SolveQuboAdiabatically(const QuboModel& qubo,
-                                       const AdiabaticOptions& options) {
-  StatusOr<AdiabaticResult> result = TrySolveQuboAdiabatically(qubo, options);
-  QOPT_CHECK_MSG(result.ok(), result.status().ToString().c_str());
-  return *std::move(result);
-}
-
 SpectralGap MinimumSpectralGap(const IsingModel& problem, int sweep_points) {
   QOPT_CHECK(sweep_points >= 2);
   QOPT_CHECK_MSG(problem.NumSpins() <= 12,

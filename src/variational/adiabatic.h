@@ -39,16 +39,13 @@ struct AdiabaticResult {
   double ground_state_probability = 0.0;
 };
 
-/// Status-reporting flavour: kDeadlineExceeded / kCancelled when the
-/// budget trips mid-evolution, and the "statevector.alloc" fault point
-/// fires before the 2^n amplitude buffer is allocated.
+/// Simulates adiabatic evolution for the Ising form of `qubo` on the
+/// statevector backend (exponential in qubits; <= ~20 qubits). Returns
+/// kDeadlineExceeded / kCancelled when the budget trips mid-evolution,
+/// and the "statevector.alloc" fault point fires before the 2^n amplitude
+/// buffer is allocated.
 StatusOr<AdiabaticResult> TrySolveQuboAdiabatically(
     const QuboModel& qubo, const AdiabaticOptions& options = {});
-
-/// Simulates adiabatic evolution for the Ising form of `qubo` on the
-/// statevector backend (exponential in qubits; <= ~20 qubits).
-AdiabaticResult SolveQuboAdiabatically(const QuboModel& qubo,
-                                       const AdiabaticOptions& options = {});
 
 /// Spectral-gap diagnostics: the minimum gap g_min between the ground and
 /// first excited energy of H(s) over the sweep s in [0,1], computed by

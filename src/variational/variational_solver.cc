@@ -237,18 +237,4 @@ StatusOr<VariationalResult> TrySolveQuboWithVqe(
       energies, options, opt.evaluations, &state);
 }
 
-VariationalResult SolveQuboWithQaoa(const QuboModel& qubo,
-                                    const VariationalOptions& options) {
-  StatusOr<VariationalResult> result = TrySolveQuboWithQaoa(qubo, options);
-  QOPT_CHECK_MSG(result.ok(), result.status().ToString().c_str());
-  return *std::move(result);
-}
-
-VariationalResult SolveQuboWithVqe(const QuboModel& qubo,
-                                   const VariationalOptions& options) {
-  StatusOr<VariationalResult> result = TrySolveQuboWithVqe(qubo, options);
-  QOPT_CHECK_MSG(result.ok(), result.status().ToString().c_str());
-  return *std::move(result);
-}
-
 }  // namespace qopt

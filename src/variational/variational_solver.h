@@ -44,20 +44,13 @@ struct VariationalResult {
   int evaluations = 0;            ///< Objective (circuit) evaluations.
 };
 
-/// Status-reporting flavours: kDeadlineExceeded / kCancelled when the
-/// budget trips, and the "statevector.alloc" fault point fires before each
-/// 2^n amplitude/energy-table allocation.
+/// Solve a QUBO with QAOA / VQE simulated on the statevector backend.
+/// Both return kDeadlineExceeded / kCancelled when the budget trips, and
+/// the "statevector.alloc" fault point fires before each 2^n
+/// amplitude/energy-table allocation.
 StatusOr<VariationalResult> TrySolveQuboWithQaoa(
     const QuboModel& qubo, const VariationalOptions& options = {});
 StatusOr<VariationalResult> TrySolveQuboWithVqe(
     const QuboModel& qubo, const VariationalOptions& options = {});
-
-/// Solves a QUBO with QAOA simulated on the statevector backend.
-VariationalResult SolveQuboWithQaoa(const QuboModel& qubo,
-                                    const VariationalOptions& options = {});
-
-/// Solves a QUBO with VQE simulated on the statevector backend.
-VariationalResult SolveQuboWithVqe(const QuboModel& qubo,
-                                   const VariationalOptions& options = {});
 
 }  // namespace qopt

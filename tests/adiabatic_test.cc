@@ -29,10 +29,11 @@ TEST(AdiabaticTest, SlowEvolutionReachesGroundState) {
   options.total_time = 30.0;
   options.steps = 400;
   options.seed = 3;
-  const AdiabaticResult result = SolveQuboAdiabatically(qubo, options);
+  const AdiabaticResult result =
+      TrySolveQuboAdiabatically(qubo, options).value();
   EXPECT_GT(result.ground_state_probability, 0.5);
-  EXPECT_NEAR(result.best_energy, SolveQuboBruteForce(qubo).best_energy,
-              1e-9);
+  EXPECT_NEAR(result.best_energy,
+              TrySolveQuboBruteForce(qubo).value().best_energy, 1e-9);
   EXPECT_EQ(result.best_bits, (std::vector<std::uint8_t>{0, 1, 0}));
 }
 
@@ -44,7 +45,9 @@ TEST(AdiabaticTest, LongerEvolutionImprovesSuccessProbability) {
     AdiabaticOptions options;
     options.total_time = total_time;
     options.steps = 300;
-    return SolveQuboAdiabatically(qubo, options).ground_state_probability;
+    return TrySolveQuboAdiabatically(qubo, options)
+        .value()
+        .ground_state_probability;
   };
   const double fast = probability(0.5);
   const double slow = probability(30.0);
@@ -59,7 +62,8 @@ TEST(AdiabaticTest, InstantQuenchStaysNearUniform) {
   AdiabaticOptions options;
   options.total_time = 1e-4;
   options.steps = 10;
-  const AdiabaticResult result = SolveQuboAdiabatically(qubo, options);
+  const AdiabaticResult result =
+      TrySolveQuboAdiabatically(qubo, options).value();
   EXPECT_NEAR(result.ground_state_probability, 1.0 / 16.0, 0.02);
 }
 
@@ -79,10 +83,11 @@ TEST_P(AdiabaticParamTest, SampledBestMatchesBruteForceOnRandomQubos) {
   options.steps = 400;
   options.shots = 2048;
   options.seed = GetParam();
-  const AdiabaticResult result = SolveQuboAdiabatically(qubo, options);
+  const AdiabaticResult result =
+      TrySolveQuboAdiabatically(qubo, options).value();
   // With a long anneal and many shots the best sample is the optimum.
-  EXPECT_NEAR(result.best_energy, SolveQuboBruteForce(qubo).best_energy,
-              1e-9);
+  EXPECT_NEAR(result.best_energy,
+              TrySolveQuboBruteForce(qubo).value().best_energy, 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AdiabaticParamTest, ::testing::Range(0, 6));

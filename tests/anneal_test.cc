@@ -39,12 +39,12 @@ class AnnealerParamTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(AnnealerParamTest, ReachesGroundStateOfRandomProblems) {
   const QuboModel qubo = MakeRandomQubo(12, 0.4, GetParam());
-  const BruteForceResult exact = SolveQuboBruteForce(qubo);
+  const BruteForceResult exact = TrySolveQuboBruteForce(qubo).value();
   AnnealOptions options;
   options.num_reads = 20;
   options.num_sweeps = 400;
   options.seed = GetParam() + 1;
-  const AnnealResult result = SolveQuboWithAnnealing(qubo, options);
+  const AnnealResult result = TrySolveQuboWithAnnealing(qubo, options).value();
   EXPECT_NEAR(result.best_energy, exact.best_energy, 1e-8);
 }
 
@@ -55,8 +55,8 @@ TEST(AnnealerTest, DeterministicForFixedSeed) {
   const QuboModel qubo = MakeRandomQubo(10, 0.5, 99);
   AnnealOptions options;
   options.seed = 42;
-  const AnnealResult a = SolveQuboWithAnnealing(qubo, options);
-  const AnnealResult b = SolveQuboWithAnnealing(qubo, options);
+  const AnnealResult a = TrySolveQuboWithAnnealing(qubo, options).value();
+  const AnnealResult b = TrySolveQuboWithAnnealing(qubo, options).value();
   EXPECT_EQ(a.best_bits, b.best_bits);
   EXPECT_EQ(a.read_energies, b.read_energies);
 }
@@ -65,7 +65,7 @@ TEST(AnnealerTest, ReadEnergiesSizeMatchesReads) {
   const QuboModel qubo = MakeRandomQubo(6, 0.5, 1);
   AnnealOptions options;
   options.num_reads = 7;
-  const AnnealResult result = SolveQuboWithAnnealing(qubo, options);
+  const AnnealResult result = TrySolveQuboWithAnnealing(qubo, options).value();
   EXPECT_EQ(result.read_energies.size(), 7u);
   const double best =
       *std::min_element(result.read_energies.begin(),
@@ -88,7 +88,8 @@ TEST(AnnealerTest, GroupFlipEnergiesMatchRecomputation) {
     options.num_sweeps = 250;
     options.seed = 17;
     options.flip_groups = {{0, 1}, {2, 5, 9}, {1, 2, 13}};
-    const AnnealResult result = SolveQuboWithAnnealing(qubo, options);
+    const AnnealResult result =
+        TrySolveQuboWithAnnealing(qubo, options).value();
     ASSERT_EQ(result.read_energies.size(), 10u);
     const double best = *std::min_element(result.read_energies.begin(),
                                           result.read_energies.end());
@@ -96,7 +97,7 @@ TEST(AnnealerTest, GroupFlipEnergiesMatchRecomputation) {
     EXPECT_EQ(result.best_energy, qubo.Energy(result.best_bits));
 
     // The joint proposals must also still reach the optimum.
-    const BruteForceResult exact = SolveQuboBruteForce(qubo);
+    const BruteForceResult exact = TrySolveQuboBruteForce(qubo).value();
     EXPECT_NEAR(result.best_energy, exact.best_energy, 1e-8);
   }
 }
@@ -186,7 +187,8 @@ TEST(AnnealerTest, SweepKernelMatchesPinnedOutputs) {
   ASSERT_GE(cases[0].qubo.Density(), 0.35);  // the dense-row layout
   ASSERT_LT(cases[1].qubo.Density(), 0.35);  // the CSR layout
   for (const Case& c : cases) {
-    const AnnealResult result = SolveQuboWithAnnealing(c.qubo, c.options);
+    const AnnealResult result =
+        TrySolveQuboWithAnnealing(c.qubo, c.options).value();
     EXPECT_EQ(BitString(result.best_bits), c.best_bits) << c.name;
     EXPECT_EQ(HexDoubles(result.read_energies), c.read_energies) << c.name;
   }
@@ -247,13 +249,14 @@ TEST(AnnealerDeathTest, RejectsDuplicateFlipGroupMembers) {
   options.num_reads = 1;
   options.num_sweeps = 1;
   options.flip_groups = {{1, 3}, {0, 2, 0}};
-  EXPECT_DEATH(SolveQuboWithAnnealing(qubo, options), "QOPT_CHECK failed");
+  EXPECT_DEATH(TrySolveQuboWithAnnealing(qubo, options).value(),
+               "QOPT_CHECK failed");
 }
 
 TEST(AnnealerTest, ConstantObjectiveHandled) {
   QuboModel qubo(3);
   qubo.AddOffset(5.0);
-  const AnnealResult result = SolveQuboWithAnnealing(qubo);
+  const AnnealResult result = TrySolveQuboWithAnnealing(qubo).value();
   EXPECT_DOUBLE_EQ(result.best_energy, 5.0);
 }
 
@@ -399,8 +402,8 @@ TEST(MinorEmbedderTest, IdentityWhenSourceIsSubgraph) {
   source.AddEdge(0, 1);
   source.AddEdge(1, 2);
   const SimpleGraph target = MakeChimera(1, 1, 4);
-  const auto embedding = FindMinorEmbedding(source, target);
-  ASSERT_TRUE(embedding.has_value());
+  const auto embedding = TryFindMinorEmbedding(source, target);
+  ASSERT_TRUE(embedding.ok()) << embedding.status().ToString();
   std::string error;
   EXPECT_TRUE(ValidateEmbedding(source, target, *embedding, &error)) << error;
 }
@@ -412,8 +415,8 @@ TEST(MinorEmbedderTest, TriangleIntoCycleNeedsChains) {
   source.AddEdge(0, 2);
   SimpleGraph target(5);
   for (int i = 0; i < 5; ++i) target.AddEdge(i, (i + 1) % 5);
-  const auto embedding = FindMinorEmbedding(source, target);
-  ASSERT_TRUE(embedding.has_value());
+  const auto embedding = TryFindMinorEmbedding(source, target);
+  ASSERT_TRUE(embedding.ok()) << embedding.status().ToString();
   std::string error;
   EXPECT_TRUE(ValidateEmbedding(source, target, *embedding, &error)) << error;
   EXPECT_GT(embedding->NumPhysicalQubits(), 3);  // chains are required
@@ -429,7 +432,8 @@ TEST(MinorEmbedderTest, K5IntoChimeraCellImpossible) {
   SimpleGraph small(3);
   small.AddEdge(0, 1);
   small.AddEdge(1, 2);
-  EXPECT_FALSE(FindMinorEmbedding(source, small).has_value());
+  EXPECT_EQ(TryFindMinorEmbedding(source, small).status().code(),
+            StatusCode::kUnavailable);
 }
 
 TEST(MinorEmbedderTest, K4IntoChimeraCell) {
@@ -438,8 +442,8 @@ TEST(MinorEmbedderTest, K4IntoChimeraCell) {
     for (int j = i + 1; j < 4; ++j) source.AddEdge(i, j);
   }
   const SimpleGraph target = MakeChimera(1, 1, 4);
-  const auto embedding = FindMinorEmbedding(source, target);
-  ASSERT_TRUE(embedding.has_value());
+  const auto embedding = TryFindMinorEmbedding(source, target);
+  ASSERT_TRUE(embedding.ok()) << embedding.status().ToString();
   std::string error;
   EXPECT_TRUE(ValidateEmbedding(source, target, *embedding, &error)) << error;
   // K4 in C(1,1,4) needs chains of length 2 (the canonical embedding).
@@ -460,8 +464,8 @@ TEST_P(MinorEmbedderParamTest, RandomGraphsIntoChimera) {
   const SimpleGraph target = MakeChimera(4, 4, 4);
   EmbedOptions options;
   options.seed = GetParam() + 7;
-  const auto embedding = FindMinorEmbedding(source, target, options);
-  ASSERT_TRUE(embedding.has_value());
+  const auto embedding = TryFindMinorEmbedding(source, target, options);
+  ASSERT_TRUE(embedding.ok()) << embedding.status().ToString();
   std::string error;
   EXPECT_TRUE(ValidateEmbedding(source, target, *embedding, &error)) << error;
 }
@@ -478,8 +482,8 @@ TEST_P(MinorEmbedderParamTest, RandomGraphsIntoPegasus) {
   const SimpleGraph target = MakePegasus(3);
   EmbedOptions options;
   options.seed = GetParam() + 11;
-  const auto embedding = FindMinorEmbedding(source, target, options);
-  ASSERT_TRUE(embedding.has_value());
+  const auto embedding = TryFindMinorEmbedding(source, target, options);
+  ASSERT_TRUE(embedding.ok()) << embedding.status().ToString();
   std::string error;
   EXPECT_TRUE(ValidateEmbedding(source, target, *embedding, &error)) << error;
 }
@@ -489,8 +493,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MinorEmbedderParamTest, ::testing::Range(0, 5));
 TEST(MinorEmbedderTest, IsolatedSourceVerticesGetChains) {
   SimpleGraph source(4);  // no edges at all
   const SimpleGraph target = MakeChimera(1, 1, 4);
-  const auto embedding = FindMinorEmbedding(source, target);
-  ASSERT_TRUE(embedding.has_value());
+  const auto embedding = TryFindMinorEmbedding(source, target);
+  ASSERT_TRUE(embedding.ok()) << embedding.status().ToString();
   for (const auto& chain : embedding->chains) EXPECT_EQ(chain.size(), 1u);
 }
 
@@ -498,14 +502,15 @@ TEST(MinorEmbedderTest, IsolatedSourceVerticesGetChains) {
 
 TEST(EmbeddingCompositeTest, SolvesQuboThroughChimeraTopology) {
   const QuboModel qubo = MakeRandomQubo(8, 0.5, 5);
-  const BruteForceResult exact = SolveQuboBruteForce(qubo);
+  const BruteForceResult exact = TrySolveQuboBruteForce(qubo).value();
   EmbeddedSolveOptions options;
   options.anneal.num_reads = 30;
   options.anneal.num_sweeps = 500;
   options.anneal.seed = 3;
   options.embed.seed = 3;
-  const auto result = SolveQuboOnTopology(qubo, MakeChimera(4, 4, 4), options);
-  ASSERT_TRUE(result.has_value());
+  const auto result =
+      TrySolveQuboOnTopology(qubo, MakeChimera(4, 4, 4), options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_NEAR(result->energy, exact.best_energy, 1e-6);
   EXPECT_GE(result->chain_break_fraction, 0.0);
   EXPECT_LE(result->chain_break_fraction, 1.0);
@@ -513,18 +518,18 @@ TEST(EmbeddingCompositeTest, SolvesQuboThroughChimeraTopology) {
 
 TEST(EmbeddingCompositeTest, SolvesQuboThroughPegasusTopology) {
   const QuboModel qubo = MakeRandomQubo(10, 0.4, 9);
-  const BruteForceResult exact = SolveQuboBruteForce(qubo);
+  const BruteForceResult exact = TrySolveQuboBruteForce(qubo).value();
   EmbeddedSolveOptions options;
   options.anneal.num_reads = 30;
   options.anneal.num_sweeps = 500;
   options.anneal.seed = 4;
   options.embed.seed = 4;
-  const auto result = SolveQuboOnTopology(qubo, MakePegasus(3), options);
-  ASSERT_TRUE(result.has_value());
+  const auto result = TrySolveQuboOnTopology(qubo, MakePegasus(3), options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_NEAR(result->energy, exact.best_energy, 1e-6);
 }
 
-TEST(EmbeddingCompositeTest, ReturnsNulloptWhenEmbeddingImpossible) {
+TEST(EmbeddingCompositeTest, ReturnsUnavailableWhenEmbeddingImpossible) {
   QuboModel qubo(5);
   for (int i = 0; i < 5; ++i) {
     for (int j = i + 1; j < 5; ++j) qubo.AddQuadratic(i, j, 1.0);
@@ -532,7 +537,8 @@ TEST(EmbeddingCompositeTest, ReturnsNulloptWhenEmbeddingImpossible) {
   SimpleGraph tiny(3);
   tiny.AddEdge(0, 1);
   tiny.AddEdge(1, 2);
-  EXPECT_FALSE(SolveQuboOnTopology(qubo, tiny).has_value());
+  EXPECT_EQ(TrySolveQuboOnTopology(qubo, tiny).status().code(),
+            StatusCode::kUnavailable);
 }
 
 }  // namespace

@@ -126,7 +126,7 @@ TEST(DecomposeTest, OneBlockCoveringEverythingFindsTheExactOptimum) {
   const auto result = SolveQuboDecomposed(qubo, options,
                                           ExactSubproblemSolver);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  const BruteForceResult exact = SolveQuboBruteForce(qubo);
+  const BruteForceResult exact = TrySolveQuboBruteForce(qubo).value();
   EXPECT_NEAR(result->energy, exact.best_energy, 1e-9);
   EXPECT_EQ(result->energy, qubo.Energy(result->bits));
   EXPECT_FALSE(result->timed_out);
@@ -145,7 +145,7 @@ TEST(DecomposeTest, SmallBlocksStillReachTheOptimumOnAChainQubo) {
   const auto result = SolveQuboDecomposed(qubo, options,
                                           ExactSubproblemSolver);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  const BruteForceResult exact = SolveQuboBruteForce(qubo);
+  const BruteForceResult exact = TrySolveQuboBruteForce(qubo).value();
   EXPECT_NEAR(result->energy, exact.best_energy, 1e-9);
 }
 

@@ -171,8 +171,9 @@ TEST(ShapeTest, EmbeddingNeedsMultiplePhysicalQubitsPerLogical) {
   const SimpleGraph source = qubo.qubo.InteractionGraph();
   EmbedOptions options;
   options.seed = 3;
-  const auto embedding = FindMinorEmbedding(source, MakePegasus(6), options);
-  ASSERT_TRUE(embedding.has_value());
+  const auto embedding =
+      TryFindMinorEmbedding(source, MakePegasus(6), options);
+  ASSERT_TRUE(embedding.ok()) << embedding.status().ToString();
   EXPECT_GT(embedding->NumPhysicalQubits(), source.NumVertices());
   EXPECT_LT(embedding->MeanChainLength(), 8.0);
 }

@@ -338,7 +338,7 @@ TEST(BilpToQuboTest, GroundStateIsOptimalFeasibleAssignment) {
   const int c = bilp.AddVariable("c", 2.0);
   bilp.AddConstraint({{{a, 1.0}, {b, 1.0}, {c, 1.0}}, 1.0});  // pick one
   const BilpQuboEncoding encoding = EncodeBilpAsQubo(bilp);
-  const BruteForceResult ground = SolveQuboBruteForce(encoding.qubo);
+  const BruteForceResult ground = TrySolveQuboBruteForce(encoding.qubo).value();
   EXPECT_EQ(ground.best_bits, (std::vector<std::uint8_t>{0, 1, 0}));
   EXPECT_NEAR(ground.best_energy, 1.0, 1e-9);
 }
@@ -353,7 +353,7 @@ TEST(JoinOrderQuboTest, GroundStateDecodesToOptimalOrder) {
   const JoinOrderEncoding encoding = EncodeJoinOrderAsBilp(graph, options);
   ASSERT_LE(encoding.bilp.NumVariables(), 26);
   const BilpQuboEncoding qubo = EncodeBilpAsQubo(encoding.bilp);
-  const BruteForceResult ground = SolveQuboBruteForce(qubo.qubo);
+  const BruteForceResult ground = TrySolveQuboBruteForce(qubo.qubo).value();
   EXPECT_TRUE(encoding.bilp.IsFeasible(ground.best_bits, encoding.omega / 2));
   std::vector<int> order;
   ASSERT_TRUE(DecodeJoinOrder(encoding, ground.best_bits, &order));
@@ -374,7 +374,8 @@ TEST(JoinOrderQuboTest, SimulatedAnnealingSolvesExample) {
   anneal.num_reads = 60;
   anneal.num_sweeps = 2000;
   anneal.seed = 12;
-  const AnnealResult result = SolveQuboWithAnnealing(qubo.qubo, anneal);
+  const AnnealResult result =
+      TrySolveQuboWithAnnealing(qubo.qubo, anneal).value();
   std::vector<int> order;
   ASSERT_TRUE(DecodeJoinOrder(encoding, result.best_bits, &order));
   EXPECT_TRUE(encoding.bilp.IsFeasible(result.best_bits, encoding.omega / 2));

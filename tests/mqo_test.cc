@@ -83,7 +83,7 @@ TEST(MqoExampleTest, GloballyOptimalCostIs21) {
 TEST(MqoExampleTest, QuboGroundStateMatchesOptimum) {
   const MqoProblem example = MakePaperExampleMqo();
   const MqoQuboEncoding encoding = EncodeMqoAsQubo(example);
-  const BruteForceResult ground = SolveQuboBruteForce(encoding.qubo);
+  const BruteForceResult ground = TrySolveQuboBruteForce(encoding.qubo).value();
   std::vector<int> selection;
   ASSERT_TRUE(example.DecodeBits(ground.best_bits, &selection));
   EXPECT_DOUBLE_EQ(example.SelectionCost(selection), 21.0);
@@ -146,7 +146,7 @@ TEST_P(MqoEncoderParamTest, GroundStateDecodesToExhaustiveOptimum) {
   gen.seed = GetParam();
   const MqoProblem problem = GenerateMqoProblem(gen);
   const MqoQuboEncoding encoding = EncodeMqoAsQubo(problem);
-  const BruteForceResult ground = SolveQuboBruteForce(encoding.qubo);
+  const BruteForceResult ground = TrySolveQuboBruteForce(encoding.qubo).value();
   std::vector<int> selection;
   ASSERT_TRUE(problem.DecodeBits(ground.best_bits, &selection))
       << "QUBO ground state is not a valid selection";

@@ -120,13 +120,14 @@ TEST_F(ObsTest, SchedulingMetricsExcludedFromStableSnapshot) {
             nullptr);
   EXPECT_EQ(FindRow(Metrics::Instance().Snapshot(false), "race.wait_polls"),
             nullptr);
-  const Metrics::Row* row = FindRow(Metrics::Instance().Snapshot(true),
-                                    "threadpool.queue_depth");
+  // FindRow points into the vector it searches, so the snapshot must
+  // outlive the row pointers.
+  const std::vector<Metrics::Row> all_rows = Metrics::Instance().Snapshot(true);
+  const Metrics::Row* row = FindRow(all_rows, "threadpool.queue_depth");
   ASSERT_NE(row, nullptr);
   EXPECT_TRUE(row->scheduling);
   EXPECT_EQ(row->sum, 3);
-  const Metrics::Row* race_row =
-      FindRow(Metrics::Instance().Snapshot(true), "race.wait_polls");
+  const Metrics::Row* race_row = FindRow(all_rows, "race.wait_polls");
   ASSERT_NE(race_row, nullptr);
   EXPECT_TRUE(race_row->scheduling);
 }

@@ -257,7 +257,7 @@ TEST_P(RandomBilpTest, BranchAndBoundAgreesWithQuboGroundState) {
   }
   const auto bnb = SolveBilpBranchAndBound(bilp);
   const BilpQuboEncoding encoding = EncodeBilpAsQubo(bilp);
-  const BruteForceResult ground = SolveQuboBruteForce(encoding.qubo);
+  const BruteForceResult ground = TrySolveQuboBruteForce(encoding.qubo).value();
   if (!bnb.has_value()) {
     // Conflicting constraints can make the instance infeasible; the QUBO
     // ground state must then violate some constraint.
@@ -285,8 +285,9 @@ TEST(CrossModuleTest, SaRespectsBruteForceOnMediumProblems) {
     anneal.num_reads = 40;
     anneal.num_sweeps = 1500;
     anneal.seed = seed;
-    EXPECT_NEAR(SolveQuboWithAnnealing(encoding.qubo, anneal).best_energy,
-                SolveQuboBruteForce(encoding.qubo).best_energy, 1e-8);
+    EXPECT_NEAR(
+        TrySolveQuboWithAnnealing(encoding.qubo, anneal).value().best_energy,
+        TrySolveQuboBruteForce(encoding.qubo).value().best_energy, 1e-8);
   }
 }
 

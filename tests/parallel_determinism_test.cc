@@ -55,7 +55,7 @@ TEST(ParallelDeterminismTest, TranspileManySeedsMatchesSerial) {
   for (std::uint64_t s = 0; s < 12; ++s) seeds.push_back(s * 101);
 
   const auto [serial, parallel] = RunAtBothThreadCounts([&] {
-    return TranspileManySeeds(qaoa, mumbai, seeds);
+    return TryTranspileManySeeds(qaoa, mumbai, seeds).value();
   });
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -74,7 +74,7 @@ TEST(ParallelDeterminismTest, MultiReadAnnealingMatchesSerial) {
   options.seed = 7;
 
   const auto [serial, parallel] = RunAtBothThreadCounts([&] {
-    return SolveQuboWithAnnealing(qubo, options);
+    return TrySolveQuboWithAnnealing(qubo, options).value();
   });
   EXPECT_EQ(serial.best_bits, parallel.best_bits);
   EXPECT_EQ(serial.best_energy, parallel.best_energy);
@@ -89,7 +89,7 @@ TEST(ParallelDeterminismTest, QaoaSolverMatchesSerial) {
   options.seed = 3;
 
   const auto [serial, parallel] = RunAtBothThreadCounts([&] {
-    return SolveQuboWithQaoa(qubo, options);
+    return TrySolveQuboWithQaoa(qubo, options).value();
   });
   EXPECT_EQ(serial.best_bits, parallel.best_bits);
   EXPECT_EQ(serial.best_energy, parallel.best_energy);

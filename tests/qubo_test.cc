@@ -170,7 +170,7 @@ TEST(BruteForceTest, FindsKnownMinimum) {
   qubo.AddLinear(0, -1.0);
   qubo.AddLinear(1, -1.0);
   qubo.AddQuadratic(0, 1, 3.0);
-  const BruteForceResult result = SolveQuboBruteForce(qubo);
+  const BruteForceResult result = TrySolveQuboBruteForce(qubo).value();
   EXPECT_DOUBLE_EQ(result.best_energy, -1.0);
   // Two symmetric optima: {1,0} and {0,1}.
   EXPECT_EQ(result.num_optima, 2u);
@@ -181,7 +181,7 @@ class BruteForceParamTest : public ::testing::TestWithParam<int> {};
 TEST_P(BruteForceParamTest, MatchesNaiveEnumeration) {
   const int n = 10;
   const QuboModel qubo = MakeRandomQubo(n, 0.3, GetParam());
-  const BruteForceResult result = SolveQuboBruteForce(qubo);
+  const BruteForceResult result = TrySolveQuboBruteForce(qubo).value();
   double naive_best = qubo.Energy(BitsFromIndex(0, n));
   for (std::uint64_t index = 1; index < (1u << n); ++index) {
     naive_best = std::min(naive_best, qubo.Energy(BitsFromIndex(index, n)));
@@ -196,7 +196,7 @@ INSTANTIATE_TEST_SUITE_P(RandomInstances, BruteForceParamTest,
 TEST(BruteForceTest, ZeroVariablesHandled) {
   QuboModel qubo(0);
   qubo.AddOffset(3.0);
-  const BruteForceResult result = SolveQuboBruteForce(qubo);
+  const BruteForceResult result = TrySolveQuboBruteForce(qubo).value();
   EXPECT_DOUBLE_EQ(result.best_energy, 3.0);
 }
 
@@ -261,7 +261,7 @@ QuboModel MakeForcedQubo(const std::vector<std::uint8_t>& target,
 void ExpectSolversAgree(const QuboModel& qubo,
                         const std::vector<std::uint8_t>& forced,
                         std::uint64_t seed) {
-  const BruteForceResult exact = SolveQuboBruteForce(qubo);
+  const BruteForceResult exact = TrySolveQuboBruteForce(qubo).value();
   EXPECT_EQ(exact.best_bits, forced);
   EXPECT_EQ(exact.num_optima, 1u);
   for (const auto& [reads, sweeps] : {std::pair{1, 1}, std::pair{8, 1000}}) {
@@ -269,7 +269,7 @@ void ExpectSolversAgree(const QuboModel& qubo,
     anneal.num_reads = reads;
     anneal.num_sweeps = sweeps;
     anneal.seed = seed;
-    EXPECT_EQ(SolveQuboWithAnnealing(qubo, anneal).best_bits, forced)
+    EXPECT_EQ(TrySolveQuboWithAnnealing(qubo, anneal).value().best_bits, forced)
         << reads << " x " << sweeps;
   }
 }

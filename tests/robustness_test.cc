@@ -77,7 +77,8 @@ TEST_P(CommuteRoutingTest, ReorderedDiagonalRunsPreserveState) {
   Rng route_rng(GetParam() + 99);
   RouterOptions router;  // commute + lookahead on
   const RoutedCircuit routed =
-      RouteCircuit(circuit, line, TrivialLayout(n), &route_rng, router);
+      TryRouteCircuit(circuit, line, TrivialLayout(n), &route_rng, router)
+          .value();
 
   const auto expected = SimulateCircuit(circuit).Amplitudes();
   const auto physical = SimulateCircuit(routed.circuit).Amplitudes();
@@ -108,7 +109,7 @@ TEST(CommuteRoutingTest, CommuteOffAlsoPreservesSemantics) {
     router.commute_diagonal = commute;
     router.lookahead = 0;
     const RoutedCircuit routed =
-        RouteCircuit(circuit, line, TrivialLayout(4), &rng, router);
+        TryRouteCircuit(circuit, line, TrivialLayout(4), &rng, router).value();
     for (const Gate& g : routed.circuit.Gates()) {
       if (g.NumQubits() == 2) {
         EXPECT_TRUE(line.AreCoupled(g.qubit0, g.qubit1));
@@ -130,7 +131,7 @@ TEST(CommuteRoutingTest, CommutationReducesSwapCount) {
     RouterOptions router;
     router.commute_diagonal = commute;
     const RoutedCircuit routed =
-        RouteCircuit(circuit, line, TrivialLayout(n), &rng, router);
+        TryRouteCircuit(circuit, line, TrivialLayout(n), &rng, router).value();
     const auto counts = routed.circuit.CountOps();
     auto it = counts.find("swap");
     return it == counts.end() ? 0 : it->second;
@@ -144,7 +145,7 @@ class ClusterMoveTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ClusterMoveTest, GroupFlipsKeepEnergyBookkeepingConsistent) {
   const QuboModel qubo = MakeRandomQubo(10, 0.5, GetParam());
-  const BruteForceResult exact = SolveQuboBruteForce(qubo);
+  const BruteForceResult exact = TrySolveQuboBruteForce(qubo).value();
   Rng rng(GetParam());
   AnnealOptions options;
   options.num_reads = 15;
@@ -158,7 +159,7 @@ TEST_P(ClusterMoveTest, GroupFlipsKeepEnergyBookkeepingConsistent) {
     }
     if (!group.empty()) options.flip_groups.push_back(group);
   }
-  const AnnealResult result = SolveQuboWithAnnealing(qubo, options);
+  const AnnealResult result = TrySolveQuboWithAnnealing(qubo, options).value();
   // Reported energy must match a fresh evaluation, and never beat exact.
   EXPECT_NEAR(result.best_energy, qubo.Energy(result.best_bits), 1e-9);
   EXPECT_GE(result.best_energy, exact.best_energy - 1e-9);
@@ -185,9 +186,9 @@ TEST(ClusterMoveTest, GroupMovesEscapeChainBarriers) {
   options.num_sweeps = 100;
   options.seed = 1;
   options.flip_groups = {{0, 1}, {2, 3}};
-  const AnnealResult result = SolveQuboWithAnnealing(qubo, options);
-  EXPECT_NEAR(result.best_energy, SolveQuboBruteForce(qubo).best_energy,
-              1e-9);
+  const AnnealResult result = TrySolveQuboWithAnnealing(qubo, options).value();
+  EXPECT_NEAR(result.best_energy,
+              TrySolveQuboBruteForce(qubo).value().best_energy, 1e-9);
 }
 
 // --- Encoder pruning equivalence --------------------------------------------------
@@ -264,7 +265,7 @@ TEST(EdgeCaseTest, MqoSingleQueryDegeneratesToMinCost) {
   MqoProblem problem;
   problem.AddQuery({5.0, 3.0, 9.0});
   const MqoQuboEncoding encoding = EncodeMqoAsQubo(problem);
-  const BruteForceResult ground = SolveQuboBruteForce(encoding.qubo);
+  const BruteForceResult ground = TrySolveQuboBruteForce(encoding.qubo).value();
   std::vector<int> selection;
   ASSERT_TRUE(problem.DecodeBits(ground.best_bits, &selection));
   EXPECT_EQ(selection, (std::vector<int>{1}));
@@ -282,9 +283,10 @@ TEST(EdgeCaseTest, EmbeddingCompositeHandlesIsolatedVariables) {
   options.anneal.seed = 2;
   options.embed.seed = 2;
   const auto result =
-      SolveQuboOnTopology(qubo, MakeChimera(2, 2, 4), options);
-  ASSERT_TRUE(result.has_value());
-  EXPECT_NEAR(result->energy, SolveQuboBruteForce(qubo).best_energy, 1e-9);
+      TrySolveQuboOnTopology(qubo, MakeChimera(2, 2, 4), options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_NEAR(result->energy,
+              TrySolveQuboBruteForce(qubo).value().best_energy, 1e-9);
 }
 
 TEST(EdgeCaseTest, StatevectorSingleQubitDevice) {

@@ -108,7 +108,7 @@ TEST(SimdDispatchTest, AnnealingSolutionsIdenticalSparseAndDense) {
     options.seed = 5;
     options.flip_groups = {{0, 1, 2}, {10, 20, 30}};
     ExpectInvariantAcrossSimdAndThreads(
-        [&] { return SolveQuboWithAnnealing(qubo, options); },
+        [&] { return TrySolveQuboWithAnnealing(qubo, options).value(); },
         [&](const AnnealResult& a, const AnnealResult& b) {
           EXPECT_EQ(a.best_bits, b.best_bits) << "density " << density;
           EXPECT_EQ(a.best_energy, b.best_energy);

@@ -215,7 +215,7 @@ TEST(SwapRouterTest, RoutedGatesRespectCoupling) {
   const QuantumCircuit logical = MakeRandomLogicalCircuit(6, 40, 7);
   Rng rng(1);
   const RoutedCircuit routed =
-      RouteCircuit(logical, line, TrivialLayout(6), &rng);
+      TryRouteCircuit(logical, line, TrivialLayout(6), &rng).value();
   for (const Gate& g : routed.circuit.Gates()) {
     if (g.NumQubits() == 2) {
       EXPECT_TRUE(line.AreCoupled(g.qubit0, g.qubit1));
@@ -228,7 +228,7 @@ TEST(SwapRouterTest, NoSwapsOnFullConnectivity) {
   const QuantumCircuit logical = MakeRandomLogicalCircuit(6, 40, 11);
   Rng rng(1);
   const RoutedCircuit routed =
-      RouteCircuit(logical, full, TrivialLayout(6), &rng);
+      TryRouteCircuit(logical, full, TrivialLayout(6), &rng).value();
   EXPECT_EQ(routed.circuit.CountOps().count("swap"), 0u);
   EXPECT_EQ(routed.circuit.NumGates(), logical.NumGates());
 }
@@ -242,7 +242,7 @@ TEST(SwapRouterTest, RoutingPreservesSemantics) {
   const QuantumCircuit logical = MakeRandomLogicalCircuit(n, 25, 13);
   Rng rng(99);
   const RoutedCircuit routed =
-      RouteCircuit(logical, line, TrivialLayout(n), &rng);
+      TryRouteCircuit(logical, line, TrivialLayout(n), &rng).value();
 
   const auto expected = SimulateCircuit(logical).Amplitudes();
   const auto physical = SimulateCircuit(routed.circuit).Amplitudes();
@@ -266,7 +266,7 @@ TEST(SwapRouterTest, DifferentSeedsCanDiffer) {
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     Rng rng(seed);
     depths.push_back(
-        RouteCircuit(logical, mumbai, DenseLayout(mumbai, 12), &rng)
+        TryRouteCircuit(logical, mumbai, DenseLayout(mumbai, 12), &rng).value()
             .circuit.Depth());
   }
   // Stochastic routing should not be perfectly constant across 8 seeds.
@@ -284,8 +284,8 @@ TEST(TranspilerTest, FullMapKeepsDepthAndIsDeterministic) {
   options_a.seed = 1;
   TranspileOptions options_b;
   options_b.seed = 2;
-  const TranspileResult a = Transpile(logical, full, options_a);
-  const TranspileResult b = Transpile(logical, full, options_b);
+  const TranspileResult a = TryTranspile(logical, full, options_a).value();
+  const TranspileResult b = TryTranspile(logical, full, options_b).value();
   EXPECT_EQ(a.depth, b.depth);
 }
 
@@ -293,7 +293,7 @@ TEST(TranspilerTest, DeviceDepthAtLeastIdealDepth) {
   const QuantumCircuit logical = MakeRandomLogicalCircuit(10, 60, 23);
   const CouplingMap full = MakeFullyConnected(10);
   const CouplingMap mumbai = MakeMumbai27();
-  const int ideal = Transpile(logical, full).depth;
+  const int ideal = TryTranspile(logical, full).value().depth;
   const Summary device = TranspiledDepthStats(logical, mumbai, 5);
   EXPECT_GE(device.min, ideal);
 }
@@ -301,7 +301,7 @@ TEST(TranspilerTest, DeviceDepthAtLeastIdealDepth) {
 TEST(TranspilerTest, ResultUsesBasisGatesOnly) {
   const QuantumCircuit logical = MakeRandomLogicalCircuit(8, 30, 29);
   const CouplingMap mumbai = MakeMumbai27();
-  const TranspileResult result = Transpile(logical, mumbai);
+  const TranspileResult result = TryTranspile(logical, mumbai).value();
   for (const Gate& g : result.circuit.Gates()) {
     const bool basis = g.kind == GateKind::kRz || g.kind == GateKind::kSx ||
                        g.kind == GateKind::kX || g.kind == GateKind::kCx;

@@ -178,34 +178,34 @@ QuboModel SmallMqoLikeQubo() {
 
 TEST(VariationalSolverTest, QaoaFindsGroundStateOfSmallQubo) {
   const QuboModel qubo = SmallMqoLikeQubo();
-  const BruteForceResult exact = SolveQuboBruteForce(qubo);
+  const BruteForceResult exact = TrySolveQuboBruteForce(qubo).value();
   VariationalOptions options;
   options.max_iterations = 200;
   options.shots = 2048;
   options.seed = 3;
-  const VariationalResult result = SolveQuboWithQaoa(qubo, options);
+  const VariationalResult result = TrySolveQuboWithQaoa(qubo, options).value();
   EXPECT_NEAR(result.best_energy, exact.best_energy, 1e-6);
 }
 
 TEST(VariationalSolverTest, VqeFindsGroundStateOfSmallQubo) {
   const QuboModel qubo = SmallMqoLikeQubo();
-  const BruteForceResult exact = SolveQuboBruteForce(qubo);
+  const BruteForceResult exact = TrySolveQuboBruteForce(qubo).value();
   VariationalOptions options;
   options.max_iterations = 400;
   options.shots = 2048;
   options.seed = 5;
-  const VariationalResult result = SolveQuboWithVqe(qubo, options);
+  const VariationalResult result = TrySolveQuboWithVqe(qubo, options).value();
   EXPECT_NEAR(result.best_energy, exact.best_energy, 1e-6);
 }
 
 TEST(VariationalSolverTest, ExpectationIsUpperBoundOnGroundEnergy) {
   // The variational principle (Eq. 15).
   const QuboModel qubo = SmallMqoLikeQubo();
-  const BruteForceResult exact = SolveQuboBruteForce(qubo);
+  const BruteForceResult exact = TrySolveQuboBruteForce(qubo).value();
   VariationalOptions options;
   options.max_iterations = 50;
-  const VariationalResult qaoa = SolveQuboWithQaoa(qubo, options);
-  const VariationalResult vqe = SolveQuboWithVqe(qubo, options);
+  const VariationalResult qaoa = TrySolveQuboWithQaoa(qubo, options).value();
+  const VariationalResult vqe = TrySolveQuboWithVqe(qubo, options).value();
   EXPECT_GE(qaoa.expectation, exact.best_energy - 1e-9);
   EXPECT_GE(vqe.expectation, exact.best_energy - 1e-9);
 }
@@ -214,7 +214,7 @@ TEST(VariationalSolverTest, QaoaOptimalCircuitHasBoundAngles) {
   const QuboModel qubo = SmallMqoLikeQubo();
   VariationalOptions options;
   options.max_iterations = 100;
-  const VariationalResult result = SolveQuboWithQaoa(qubo, options);
+  const VariationalResult result = TrySolveQuboWithQaoa(qubo, options).value();
   EXPECT_GT(result.optimal_circuit.NumGates(), 0);
   EXPECT_EQ(result.optimal_circuit.NumQubits(), 4);
   EXPECT_GT(result.evaluations, 0);
@@ -222,25 +222,25 @@ TEST(VariationalSolverTest, QaoaOptimalCircuitHasBoundAngles) {
 
 TEST(VariationalSolverTest, AdamBackendSolvesSmallQubo) {
   const QuboModel qubo = SmallMqoLikeQubo();
-  const BruteForceResult exact = SolveQuboBruteForce(qubo);
+  const BruteForceResult exact = TrySolveQuboBruteForce(qubo).value();
   VariationalOptions options;
   options.optimizer = OuterOptimizer::kAdam;
   options.max_iterations = 200;
   options.shots = 2048;
   options.seed = 13;
-  const VariationalResult result = SolveQuboWithQaoa(qubo, options);
+  const VariationalResult result = TrySolveQuboWithQaoa(qubo, options).value();
   EXPECT_NEAR(result.best_energy, exact.best_energy, 1e-6);
 }
 
 TEST(VariationalSolverTest, SpsaBackendAlsoSolves) {
   const QuboModel qubo = SmallMqoLikeQubo();
-  const BruteForceResult exact = SolveQuboBruteForce(qubo);
+  const BruteForceResult exact = TrySolveQuboBruteForce(qubo).value();
   VariationalOptions options;
   options.optimizer = OuterOptimizer::kSpsa;
   options.max_iterations = 300;
   options.shots = 4096;
   options.seed = 11;
-  const VariationalResult result = SolveQuboWithQaoa(qubo, options);
+  const VariationalResult result = TrySolveQuboWithQaoa(qubo, options).value();
   // SPSA is noisier; accept near-optimal with sampling.
   EXPECT_LE(result.best_energy, exact.best_energy + 1.5);
 }
