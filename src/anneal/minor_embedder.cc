@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <cstdlib>
 #include <queue>
 
 #include "common/check.h"
@@ -32,7 +31,6 @@ class Embedder {
         target_(target),
         options_(options),
         rng_(seed),
-        debug_(std::getenv("QQO_EMBED_DEBUG") != nullptr),
         chains_(static_cast<std::size_t>(source.NumVertices())),
         usage_(static_cast<std::size_t>(target.NumVertices()), 0),
         cost_(static_cast<std::size_t>(target.NumVertices()), 1.0) {}
@@ -86,10 +84,6 @@ class Embedder {
         for (int u : conflicted) EmbedNode(u);
       }
       const int overfill = Overfill();
-      if (debug_) {
-        std::fprintf(stderr, "[embed] pass %d overfill %d conflicted %zu\n",
-                     pass, overfill, ConflictedNodes().size());
-      }
       if (overfill == 0) {
         if (options_.minimize_chains) TrimChains();
         Embedding embedding;
@@ -504,7 +498,6 @@ class Embedder {
   const SimpleGraph& target_;
   const EmbedOptions& options_;
   Rng rng_;
-  bool debug_ = false;
   std::vector<std::vector<int>> chains_;
   std::vector<int> usage_;
   std::vector<double> cost_;

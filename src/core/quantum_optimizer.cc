@@ -612,26 +612,28 @@ int SubproblemCap(const OptimizerOptions& options) {
 /// Solves one clamped block
 /// (named helper: runs inside the decomposer's ParallelFor workers, where
 /// any nested ParallelFor the backends issue executes inline serially).
-/// A forced block (ForcedMinimizer) is solved in place: its unique
-/// minimizer is what SA's final greedy descent and the exact oracle
-/// return anyway (DESIGN.md "Decomposition"). Every other block goes
+/// PinSignDefiniteBits first pins every bit whose best value the rest of
+/// the block cannot change (DESIGN.md "Decomposition"). A block pinned
+/// whole is solved in place; otherwise only the core of free bits goes
 /// through the serial schedule, routed to the requested backend when it
-/// fits `cap` and to SA otherwise. Retries are disabled per block — a
-/// transient failure just keeps the incumbent for this block, it must not
-/// sleep a pool worker through a backoff — and the per-block SA budget is
-/// clamped so a 400-block round costs what one facade SA solve costs, not
-/// 400 of them.
+/// fits `cap` and to SA otherwise, and its bits are scattered back into
+/// the block. Retries are disabled per block — a transient failure just
+/// keeps the incumbent for this block, it must not sleep a pool worker
+/// through a backoff — and the per-block SA budget is clamped so a
+/// 400-block round costs what one facade SA solve costs, not 400 of them.
 StatusOr<SubproblemResult> SolveDecomposeSubproblem(
     const QuboModel& subproblem, std::uint64_t seed, const Deadline& deadline,
     const OptimizerOptions& base, int cap) {
   QOPT_RETURN_IF_ERROR(CheckFaultPoint("decompose.subproblem"));
-  if (std::optional<std::vector<std::uint8_t>> forced =
-          ForcedMinimizer(subproblem)) {
+  PinnedQubo pinned = PinSignDefiniteBits(subproblem);
+  if (pinned.free.empty()) {
     QQO_COUNT("decompose.blocks_forced", 1);
-    return SubproblemResult{*std::move(forced)};
+    return SubproblemResult{std::move(pinned.bits)};
   }
+  QQO_COUNT("decompose.bits_pinned",
+            subproblem.NumVariables() - pinned.core.NumVariables());
   OptimizerOptions options = base;
-  options.backend = subproblem.NumVariables() <= cap
+  options.backend = pinned.core.NumVariables() <= cap
                         ? base.backend
                         : Backend::kSimulatedAnnealing;
   options.seed = seed;
@@ -647,10 +649,9 @@ StatusOr<SubproblemResult> SolveDecomposeSubproblem(
   options.anneal.num_reads = std::min(std::max(1, base.anneal.num_reads), 8);
   options.anneal.num_sweeps =
       std::min(std::max(1, base.anneal.num_sweeps), 1000);
-  QOPT_ASSIGN_OR_RETURN(DispatchOutcome outcome, RunSerial(subproblem, options));
-  SubproblemResult result;
-  result.bits = std::move(outcome.result.bits);
-  return result;
+  QOPT_ASSIGN_OR_RETURN(DispatchOutcome outcome,
+                        RunSerial(pinned.core, options));
+  return SubproblemResult{pinned.Expand(outcome.result.bits)};
 }
 
 /// Decomposed dispatch: run the qbsolv-style round loop with the serial

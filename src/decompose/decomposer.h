@@ -66,8 +66,8 @@ struct DecomposeResult {
   double energy = 0.0;             ///< Exact energy of `bits`.
   int rounds = 0;                  ///< Decomposition rounds completed.
   /// Blocks formed across all rounds, singletons and blocks the solver
-  /// answers without running a backend (e.g. the facade's forced
-  /// blocks) included.
+  /// answers without running a backend (e.g. the facade's blocks whose
+  /// every bit is pinned) included.
   int subproblems = 0;
   /// Incumbent energy after each completed round (refinement included).
   std::vector<double> round_energies;

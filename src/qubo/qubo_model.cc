@@ -141,37 +141,91 @@ double QuboModel::FlipDelta(const std::vector<std::uint8_t>& bits, int i,
   return bits[u] ? -delta : delta;
 }
 
-std::optional<std::vector<std::uint8_t>> ForcedMinimizer(
-    const QuboModel& qubo) {
-  // lo, hi and |h| + sum |c| per variable, in one pass over the stored
-  // terms. Skipping the sorted CSR build leaves the summation order to the
-  // hash map, which moves the sums by rounding only: far inside the
-  // margin below, so either order yields the bits every solver returns.
-  struct Row {
-    double lo, hi, magnitude;
-  };
-  const std::size_t n = static_cast<std::size_t>(qubo.NumVariables());
-  std::vector<Row> rows(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double h = qubo.linear_[i];
-    rows[i] = {h, h, std::abs(h)};
+std::vector<std::uint8_t> PinnedQubo::Expand(
+    const std::vector<std::uint8_t>& core_bits) const {
+  QOPT_CHECK(core_bits.size() == free.size());
+  std::vector<std::uint8_t> expanded = bits;
+  for (std::size_t k = 0; k < free.size(); ++k) {
+    expanded[static_cast<std::size_t>(free[k])] = core_bits[k];
   }
-  for (const auto& [key, c] : qubo.quadratic_) {
-    for (const std::uint64_t v : {key >> 32, key & 0xFFFFFFFFu}) {
-      Row& row = rows[static_cast<std::size_t>(v)];
-      (c < 0.0 ? row.lo : row.hi) += c;
-      row.magnitude += std::abs(c);
+  return expanded;
+}
+
+PinnedQubo PinSignDefiniteBits(const QuboModel& qubo) {
+  enum : std::uint8_t { kFree, kOff, kOn };
+  const std::size_t n = static_cast<std::size_t>(qubo.NumVariables());
+  const CsrAdjacency adj = qubo.BuildCsrAdjacency();
+  // The margin comes from the input row, so folding cannot shrink it.
+  std::vector<double> margin(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double magnitude = std::abs(qubo.Linear(static_cast<int>(i)));
+    for (std::size_t k = adj.offsets[i]; k < adj.offsets[i + 1]; ++k) {
+      magnitude += std::abs(adj.coeffs[k]);
+    }
+    // A NaN anywhere in the row makes the margin NaN, failing both tests.
+    margin[i] = 1e-12 + 1e-9 * magnitude;
+  }
+  std::vector<std::uint8_t> state(n, kFree);
+  // x_i's linear term with the pinned-on neighbours folded in, summed in
+  // row (index) order; `lo` and `hi` add the free couplings' signed parts.
+  const auto fold = [&](std::size_t i, double* lo, double* hi) {
+    double linear = qubo.Linear(static_cast<int>(i));
+    for (std::size_t k = adj.offsets[i]; k < adj.offsets[i + 1]; ++k) {
+      const std::uint8_t neighbor =
+          state[static_cast<std::size_t>(adj.neighbors[k])];
+      if (neighbor == kOn) {
+        linear += adj.coeffs[k];
+      } else if (neighbor == kFree) {
+        (adj.coeffs[k] < 0.0 ? *lo : *hi) += adj.coeffs[k];
+      }
+    }
+    return linear;
+  };
+  // A pin only narrows its neighbours' [lo, hi], so once a bit pins it
+  // stays pinned; repeat until a pass pins nothing.
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (state[i] != kFree) continue;
+      double lo = 0.0;
+      double hi = 0.0;
+      const double linear = fold(i, &lo, &hi);
+      if (linear + lo > margin[i]) {
+        state[i] = kOff;
+      } else if (linear + hi < -margin[i]) {
+        state[i] = kOn;
+      } else {
+        continue;
+      }
+      changed = true;
     }
   }
-  std::vector<std::uint8_t> bits(n, 0);
+
+  PinnedQubo pinned;
+  pinned.bits.assign(n, 0);
+  std::vector<int> local(n, -1);
   for (std::size_t i = 0; i < n; ++i) {
-    // A NaN anywhere in the row makes `margin` NaN, failing both tests.
-    const double margin = 1e-12 + 1e-9 * rows[i].magnitude;
-    if (rows[i].lo > margin) continue;  // forced off
-    if (!(rows[i].hi < -margin)) return std::nullopt;
-    bits[i] = 1;  // forced on
+    if (state[i] == kFree) {
+      local[i] = static_cast<int>(pinned.free.size());
+      pinned.free.push_back(static_cast<int>(i));
+    }
+    pinned.bits[i] = state[i] == kOn ? 1 : 0;
   }
-  return bits;
+  pinned.core = QuboModel(static_cast<int>(pinned.free.size()));
+  pinned.core.AddOffset(qubo.Offset());
+  for (const int i : pinned.free) {
+    const std::size_t u = static_cast<std::size_t>(i);
+    double unused = 0.0;
+    pinned.core.AddLinear(local[u], fold(u, &unused, &unused));
+    for (std::size_t k = adj.offsets[u]; k < adj.offsets[u + 1]; ++k) {
+      const int j = adj.neighbors[k];
+      if (j > i && state[static_cast<std::size_t>(j)] == kFree) {
+        pinned.core.AddQuadratic(local[u], local[static_cast<std::size_t>(j)],
+                                 adj.coeffs[k]);
+      }
+    }
+  }
+  return pinned;
 }
 
 }  // namespace qopt

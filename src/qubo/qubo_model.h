@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -94,9 +93,6 @@ class QuboModel {
                    const CsrAdjacency& adjacency) const;
 
  private:
-  friend std::optional<std::vector<std::uint8_t>> ForcedMinimizer(
-      const QuboModel& qubo);
-
   static std::uint64_t Key(int i, int j) {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(i)) << 32) |
            static_cast<std::uint32_t>(j);
@@ -107,19 +103,43 @@ class QuboModel {
   std::unordered_map<std::uint64_t, double> quadratic_;  // key: i < j packed.
 };
 
-/// The QUBO's unique minimizer when every variable is *forced*: its best
-/// value is the same whatever the other bits hold. Each variable's terms
-/// are summed into lo_i = h_i + sum_j min(0, c_ij) and
-/// hi_i = h_i + sum_j max(0, c_ij), the least and greatest energy change of
-/// turning x_i on; lo_i > 0 forces x_i = 0 and hi_i < 0 forces x_i = 1.
-/// One O(n + nnz) pass.
+/// A QUBO with its sign-definite bits pinned (PinSignDefiniteBits): the
+/// pinned assignment, the free variables and the *core* QUBO over them.
+struct PinnedQubo {
+  /// One entry per input variable: the pinned value, or 0 for a free bit.
+  std::vector<std::uint8_t> bits;
+  /// The free input variables, ascending; core variable k is free[k].
+  std::vector<int> free;
+  /// The input over the free variables, with each pinned-on bit's
+  /// couplings folded into its free neighbours' linear terms. It keeps the
+  /// input's offset and drops the pinned bits' own constant share, so
+  /// Energy(Expand(b)) - core.Energy(b) is the same for every b.
+  QuboModel core;
+
+  /// The input assignment made of `core_bits` on the free variables and
+  /// the pins everywhere else.
+  std::vector<std::uint8_t> Expand(
+      const std::vector<std::uint8_t>& core_bits) const;
+};
+
+/// Pins every bit whose best value is the same whatever the other bits
+/// hold, and reduces the QUBO to the rest. For a free bit i, lo_i and hi_i
+/// are the least and greatest energy change of turning x_i on given the
+/// pins so far: h_i plus the couplings to pinned-on bits, plus
+/// sum_j min(0, c_ij) (lo) or sum_j max(0, c_ij) (hi) over free
+/// neighbours j. lo_i > margin pins x_i off, hi_i < -margin pins it on;
+/// passes in index order repeat until no bit pins. The margin is 1e-12
+/// (the SA greedy descent's tolerance) plus 1e-9 of the input row's
+/// magnitude |h_i| + sum_j |c_ij|, pinned neighbours included, so rounding
+/// in the folded sums cannot flip a decision; a zero margin or a NaN in
+/// the row never pins.
 ///
-/// The margin must clear 1e-12 (the SA greedy descent's tolerance) plus
-/// 1e-9 of the row's magnitude |h_i| + sum_j |c_ij|, so neither that
-/// descent nor the exact oracle's running energies can round a forced bit
-/// the other way. Returns nullopt when any variable falls short of that,
-/// including a zero margin or a NaN coefficient.
-std::optional<std::vector<std::uint8_t>> ForcedMinimizer(
-    const QuboModel& qubo);
+/// Persistency: a pinned bit holds its pinned value in every minimizer,
+/// so the core's minimizers, expanded by the pins, are exactly the
+/// input's. Sums run over BuildCsrAdjacency() rows, so the core is a pure
+/// function of the input's coefficients. With no bit pinned the core has
+/// the input's coefficients; with every bit pinned it is empty and `bits`
+/// is the unique minimizer.
+PinnedQubo PinSignDefiniteBits(const QuboModel& qubo);
 
 }  // namespace qopt

@@ -1,9 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
-#include <optional>
 
 #include "anneal/simulated_annealer.h"
 #include "bilp/bilp_to_qubo.h"
@@ -224,12 +224,12 @@ TEST(BruteForceTest, CallerCapBelowTheHardCapStillApplies) {
 }
 
 // ---------------------------------------------------------------------------
-// ForcedMinimizer: differential checks against the exact oracle and SA.
+// PinSignDefiniteBits: differential checks against the exact oracle and SA.
 // ---------------------------------------------------------------------------
 
-/// A QUBO whose every variable is forced to `target`'s bit: random sparse
-/// couplings, then each linear term set so that the variable's margin
-/// (lo_i for a 0, -hi_i for a 1) is a random value in [0.25, 2].
+/// A QUBO whose every variable is sign-definite at `target`'s bit: random
+/// sparse couplings, then each linear term set so that the variable's
+/// margin (lo_i for a 0, -hi_i for a 1) is a random value in [0.25, 2].
 QuboModel MakeForcedQubo(const std::vector<std::uint8_t>& target,
                          std::uint64_t seed) {
   const int n = static_cast<int>(target.size());
@@ -274,7 +274,7 @@ void ExpectSolversAgree(const QuboModel& qubo,
   }
 }
 
-TEST(ForcedMinimizerTest, MatchesExactAndSaOnGeneratedForcedQubos) {
+TEST(PinSignDefiniteBitsTest, PinsEveryBitOfGeneratedForcedQubos) {
   for (std::uint64_t seed = 0; seed < 200; ++seed) {
     SCOPED_TRACE(seed);
     const int n = 1 + static_cast<int>(seed % 20);
@@ -282,11 +282,11 @@ TEST(ForcedMinimizerTest, MatchesExactAndSaOnGeneratedForcedQubos) {
     std::vector<std::uint8_t> target(static_cast<std::size_t>(n));
     for (std::uint8_t& bit : target) bit = rng.NextBool(0.5) ? 1 : 0;
     const QuboModel qubo = MakeForcedQubo(target, seed);
-    const std::optional<std::vector<std::uint8_t>> forced =
-        ForcedMinimizer(qubo);
-    ASSERT_TRUE(forced.has_value());
-    EXPECT_EQ(*forced, target);
-    ExpectSolversAgree(qubo, *forced, seed + 1);
+    const PinnedQubo pinned = PinSignDefiniteBits(qubo);
+    EXPECT_TRUE(pinned.free.empty());
+    EXPECT_EQ(pinned.core.NumVariables(), 0);
+    EXPECT_EQ(pinned.bits, target);
+    ExpectSolversAgree(qubo, pinned.bits, seed + 1);
   }
 }
 
@@ -317,21 +317,21 @@ QuboModel ClampBlock(const QuboModel& qubo, const CsrAdjacency& adjacency,
   return sub;
 }
 
-TEST(ForcedMinimizerTest, MatchesExactAndSaOnClampedJoinOrderBlocks) {
-  // The blocks a decomposed join-order solve actually meets: a 10-relation
-  // chain's penalty-dominated QUBO, partitioned and clamped against the
-  // all-zeros start and against random incumbents.
+/// The blocks a decomposed join-order solve actually meets: a 10-relation
+/// chain's penalty-dominated QUBO, partitioned into blocks of at most 16
+/// and clamped against the all-zeros start and against random incumbents.
+std::vector<QuboModel> ClampedJoinOrderBlocks() {
   JoinOrderEncoderOptions encoder;
   encoder.thresholds = {10.0, 100.0};
   encoder.safe_slack_bounds = true;
   const StatusOr<JoinOrderEncoding> encoding =
       TryEncodeJoinOrderAsBilp(GenerateChainQuery(10, 100.0, 0.2), encoder);
-  ASSERT_TRUE(encoding.ok()) << encoding.status().ToString();
+  EXPECT_TRUE(encoding.ok()) << encoding.status().ToString();
+  if (!encoding.ok()) return {};
   const QuboModel qubo = EncodeBilpAsQubo(encoding->bilp).qubo;
   const CsrAdjacency adjacency = qubo.BuildCsrAdjacency();
   const std::size_t n = static_cast<std::size_t>(qubo.NumVariables());
-  int blocks = 0;
-  int forced_blocks = 0;
+  std::vector<QuboModel> blocks;
   for (std::uint64_t seed = 0; seed < 4; ++seed) {
     Rng rng(seed);
     std::vector<std::uint8_t> incumbent(n, 0);
@@ -340,43 +340,81 @@ TEST(ForcedMinimizerTest, MatchesExactAndSaOnClampedJoinOrderBlocks) {
     }
     for (const std::vector<int>& block : PartitionQuboVariables(
              qubo, adjacency, /*max_block_size=*/16, seed)) {
-      const QuboModel sub = ClampBlock(qubo, adjacency, block, incumbent);
-      ++blocks;
-      const std::optional<std::vector<std::uint8_t>> forced =
-          ForcedMinimizer(sub);
-      if (!forced) continue;
-      ++forced_blocks;
-      SCOPED_TRACE(testing::Message() << "seed " << seed << " block at "
-                                      << block.front());
-      ExpectSolversAgree(sub, *forced, seed + 7);
+      blocks.push_back(ClampBlock(qubo, adjacency, block, incumbent));
     }
   }
-  // Both outcomes occur, so neither branch passes vacuously.
-  EXPECT_GT(forced_blocks, 0);
-  EXPECT_LT(forced_blocks, blocks);
+  return blocks;
 }
 
-TEST(ForcedMinimizerTest, ReturnsNulloptUnlessEveryVariableIsForced) {
-  // One straddling variable: x0 wants 1 when x1 = 1 and 0 otherwise.
+/// True when every variable is sign-definite whatever the others hold:
+/// the one-pass test, with no folding of pinned neighbours.
+bool EveryBitSignDefinite(const QuboModel& qubo) {
+  const CsrAdjacency adjacency = qubo.BuildCsrAdjacency();
+  for (int i = 0; i < qubo.NumVariables(); ++i) {
+    const std::size_t u = static_cast<std::size_t>(i);
+    double lo = qubo.Linear(i);
+    double hi = lo;
+    double magnitude = std::abs(lo);
+    for (std::size_t k = adjacency.offsets[u]; k < adjacency.offsets[u + 1];
+         ++k) {
+      (adjacency.coeffs[k] < 0.0 ? lo : hi) += adjacency.coeffs[k];
+      magnitude += std::abs(adjacency.coeffs[k]);
+    }
+    const double margin = 1e-12 + 1e-9 * magnitude;
+    if (!(lo > margin || hi < -margin)) return false;
+  }
+  return true;
+}
+
+TEST(PinSignDefiniteBitsTest, PinsEveryBitOfForcedClampedJoinOrderBlocks) {
+  int blocks = 0;
+  int one_pass_forced = 0;
+  int pinned_whole = 0;
+  for (const QuboModel& sub : ClampedJoinOrderBlocks()) {
+    SCOPED_TRACE(testing::Message() << "block " << blocks);
+    ++blocks;
+    const PinnedQubo pinned = PinSignDefiniteBits(sub);
+    if (EveryBitSignDefinite(sub)) {
+      ++one_pass_forced;
+      EXPECT_TRUE(pinned.free.empty());
+    }
+    if (!pinned.free.empty()) continue;
+    ++pinned_whole;
+    ExpectSolversAgree(sub, pinned.bits, static_cast<std::uint64_t>(blocks));
+  }
+  EXPECT_EQ(blocks, 152);
+  EXPECT_EQ(one_pass_forced, 45);
+  // Folding pins whole blocks the one-pass test misses, yet some blocks
+  // keep a free core, so neither branch passes vacuously.
+  EXPECT_GE(pinned_whole, one_pass_forced);
+  EXPECT_LT(pinned_whole, blocks);
+}
+
+TEST(PinSignDefiniteBitsTest, LeavesStraddlingTiedAndNanBitsFree) {
+  // Two straddling variables: each wants 1 exactly when the other is 1.
   QuboModel straddle(2);
   straddle.AddLinear(0, 1.0);
-  straddle.AddLinear(1, -5.0);
+  straddle.AddLinear(1, 1.0);
   straddle.AddQuadratic(0, 1, -2.0);
-  EXPECT_FALSE(ForcedMinimizer(straddle).has_value());
+  EXPECT_EQ(PinSignDefiniteBits(straddle).free, (std::vector<int>{0, 1}));
 
-  // A margin of exactly 0: with x1 = 1, x0 = 0 and x0 = 1 tie.
+  // x1 pins on (hi = -5), which leaves x0 a margin of exactly 0: with
+  // x1 = 1, x0 = 0 and x0 = 1 tie.
   QuboModel tie(2);
   tie.AddLinear(0, 1.0);
   tie.AddLinear(1, -5.0);
   tie.AddQuadratic(0, 1, -1.0);
-  EXPECT_FALSE(ForcedMinimizer(tie).has_value());
+  const PinnedQubo tied = PinSignDefiniteBits(tie);
+  ASSERT_EQ(tied.free, (std::vector<int>{0}));
+  EXPECT_EQ(tied.bits, (std::vector<std::uint8_t>{0, 1}));
+  EXPECT_EQ(tied.core.Linear(0), 0.0);
   QuboModel free_bit(1);  // no terms at all: both values tie
-  EXPECT_FALSE(ForcedMinimizer(free_bit).has_value());
+  EXPECT_EQ(PinSignDefiniteBits(free_bit).free, (std::vector<int>{0}));
 
   // A margin inside SA's 1e-12 descent tolerance counts as a tie too.
   QuboModel tiny(1);
   tiny.AddLinear(0, 1e-13);
-  EXPECT_FALSE(ForcedMinimizer(tiny).has_value());
+  EXPECT_EQ(PinSignDefiniteBits(tiny).free, (std::vector<int>{0}));
 
   // A NaN coefficient, in the couplings or the linear part.
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -384,18 +422,156 @@ TEST(ForcedMinimizerTest, ReturnsNulloptUnlessEveryVariableIsForced) {
   nan_coupling.AddLinear(0, 4.0);
   nan_coupling.AddLinear(1, 4.0);
   nan_coupling.AddQuadratic(0, 1, nan);
-  EXPECT_FALSE(ForcedMinimizer(nan_coupling).has_value());
+  EXPECT_EQ(PinSignDefiniteBits(nan_coupling).free, (std::vector<int>{0, 1}));
   QuboModel nan_linear(1);
   nan_linear.AddLinear(0, nan);
-  EXPECT_FALSE(ForcedMinimizer(nan_linear).has_value());
+  EXPECT_EQ(PinSignDefiniteBits(nan_linear).free, (std::vector<int>{0}));
 
-  // The same two-variable shape with a clear margin is forced: x0 off
-  // (lo = 2 - 1), x1 on (hi = -5 + 0).
+  // A clear margin pins both bits in one pass: x0 off (lo = 2 - 1), x1 on
+  // (hi = -5 + 0).
   QuboModel forced(2);
   forced.AddLinear(0, 2.0);
   forced.AddLinear(1, -5.0);
   forced.AddQuadratic(0, 1, -1.0);
-  EXPECT_EQ(ForcedMinimizer(forced), (std::vector<std::uint8_t>{0, 1}));
+  const PinnedQubo both = PinSignDefiniteBits(forced);
+  EXPECT_TRUE(both.free.empty());
+  EXPECT_EQ(both.bits, (std::vector<std::uint8_t>{0, 1}));
+}
+
+TEST(PinSignDefiniteBitsTest, FoldsPinnedBitsUntilNothingMorePins) {
+  // x0 straddles on the first pass (lo = 1 - 2, hi = 1 + 0.5), but x1
+  // pins on (hi = -5), and folding its coupling leaves x0 at most
+  // 1 - 2 + 0.5 < 0: on, on the second pass.
+  QuboModel qubo(4);
+  qubo.AddOffset(2.5);
+  qubo.AddLinear(0, 1.0);
+  qubo.AddLinear(1, -5.0);
+  qubo.AddQuadratic(0, 1, -2.0);
+  qubo.AddQuadratic(0, 2, 0.5);
+  // x2 and x3 straddle whatever x0 and x1 hold: each wants 1 exactly
+  // when the other is 1.
+  qubo.AddLinear(2, 1.0);
+  qubo.AddLinear(3, 1.0);
+  qubo.AddQuadratic(2, 3, -2.0);
+  const PinnedQubo pinned = PinSignDefiniteBits(qubo);
+  EXPECT_EQ(pinned.bits, (std::vector<std::uint8_t>{1, 1, 0, 0}));
+  EXPECT_EQ(pinned.free, (std::vector<int>{2, 3}));
+  // x0's coupling folds into x2's linear term; the offset carries over.
+  ASSERT_EQ(pinned.core.NumVariables(), 2);
+  EXPECT_EQ(pinned.core.Linear(0), 1.5);
+  EXPECT_EQ(pinned.core.Linear(1), 1.0);
+  EXPECT_EQ(pinned.core.Quadratic(0, 1), -2.0);
+  EXPECT_EQ(pinned.core.NumQuadraticTerms(), 1);
+  EXPECT_EQ(pinned.core.Offset(), 2.5);
+  EXPECT_EQ(pinned.Expand({1, 0}), (std::vector<std::uint8_t>{1, 1, 1, 0}));
+}
+
+/// Energies of every assignment of `vars` (which `bits` must hold at 0),
+/// the rest of `bits` fixed, in Gray-code order: entry k is the energy with
+/// vars[t] = bit t of k ^ (k >> 1).
+std::vector<double> GrayCodeEnergies(const QuboModel& qubo,
+                                     std::vector<std::uint8_t> bits,
+                                     const std::vector<int>& vars) {
+  const CsrAdjacency adjacency = qubo.BuildCsrAdjacency();
+  std::vector<double> energies(std::size_t{1} << vars.size());
+  double energy = qubo.Energy(bits);
+  energies[0] = energy;
+  for (std::size_t k = 1; k < energies.size(); ++k) {
+    const int v = vars[static_cast<std::size_t>(std::countr_zero(k))];
+    energy += qubo.FlipDelta(bits, v, adjacency);
+    bits[static_cast<std::size_t>(v)] ^= 1;
+    energies[k] = energy;
+  }
+  return energies;
+}
+
+std::vector<int> Iota(int n) {
+  std::vector<int> values(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) values[static_cast<std::size_t>(i)] = i;
+  return values;
+}
+
+/// The differential contract of the pin rule on one QUBO: every exact
+/// minimizer agrees with every pin, the core plus the pins reproduces the
+/// input's energy up to one constant, and the core pins nothing more.
+/// Returns the number of bits pinned.
+int ExpectPinsArePersistent(const QuboModel& qubo) {
+  const int n = qubo.NumVariables();
+  const PinnedQubo pinned = PinSignDefiniteBits(qubo);
+  const std::size_t m = pinned.free.size();
+  EXPECT_EQ(pinned.core.NumVariables(), static_cast<int>(m));
+
+  const std::vector<double> energies = GrayCodeEnergies(
+      qubo, std::vector<std::uint8_t>(static_cast<std::size_t>(n), 0),
+      Iota(n));
+  const double best = *std::min_element(energies.begin(), energies.end());
+  const double tie = 1e-9 * (1.0 + std::abs(best));
+  std::vector<std::uint8_t> is_free(static_cast<std::size_t>(n), 0);
+  for (const int v : pinned.free) is_free[static_cast<std::size_t>(v)] = 1;
+  for (std::size_t k = 0; k < energies.size(); ++k) {
+    if (energies[k] > best + tie) continue;
+    const std::size_t gray = k ^ (k >> 1);
+    for (int i = 0; i < n; ++i) {
+      const std::size_t u = static_cast<std::size_t>(i);
+      if (is_free[u]) continue;
+      EXPECT_EQ((gray >> u) & 1, pinned.bits[u])
+          << "minimizer " << gray << " disagrees with pinned bit " << i;
+    }
+  }
+
+  const std::vector<double> expanded =
+      GrayCodeEnergies(qubo, pinned.bits, pinned.free);
+  const std::vector<double> core = GrayCodeEnergies(
+      pinned.core, std::vector<std::uint8_t>(m, 0),
+      Iota(static_cast<int>(m)));
+  const double constant = expanded[0] - core[0];
+  for (std::size_t k = 0; k < core.size(); ++k) {
+    EXPECT_NEAR(expanded[k] - core[k], constant,
+                1e-9 * (1.0 + std::abs(expanded[k])))
+        << "core assignment " << (k ^ (k >> 1));
+  }
+
+  EXPECT_EQ(PinSignDefiniteBits(pinned.core).free.size(), m);
+  return n - static_cast<int>(m);
+}
+
+TEST(PinSignDefiniteBitsTest, PinsArePersistentOnGeneratedQubos) {
+  // Strong linear terms against weaker couplings: some bits are
+  // sign-definite at once, some only after folding, some never.
+  int pinned_bits = 0;
+  int free_bits = 0;
+  int partial = 0;
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    SCOPED_TRACE(seed);
+    const int n = 2 + static_cast<int>(seed % 15);
+    Rng rng(seed + 5000);
+    QuboModel qubo(n);
+    qubo.AddOffset(rng.NextDouble(-5.0, 5.0));
+    for (int i = 0; i < n; ++i) qubo.AddLinear(i, rng.NextDouble(-6.0, 6.0));
+    for (int i = 0; i < n; ++i) {
+      for (int j = i + 1; j < n; ++j) {
+        if (rng.NextBool(0.35)) {
+          qubo.AddQuadratic(i, j, rng.NextDouble(-4.0, 4.0));
+        }
+      }
+    }
+    const int pinned = ExpectPinsArePersistent(qubo);
+    pinned_bits += pinned;
+    free_bits += n - pinned;
+    if (pinned > 0 && pinned < n) ++partial;
+  }
+  EXPECT_GT(pinned_bits, 0);
+  EXPECT_GT(free_bits, 0);
+  EXPECT_GT(partial, 0);
+}
+
+TEST(PinSignDefiniteBitsTest, PinsArePersistentOnClampedJoinOrderBlocks) {
+  int partial = 0;
+  for (const QuboModel& sub : ClampedJoinOrderBlocks()) {
+    const int pinned = ExpectPinsArePersistent(sub);
+    if (pinned > 0 && pinned < sub.NumVariables()) ++partial;
+  }
+  EXPECT_GT(partial, 0);
 }
 
 }  // namespace
