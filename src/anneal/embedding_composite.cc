@@ -96,7 +96,15 @@ EmbeddedProblem BuildEmbeddedProblem(const QuboModel& qubo,
 StatusOr<EmbeddedSolveResult> TrySolveQuboOnTopology(
     const QuboModel& qubo, const SimpleGraph& topology,
     const EmbeddedSolveOptions& options) {
-  QOPT_CHECK(qubo.NumVariables() >= 1);
+  if (qubo.NumVariables() < 1) {
+    return InvalidArgumentError("QUBO has no variables");
+  }
+  // The annealing options are checked here, before the embedding search
+  // spends its budget on a solve the annealer would refuse.
+  if (options.anneal.num_reads < 1 || options.anneal.num_sweeps < 1) {
+    return InvalidArgumentError(
+        "embedded SA needs num_reads >= 1 and num_sweeps >= 1");
+  }
   const SimpleGraph source = qubo.InteractionGraph();
   QOPT_ASSIGN_OR_RETURN(Embedding embedding,
                         TryFindMinorEmbedding(source, topology, options.embed));

@@ -60,6 +60,9 @@ EmbeddedProblem BuildEmbeddedProblem(const QuboModel& qubo,
 
 /// Embeds `qubo`'s interaction graph into `topology`, anneals the chained
 /// physical Ising problem, and unembeds by per-chain majority vote.
+/// Before the embedding search starts it refuses an empty QUBO and
+/// anneal.num_reads / anneal.num_sweeps below 1 with kInvalidArgument (the
+/// embed options are TryFindMinorEmbedding's to check).
 /// Returns kUnavailable when no embedding was found within the embed
 /// budget, kDeadlineExceeded / kCancelled when a stage budget ran out,
 /// injected faults verbatim. An annealing stage cut short by its deadline

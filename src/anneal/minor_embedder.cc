@@ -512,8 +512,12 @@ StatusOr<Embedding> TryFindMinorEmbedding(const SimpleGraph& source,
                                           const SimpleGraph& target,
                                           const EmbedOptions& options) {
   QQO_TRACE_SPAN("embed.solve");
-  QOPT_CHECK(options.tries >= 1);
-  QOPT_CHECK(options.penalty_base > 1.0);
+  if (options.tries < 1 || !(options.penalty_base > 1.0)) {
+    return InvalidArgumentError(
+        StrFormat("embedding needs tries >= 1 and penalty_base > 1, got "
+                  "%d / %g",
+                  options.tries, options.penalty_base));
+  }
   if (source.NumVertices() == 0) return Embedding{};
   if (target.NumVertices() == 0) {
     return UnavailableError("target graph is empty");

@@ -50,6 +50,8 @@ struct EmbedOptions {
 /// running; the "embedder.attempt" fault point fires once per attempt, and
 /// a retryable injected fault (kUnavailable) merely consumes that attempt —
 /// the next re-seeded attempt still runs. Returns:
+///   - kInvalidArgument, before any attempt, for tries < 1 or
+///     penalty_base <= 1,
 ///   - the embedding on success,
 ///   - kUnavailable when every attempt failed (the paper's Fig. 14
 ///     "embedding not reliably found" outcome),

@@ -8,6 +8,7 @@
 #include "common/check.h"
 #include "common/fault_injection.h"
 #include "common/random.h"
+#include "common/table_printer.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -64,8 +65,8 @@ struct SweepGraph {
 constexpr double kDenseRowThreshold = 0.35;
 constexpr int kDenseRowMaxVars = 2048;
 
-SweepGraph BuildSweepGraph(const QuboModel& qubo,
-                           const std::vector<std::vector<int>>& groups) {
+StatusOr<SweepGraph> BuildSweepGraph(
+    const QuboModel& qubo, const std::vector<std::vector<int>>& groups) {
   SweepGraph graph;
   graph.n = qubo.NumVariables();
   graph.linear.resize(static_cast<std::size_t>(graph.n));
@@ -95,8 +96,10 @@ SweepGraph BuildSweepGraph(const QuboModel& qubo,
   graph.group_offsets.push_back(0);
   for (const auto& group : groups) {
     for (int i : group) {
-      QOPT_CHECK(i >= 0 && i < graph.n);
-      QOPT_CHECK(!in_group[static_cast<std::size_t>(i)]);
+      if (i < 0 || i >= graph.n || in_group[static_cast<std::size_t>(i)]) {
+        return InvalidArgumentError(StrFormat(
+            "flip group member %d is out of range or repeated", i));
+      }
       in_group[static_cast<std::size_t>(i)] = 1;
     }
     for (int i : group) {
@@ -275,18 +278,27 @@ bool MetropolisAccept(double delta, double beta, Rng* rng) {
 StatusOr<AnnealResult> TrySolveQuboWithAnnealing(const QuboModel& qubo,
                                                  const AnnealOptions& options) {
   QQO_TRACE_SPAN("anneal.solve");
-  QOPT_CHECK(qubo.NumVariables() >= 1);
-  QOPT_CHECK(options.num_reads >= 1);
-  QOPT_CHECK(options.num_sweeps >= 1);
   const int n = qubo.NumVariables();
-  const SweepGraph graph = BuildSweepGraph(qubo, options.flip_groups);
+  if (n < 1) return InvalidArgumentError("QUBO has no variables");
+  if (options.num_reads < 1 || options.num_sweeps < 1) {
+    return InvalidArgumentError(
+        StrFormat("SA needs num_reads >= 1 and num_sweeps >= 1, got %d / %d",
+                  options.num_reads, options.num_sweeps));
+  }
+  if (options.beta_max > 0.0 &&
+      !(options.beta_min > 0.0 && options.beta_max >= options.beta_min)) {
+    return InvalidArgumentError(
+        StrFormat("SA needs 0 < beta_min <= beta_max, got %g / %g",
+                  options.beta_min, options.beta_max));
+  }
+  QOPT_ASSIGN_OR_RETURN(const SweepGraph graph,
+                        BuildSweepGraph(qubo, options.flip_groups));
 
   double beta_min = options.beta_min;
   double beta_max = options.beta_max;
   if (beta_max <= 0.0) {
     std::tie(beta_min, beta_max) = DefaultBetaRange(graph);
   }
-  QOPT_CHECK(beta_min > 0.0 && beta_max >= beta_min);
   const double beta_ratio =
       options.num_sweeps > 1
           ? std::pow(beta_max / beta_min,

@@ -24,8 +24,8 @@ struct AnnealOptions {
   /// composite passes the chains here so that logical flips remain
   /// possible once strong chain couplings freeze individual qubits.
   /// Every member must be a valid variable index, and the members of one
-  /// group must be distinct (groups may overlap each other); the solver
-  /// aborts otherwise.
+  /// group must be distinct (groups may overlap each other);
+  /// kInvalidArgument otherwise.
   std::vector<std::vector<int>> flip_groups;
   /// Wall-clock budget, checked at every sweep boundary of every read.
   /// Unbounded by default.
@@ -55,11 +55,15 @@ struct AnnealResult {
 /// coefficient rows instead of the CSR gather). Group flips share the
 /// same cache. See DESIGN.md "Performance".
 ///
+/// Before any deadline poll it refuses, with kInvalidArgument, an empty
+/// QUBO, num_reads or num_sweeps below 1, an explicit beta range outside
+/// 0 < beta_min <= beta_max and malformed flip_groups.
+///
 /// Simulated annealing is an anytime algorithm: when `options.deadline`
 /// expires mid-run the best state found so far is returned with
-/// `timed_out = true` and an OK status. Only a fired CancelToken
-/// (kCancelled) or an injected fault at the "annealer.sweep" site
-/// produces a non-OK status.
+/// `timed_out = true` and an OK status. Past input validation, only a
+/// fired CancelToken (kCancelled) or an injected fault at the
+/// "annealer.sweep" site produces a non-OK status.
 StatusOr<AnnealResult> TrySolveQuboWithAnnealing(
     const QuboModel& qubo, const AnnealOptions& options = {});
 

@@ -183,7 +183,8 @@ void ForEachBlock(std::size_t n, int num_qubits, const Fn& fn) {
 
 Statevector::Statevector(int num_qubits) : num_qubits_(num_qubits) {
   QOPT_CHECK(num_qubits >= 0);
-  QOPT_CHECK_MSG(num_qubits <= 26, "statevector too large to simulate");
+  QOPT_CHECK_MSG(num_qubits <= kMaxStatevectorQubits,
+                 "statevector too large to simulate");
   amplitudes_.assign(std::size_t{1} << num_qubits, Complex{0.0, 0.0});
   amplitudes_[0] = Complex{1.0, 0.0};
 }
@@ -585,7 +586,7 @@ std::vector<std::uint8_t> Statevector::MostProbableBits() const {
 
 std::vector<double> IsingEnergyTable(const IsingModel& ising) {
   const int n = ising.NumSpins();
-  QOPT_CHECK_MSG(n <= 26, "energy table too large");
+  QOPT_CHECK_MSG(n <= kMaxStatevectorQubits, "energy table too large");
   // Adjacency for O(degree) spin-flip deltas.
   std::vector<std::vector<std::pair<int, double>>> adjacency(
       static_cast<std::size_t>(n));

@@ -12,6 +12,10 @@
 
 namespace qopt {
 
+/// Largest register the statevector simulator (and its energy table)
+/// holds: 2^26 amplitudes are a gigabyte of complex doubles.
+inline constexpr int kMaxStatevectorQubits = 26;
+
 /// Dense statevector simulator (the stand-in for the remote IBM-Q qasm
 /// simulator). Basis states are indexed little-endian: bit q of the index
 /// is the value of qubit q. Practical up to ~20 qubits.
@@ -35,7 +39,7 @@ namespace qopt {
 /// byte-identical — see DESIGN.md "Performance".
 class Statevector {
  public:
-  /// Initializes |0...0>.
+  /// Initializes |0...0>; 0 <= num_qubits <= kMaxStatevectorQubits.
   explicit Statevector(int num_qubits);
 
   int NumQubits() const { return num_qubits_; }
@@ -113,7 +117,8 @@ bool IsDiagonalGate(GateKind kind);
 
 /// Energy of every computational basis state under `ising`, indexed by the
 /// little-endian basis index. Size 2^NumSpins(); O(2^n * couplings) via a
-/// Gray-code walk. Shared by expectation evaluation and tests.
+/// Gray-code walk. Shared by expectation evaluation and tests. At most
+/// kMaxStatevectorQubits spins.
 std::vector<double> IsingEnergyTable(const IsingModel& ising);
 
 /// Runs `circuit` on |0..0> and returns the final state.

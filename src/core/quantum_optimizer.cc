@@ -24,28 +24,53 @@
 namespace qopt {
 namespace {
 
-/// Simulation budgets that turn an over-sized request into a recoverable
-/// error instead of an unbounded (or aborting) computation. They mirror
-/// the hard CHECKs of the underlying kernels.
-constexpr int kMaxBruteForceQubits = 26;    // brute_force_solver.h
-constexpr int kMaxStatevectorQubits = 26;   // statevector.cc
-constexpr int kMaxAdiabaticQubits = 20;     // adiabatic.cc
 /// Above this size the classical fallback uses SA instead of the exact
 /// oracle (2^n enumeration stays sub-second up to here).
 constexpr int kMaxExactFallbackQubits = 20;
+constexpr int kNoQubitCap = std::numeric_limits<int>::max();
 
-bool IsQuantumBackend(Backend backend) {
-  switch (backend) {
-    case Backend::kQaoa:
-    case Backend::kVqe:
-    case Backend::kAdiabatic:
-    case Backend::kAnnealerEmulation:
-      return true;
-    case Backend::kExact:
-    case Backend::kSimulatedAnnealing:
-      return false;
+/// What the facade knows about a backend; option ranges and input limits
+/// are the kernels' own to check.
+struct BackendRow {
+  Backend backend;
+  const char* name;
+  bool quantum;  ///< A failure may degrade to a classical stand-in.
+  /// The kernel's qubit cap: the largest block a decomposed solve routes
+  /// to it. The annealer's is its fabric's vertex count instead.
+  int serial_cap;
+  /// Largest problem the backend joins a race for as an extra lane (0:
+  /// never). Tighter than serial_cap: an extra lane must stay cheap (the
+  /// 2^25-amplitude statevector of a 25-qubit QAOA lane is half a
+  /// gigabyte the caller never asked for).
+  int race_cap;
+};
+
+/// One row per Backend, in enum order. The order is also the winner
+/// tie-break rank: on equal energy the lower rank wins, independent of
+/// which lane finished first. The exact oracle ranks first; it is the one
+/// *decisive* lane, since its completion proves the global optimum, so it
+/// may cancel the survivors without ever changing the selected winner.
+constexpr BackendRow kBackendTable[] = {
+    {Backend::kExact, "exact", false, kMaxBruteForceVariables,
+     kMaxExactFallbackQubits},
+    {Backend::kSimulatedAnnealing, "sa", false, kNoQubitCap, kNoQubitCap},
+    {Backend::kQaoa, "qaoa", true, kMaxStatevectorQubits, 16},
+    {Backend::kVqe, "vqe", true, kMaxStatevectorQubits, 0},
+    {Backend::kAdiabatic, "adiabatic", true, kMaxAdiabaticQubits, 14},
+    {Backend::kAnnealerEmulation, "annealer", true, kNoQubitCap, 0},
+};
+
+constexpr bool RowsFollowTheEnum() {
+  int index = 0;
+  for (const BackendRow& row : kBackendTable) {
+    if (static_cast<int>(row.backend) != index++) return false;
   }
-  return false;
+  return index == static_cast<int>(Backend::kAnnealerEmulation) + 1;
+}
+static_assert(RowsFollowTheEnum(), "one kBackendTable row per Backend");
+
+const BackendRow& Row(Backend backend) {
+  return kBackendTable[static_cast<std::size_t>(backend)];
 }
 
 /// What a backend returned: the bit string it found and its energy.
@@ -99,109 +124,55 @@ AnnealOptions SalvageRead(const AnnealOptions& anneal) {
   return cheap;
 }
 
+/// Runs `lane`'s backend kernel with the lane's seed and deadline filled
+/// into options that leave them unset. Every option range and qubit cap
+/// is the kernel's to check; the facade only adds the empty-QUBO check
+/// (the exact oracle accepts n = 0) and the annealer's Pegasus fabric.
 StatusOr<BackendResult> TrySolveQuboWithBackend(const QuboModel& qubo,
                                                 const OptimizerOptions& options,
                                                 const Lane& lane) {
-  const Backend backend = lane.backend;
   const int n = qubo.NumVariables();
   if (n < 1) return InvalidArgumentError("QUBO has no variables");
-  BackendResult result;
-  switch (backend) {
+  switch (lane.backend) {
     case Backend::kExact: {
-      if (n > kMaxBruteForceQubits) {
-        return ResourceExhaustedError(StrFormat(
-            "exact oracle enumerates 2^%d assignments; limit is %d "
-            "variables",
-            n, kMaxBruteForceQubits));
-      }
-      // The 2^n enumeration is not interruptible, but the qubit cap keeps
-      // it sub-second; refuse to even start once the budget is gone.
-      QOPT_RETURN_IF_ERROR(lane.deadline.Check());
       QOPT_ASSIGN_OR_RETURN(BruteForceResult exact,
-                            TrySolveQuboBruteForce(qubo));
-      result.bits = std::move(exact.best_bits);
-      result.energy = exact.best_energy;
-      return result;
+                            TrySolveQuboBruteForce(qubo, lane.deadline));
+      return BackendResult{std::move(exact.best_bits), exact.best_energy};
     }
     case Backend::kSimulatedAnnealing: {
       AnnealOptions anneal = lane.kind == LaneKind::kSalvage
                                  ? SalvageRead(options.anneal)
                                  : options.anneal;
-      if (anneal.num_reads < 1 || anneal.num_sweeps < 1) {
-        return InvalidArgumentError(
-            StrFormat("SA needs num_reads >= 1 and num_sweeps >= 1, got "
-                      "%d / %d",
-                      anneal.num_reads, anneal.num_sweeps));
-      }
       if (anneal.seed == 0) anneal.seed = lane.seed;
       anneal.deadline = ComposeStageDeadline(anneal.deadline, lane.deadline);
       QOPT_ASSIGN_OR_RETURN(AnnealResult sa,
                             TrySolveQuboWithAnnealing(qubo, anneal));
-      result.bits = std::move(sa.best_bits);
-      result.energy = sa.best_energy;
-      result.timed_out = sa.timed_out;
-      return result;
+      return BackendResult{std::move(sa.best_bits), sa.best_energy,
+                           sa.timed_out};
     }
     case Backend::kQaoa:
     case Backend::kVqe: {
-      if (n > kMaxStatevectorQubits) {
-        return ResourceExhaustedError(StrFormat(
-            "%s circuit needs %d qubits; the statevector simulator "
-            "supports at most %d",
-            backend == Backend::kQaoa ? "QAOA" : "VQE", n,
-            kMaxStatevectorQubits));
-      }
       VariationalOptions variational = options.variational;
-      if (variational.qaoa_reps < 1 || variational.vqe_reps < 0 ||
-          variational.max_iterations < 1 || variational.shots < 1) {
-        return InvalidArgumentError(
-            "variational options out of range (need qaoa_reps >= 1, "
-            "vqe_reps >= 0, max_iterations >= 1, shots >= 1)");
-      }
       if (variational.seed == 0) variational.seed = lane.seed;
       variational.deadline =
           ComposeStageDeadline(variational.deadline, lane.deadline);
-      QOPT_ASSIGN_OR_RETURN(
-          VariationalResult hybrid,
-          backend == Backend::kQaoa ? TrySolveQuboWithQaoa(qubo, variational)
-                                    : TrySolveQuboWithVqe(qubo, variational));
-      result.bits = std::move(hybrid.best_bits);
-      result.energy = hybrid.best_energy;
-      return result;
+      QOPT_ASSIGN_OR_RETURN(VariationalResult hybrid,
+                            lane.backend == Backend::kQaoa
+                                ? TrySolveQuboWithQaoa(qubo, variational)
+                                : TrySolveQuboWithVqe(qubo, variational));
+      return BackendResult{std::move(hybrid.best_bits), hybrid.best_energy};
     }
     case Backend::kAdiabatic: {
-      if (n > kMaxAdiabaticQubits) {
-        return ResourceExhaustedError(StrFormat(
-            "adiabatic evolution needs %d qubits; the dense propagator "
-            "supports at most %d",
-            n, kMaxAdiabaticQubits));
-      }
       AdiabaticOptions adiabatic = options.adiabatic;
-      if (adiabatic.steps < 1 || !(adiabatic.total_time > 0.0) ||
-          adiabatic.shots < 1) {
-        return InvalidArgumentError(
-            "adiabatic options out of range (need steps >= 1, "
-            "total_time > 0, shots >= 1)");
-      }
       if (adiabatic.seed == 0) adiabatic.seed = lane.seed;
       adiabatic.deadline =
           ComposeStageDeadline(adiabatic.deadline, lane.deadline);
       QOPT_ASSIGN_OR_RETURN(AdiabaticResult evolved,
                             TrySolveQuboAdiabatically(qubo, adiabatic));
-      result.bits = std::move(evolved.best_bits);
-      result.energy = evolved.best_energy;
-      return result;
+      return BackendResult{std::move(evolved.best_bits), evolved.best_energy};
     }
     case Backend::kAnnealerEmulation: {
-      if (options.pegasus_m < 2) {
-        return InvalidArgumentError(StrFormat(
-            "pegasus_m must be >= 2, got %d", options.pegasus_m));
-      }
       EmbeddedSolveOptions embedded = options.embedded;
-      if (embedded.anneal.num_reads < 1 || embedded.anneal.num_sweeps < 1) {
-        return InvalidArgumentError(
-            "embedded SA needs num_reads >= 1 and num_sweeps >= 1");
-      }
       if (embedded.embed.seed == 0) embedded.embed.seed = lane.seed;
       if (embedded.anneal.seed == 0) embedded.anneal.seed = lane.seed;
       embedded.embed.deadline =
@@ -209,27 +180,27 @@ StatusOr<BackendResult> TrySolveQuboWithBackend(const QuboModel& qubo,
       embedded.anneal.deadline =
           ComposeStageDeadline(embedded.anneal.deadline, lane.deadline);
       const SimpleGraph topology = MakePegasus(options.pegasus_m);
-      if (n > topology.NumVertices()) {
-        return UnavailableError(StrFormat(
-            "QUBO has %d variables but the Pegasus P%d fabric offers only "
-            "%d qubits; use a larger pegasus_m",
-            n, options.pegasus_m, topology.NumVertices()));
-      }
       StatusOr<EmbeddedSolveResult> embedded_result =
           TrySolveQuboOnTopology(qubo, topology, embedded);
       if (!embedded_result.ok()) {
-        if (embedded_result.status().code() == StatusCode::kUnavailable) {
-          return UnavailableError(StrFormat(
-              "no minor embedding of the %d-variable QUBO into Pegasus P%d "
-              "was found; use a larger pegasus_m",
-              n, options.pegasus_m));
+        if (embedded_result.status().code() != StatusCode::kUnavailable) {
+          return embedded_result.status();
         }
-        return embedded_result.status();
+        // A QUBO larger than the fabric can never embed: no retry helps.
+        if (n > topology.NumVertices()) {
+          return ResourceExhaustedError(StrFormat(
+              "QUBO has %d variables but the Pegasus P%d fabric offers only "
+              "%d qubits; use a larger pegasus_m",
+              n, options.pegasus_m, topology.NumVertices()));
+        }
+        return UnavailableError(StrFormat(
+            "no minor embedding of the %d-variable QUBO into Pegasus P%d "
+            "was found; use a larger pegasus_m",
+            n, options.pegasus_m));
       }
-      result.bits = std::move(embedded_result->bits);
-      result.energy = embedded_result->energy;
-      result.timed_out = embedded_result->timed_out;
-      return result;
+      return BackendResult{std::move(embedded_result->bits),
+                           embedded_result->energy,
+                           embedded_result->timed_out};
     }
   }
   return InternalError("unknown backend");
@@ -274,29 +245,6 @@ LaneResult RunLane(const QuboModel& qubo, const OptimizerOptions& options,
   return out;
 }
 
-/// Fixed backend priority order for winner tie-breaks: on equal energy
-/// the lower rank wins, independent of which lane finished first. The
-/// exact oracle ranks first — it is the one *decisive* lane: its
-/// completion proves the global optimum, so it may cancel the survivors
-/// without ever changing the selected winner.
-int BackendRank(Backend backend) {
-  switch (backend) {
-    case Backend::kExact:
-      return 0;
-    case Backend::kSimulatedAnnealing:
-      return 1;
-    case Backend::kQaoa:
-      return 2;
-    case Backend::kVqe:
-      return 3;
-    case Backend::kAdiabatic:
-      return 4;
-    case Backend::kAnnealerEmulation:
-      return 5;
-  }
-  return 6;
-}
-
 /// Per-lane attribution of a raced solve.
 RaceLaneStats LaneStats(const LaneResult& lane, bool won) {
   RaceLaneStats stats;
@@ -327,8 +275,9 @@ RaceLaneStats LaneStats(const LaneResult& lane, bool won) {
 ///     reported result;
 ///   - the requested lane's kInvalidArgument always surfaces;
 ///   - when no lane succeeded, the requested lane's failure surfaces;
-///   - the winner is the minimum of (energy, BackendRank) over the
-///     successful lanes, so it never depends on which lane finished first;
+///   - the winner is the minimum of (energy, backend) over the successful
+///     lanes (kBackendTable's rank order), so it never depends on which
+///     lane finished first;
 ///   - a timed-out winner is degraded, and so is a stand-in that won after
 ///     the requested lane genuinely failed (not merely out-raced, nor
 ///     cancelled by the decisive oracle);
@@ -358,8 +307,8 @@ StatusOr<DispatchOutcome> ReduceLanes(const OptimizerOptions& options,
   for (LaneResult& lane : lanes) {
     if (!lane.status.ok()) continue;
     if (winner == nullptr ||
-        std::pair(lane.result.energy, BackendRank(lane.backend)) <
-            std::pair(winner->result.energy, BackendRank(winner->backend))) {
+        std::pair(lane.result.energy, lane.backend) <
+            std::pair(winner->result.energy, winner->backend)) {
       winner = &lane;
     }
   }
@@ -414,7 +363,7 @@ std::optional<Lane> StandInLane(int num_variables,
                                 const Status& failure, int attempt) {
   const StatusCode code = failure.code();
   if (failure.ok() || !options.classical_fallback ||
-      !IsQuantumBackend(options.backend) ||
+      !Row(options.backend).quantum ||
       code == StatusCode::kInvalidArgument || code == StatusCode::kCancelled) {
     return std::nullopt;
   }
@@ -453,7 +402,7 @@ StatusOr<DispatchOutcome> RunSerial(const QuboModel& qubo,
   for (;;) {
     Lane lane{options.backend, AttemptSeed(options.seed, ++run),
               budget.deadline, LaneKind::kAttempt};
-    if (IsQuantumBackend(options.backend) && !budget.deadline.unbounded()) {
+    if (Row(options.backend).quantum && !budget.deadline.unbounded()) {
       lane.deadline = budget.deadline.WithBudgetMillis(
           0.8 * budget.deadline.RemainingMillis());
     }
@@ -487,41 +436,21 @@ StatusOr<DispatchOutcome> RunSerial(const QuboModel& qubo,
 // Race schedule (DispatchMode::kRace).
 // ---------------------------------------------------------------------------
 
-/// Race-lane qubit caps for the *extra* lanes the racer adds next to the
-/// requested backend. They are deliberately tighter than the serial caps:
-/// an extra lane must stay cheap (the 2^25-amplitude statevector a
-/// 25-qubit QAOA lane would allocate is half a gigabyte the caller never
-/// asked for). The requested backend itself keeps its serial caps.
-constexpr int kMaxRaceQaoaQubits = 16;
-constexpr int kMaxRaceAdiabaticQubits = 14;
-
 /// The deterministic lane set for one raced solve: the requested backend
-/// plus whichever cheap stand-ins fit the problem size, ordered by
-/// BackendRank. Depends only on (num_variables, options), never on
-/// timing. With classical_fallback off the portfolio collapses to the
-/// requested backend alone — racing stand-ins *is* a fallback by another
-/// name, and --no-fallback promised the caller we would not do that.
+/// plus every backend whose race_cap fits the problem size, in rank
+/// order. Depends only on (num_variables, options), never on timing. With
+/// classical_fallback off the portfolio collapses to the requested
+/// backend alone — racing stand-ins *is* a fallback by another name, and
+/// --no-fallback promised the caller we would not do that.
 std::vector<Backend> RacePortfolio(int num_variables,
                                    const OptimizerOptions& options) {
   std::vector<Backend> portfolio;
-  portfolio.reserve(4);
-  portfolio.push_back(options.backend);
-  if (options.classical_fallback) {
-    const auto add = [&](Backend backend, int max_qubits) {
-      if (num_variables > max_qubits) return;
-      if (std::find(portfolio.begin(), portfolio.end(), backend) !=
-          portfolio.end()) {
-        return;
-      }
-      portfolio.push_back(backend);
-    };
-    add(Backend::kExact, kMaxExactFallbackQubits);
-    add(Backend::kSimulatedAnnealing, std::numeric_limits<int>::max());
-    add(Backend::kQaoa, kMaxRaceQaoaQubits);
-    add(Backend::kAdiabatic, kMaxRaceAdiabaticQubits);
+  for (const BackendRow& row : kBackendTable) {
+    if (row.backend == options.backend ||
+        (options.classical_fallback && num_variables <= row.race_cap)) {
+      portfolio.push_back(row.backend);
+    }
   }
-  std::sort(portfolio.begin(), portfolio.end(),
-            [](Backend a, Backend b) { return BackendRank(a) < BackendRank(b); });
   return portfolio;
 }
 
@@ -587,28 +516,6 @@ StatusOr<DispatchOutcome> RunRace(const QuboModel& qubo,
 // Hybrid decomposition (OptimizerOptions::decompose > 0).
 // ---------------------------------------------------------------------------
 
-/// Largest block the requested backend solves under its serial qubit
-/// budget; bigger blocks go to SA, which takes any size. The annealer's
-/// fabric size bounds what can possibly embed (actual embedding failures
-/// fall back per block inside the subproblem dispatch), so it is built
-/// once per decomposed solve rather than once per block.
-int SubproblemCap(const OptimizerOptions& options) {
-  switch (options.backend) {
-    case Backend::kExact:
-      return kMaxBruteForceQubits;
-    case Backend::kSimulatedAnnealing:
-      break;
-    case Backend::kQaoa:
-    case Backend::kVqe:
-      return kMaxStatevectorQubits;
-    case Backend::kAdiabatic:
-      return kMaxAdiabaticQubits;
-    case Backend::kAnnealerEmulation:
-      return MakePegasus(options.pegasus_m).NumVertices();
-  }
-  return std::numeric_limits<int>::max();
-}
-
 /// Solves one clamped block
 /// (named helper: runs inside the decomposer's ParallelFor workers, where
 /// any nested ParallelFor the backends issue executes inline serially).
@@ -619,8 +526,10 @@ int SubproblemCap(const OptimizerOptions& options) {
 /// fits `cap` and to SA otherwise, and its bits are scattered back into
 /// the block. Retries are disabled per block — a transient failure just
 /// keeps the incumbent for this block, it must not sleep a pool worker
-/// through a backoff — and the per-block SA budget is clamped so a
+/// through a backoff — and the per-block SA budget is capped so a
 /// 400-block round costs what one facade SA solve costs, not 400 of them.
+/// Invalid options stay invalid: the kernel's kInvalidArgument ends the
+/// decomposition (see SubproblemSolver).
 StatusOr<SubproblemResult> SolveDecomposeSubproblem(
     const QuboModel& subproblem, std::uint64_t seed, const Deadline& deadline,
     const OptimizerOptions& base, int cap) {
@@ -646,9 +555,8 @@ StatusOr<SubproblemResult> SolveDecomposeSubproblem(
   options.adiabatic.seed = 0;
   options.embedded.embed.seed = 0;
   options.embedded.anneal.seed = 0;
-  options.anneal.num_reads = std::min(std::max(1, base.anneal.num_reads), 8);
-  options.anneal.num_sweeps =
-      std::min(std::max(1, base.anneal.num_sweeps), 1000);
+  options.anneal.num_reads = std::min(base.anneal.num_reads, 8);
+  options.anneal.num_sweeps = std::min(base.anneal.num_sweeps, 1000);
   QOPT_ASSIGN_OR_RETURN(DispatchOutcome outcome,
                         RunSerial(pinned.core, options));
   return SubproblemResult{pinned.Expand(outcome.result.bits)};
@@ -657,22 +565,22 @@ StatusOr<SubproblemResult> SolveDecomposeSubproblem(
 /// Decomposed dispatch: run the qbsolv-style round loop with the serial
 /// schedule as the block solver, then surface the incumbent as a regular
 /// dispatch outcome. backend_used reports the *requested* backend — the
-/// blocks routed through it wherever they fit its budget — and a
-/// deadline-truncated loop degrades (timed_out => degraded-or-error).
+/// blocks routed through it wherever they fit its serial cap — and a
+/// deadline-truncated loop degrades (timed_out => degraded-or-error). The
+/// annealer's cap is its fabric's vertex count (embedding failures below
+/// it fall back per block inside the subproblem dispatch), so the fabric
+/// is built once per decomposed solve rather than once per block.
 StatusOr<DispatchOutcome> DispatchDecomposed(const QuboModel& qubo,
                                              const OptimizerOptions& options) {
   QQO_TRACE_SPAN("solve.decompose");
   Stopwatch watch;
-  if (options.backend == Backend::kAnnealerEmulation &&
-      options.pegasus_m < 2) {
-    return InvalidArgumentError(
-        StrFormat("pegasus_m must be >= 2, got %d", options.pegasus_m));
-  }
   DecomposeOptions decompose;
   decompose.max_subproblem_size = options.decompose;
   decompose.seed = options.seed;
   decompose.deadline = options.budget.deadline;
-  const int cap = SubproblemCap(options);
+  const int cap = options.backend == Backend::kAnnealerEmulation
+                      ? MakePegasus(options.pegasus_m).NumVertices()
+                      : Row(options.backend).serial_cap;
   const SubproblemSolver solver =
       [&options, cap](const QuboModel& subproblem, std::uint64_t seed,
                       const Deadline& deadline) {
@@ -700,12 +608,19 @@ StatusOr<DispatchOutcome> DispatchDecomposed(const QuboModel& qubo,
   return outcome;
 }
 
-/// Routes one QUBO solve to the configured dispatch strategy.
+/// Routes one QUBO solve to the configured dispatch strategy after
+/// checking the two options that belong to the facade rather than to a
+/// kernel.
 StatusOr<DispatchOutcome> DispatchQubo(const QuboModel& qubo,
                                        const OptimizerOptions& options) {
   if (options.decompose != 0 && options.decompose < 2) {
     return InvalidArgumentError(StrFormat(
         "decompose must be 0 (off) or >= 2, got %d", options.decompose));
+  }
+  if (options.backend == Backend::kAnnealerEmulation &&
+      options.pegasus_m < 2) {
+    return InvalidArgumentError(
+        StrFormat("pegasus_m must be >= 2, got %d", options.pegasus_m));
   }
   if (options.decompose > 0 && qubo.NumVariables() > options.decompose) {
     return DispatchDecomposed(qubo, options);
@@ -716,34 +631,17 @@ StatusOr<DispatchOutcome> DispatchQubo(const QuboModel& qubo,
 
 }  // namespace
 
-std::string BackendName(Backend backend) {
-  switch (backend) {
-    case Backend::kExact:
-      return "exact";
-    case Backend::kSimulatedAnnealing:
-      return "sa";
-    case Backend::kQaoa:
-      return "qaoa";
-    case Backend::kVqe:
-      return "vqe";
-    case Backend::kAdiabatic:
-      return "adiabatic";
-    case Backend::kAnnealerEmulation:
-      return "annealer";
-  }
-  return "unknown";
-}
+std::string BackendName(Backend backend) { return Row(backend).name; }
 
 StatusOr<Backend> ParseBackend(const std::string& name) {
-  for (const Backend backend :
-       {Backend::kExact, Backend::kSimulatedAnnealing, Backend::kQaoa,
-        Backend::kVqe, Backend::kAdiabatic, Backend::kAnnealerEmulation}) {
-    if (BackendName(backend) == name) return backend;
+  std::string known;
+  for (const BackendRow& row : kBackendTable) {
+    if (name == row.name) return row.backend;
+    known += known.empty() ? row.name : std::string(", ") + row.name;
   }
-  return InvalidArgumentError(StrFormat(
-      "unknown backend \"%s\" (known: exact, sa, qaoa, vqe, adiabatic, "
-      "annealer)",
-      name.c_str()));
+  return InvalidArgumentError(
+      StrFormat("unknown backend \"%s\" (known: %s)", name.c_str(),
+                known.c_str()));
 }
 
 std::string DispatchModeName(DispatchMode mode) {

@@ -74,13 +74,15 @@ struct BlockOutcome {
   /// Proposed bits for the block's variables (block order). Empty when
   /// the block keeps the incumbent (solver failed or never ran).
   std::vector<std::uint8_t> proposal;
-  bool cancelled = false;
+  /// The solver's kCancelled or kInvalidArgument, which end the whole
+  /// decomposition; OK otherwise.
+  Status fatal = OkStatus();
 };
 
 /// Solves one block (named helper: the ParallelFor lambda must stay
 /// trivial under the pool-reentrancy contract; any nested ParallelFor the
-/// solver issues runs inline serially). A non-cancelled solver failure
-/// keeps the incumbent for this block instead of voiding the round.
+/// solver issues runs inline serially). Any other solver failure keeps
+/// the incumbent for this block instead of voiding the round.
 BlockOutcome SolveOneBlock(const QuboModel& qubo, const CsrAdjacency& adj,
                            const std::vector<int>& block,
                            const std::vector<std::uint8_t>& incumbent,
@@ -104,7 +106,11 @@ BlockOutcome SolveOneBlock(const QuboModel& qubo, const CsrAdjacency& adj,
   const QuboModel sub = BuildClampedSubproblem(qubo, adj, block, incumbent);
   StatusOr<SubproblemResult> solved = solver(sub, seed, deadline);
   if (!solved.ok()) {
-    outcome.cancelled = solved.status().code() == StatusCode::kCancelled;
+    const StatusCode code = solved.status().code();
+    if (code == StatusCode::kCancelled ||
+        code == StatusCode::kInvalidArgument) {
+      outcome.fatal = solved.status();
+    }
     QQO_COUNT("decompose.subproblem_failures", 1);
     return outcome;
   }
@@ -282,11 +288,16 @@ StatusOr<DecomposeResult> SolveQuboDecomposed(const QuboModel& qubo,
               SubproblemSeed(options.seed, round, static_cast<int>(b)),
               options.deadline, solver);
         });
+    // A cancel outranks an invalid input; among invalid inputs the first
+    // block's error surfaces, so the status is thread-count independent.
+    const Status* invalid = nullptr;
     for (const BlockOutcome& outcome : outcomes) {
-      if (outcome.cancelled) {
+      if (outcome.fatal.code() == StatusCode::kCancelled) {
         return CancelledError("decomposition cancelled in a subproblem");
       }
+      if (invalid == nullptr && !outcome.fatal.ok()) invalid = &outcome.fatal;
     }
+    if (invalid != nullptr) return *invalid;
     if (!ran.ok() && ran.code() == StatusCode::kCancelled) return ran;
 
     // Stitch serially in block order. Acceptance is atomic per block

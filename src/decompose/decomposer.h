@@ -54,8 +54,11 @@ struct SubproblemResult {
 /// Solves one clamped subproblem. The decomposer derives `seed` from the
 /// AttemptSeed sequence (unique per round and block) and passes the
 /// overall deadline through. A kCancelled return aborts the whole
-/// decomposition; any other error keeps the incumbent for that block and
-/// moves on (one failed block must not void the other blocks' work).
+/// decomposition with kCancelled, and a kInvalidArgument return (the
+/// caller's options are out of range, so every block would fail alike)
+/// aborts it with that status. Any other error keeps the incumbent for
+/// that block and moves on (one failed block must not void the other
+/// blocks' work).
 using SubproblemSolver = std::function<StatusOr<SubproblemResult>(
     const QuboModel& subproblem, std::uint64_t seed,
     const Deadline& deadline)>;
@@ -100,9 +103,10 @@ std::uint64_t SubproblemSeed(std::uint64_t seed, int round, int block);
 /// Subproblem solves run through ThreadPool::Default() with results
 /// indexed by block, so the outcome is byte-identical at any QQO_THREADS
 /// when no deadline truncation occurs. Errors: kInvalidArgument for a
-/// malformed QUBO (no variables) or options; kCancelled if the token
-/// fires (no result); deadline expiry is NOT an error (anytime result
-/// with timed_out = true).
+/// malformed QUBO (no variables) or options, or the first block's
+/// kInvalidArgument from the solver; kCancelled if the token fires (no
+/// result); deadline expiry is NOT an error (anytime result with
+/// timed_out = true).
 StatusOr<DecomposeResult> SolveQuboDecomposed(const QuboModel& qubo,
                                               const DecomposeOptions& options,
                                               const SubproblemSolver& solver);

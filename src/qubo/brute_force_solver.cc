@@ -1,6 +1,5 @@
 #include "qubo/brute_force_solver.h"
 
-#include <algorithm>
 #include <bit>
 
 #include "common/table_printer.h"
@@ -8,15 +7,14 @@
 namespace qopt {
 
 StatusOr<BruteForceResult> TrySolveQuboBruteForce(const QuboModel& qubo,
-                                                  int max_variables) {
+                                                  const Deadline& deadline) {
   const int n = qubo.NumVariables();
-  const int cap = std::min(max_variables, kBruteForceHardCap);
-  if (n > cap) {
-    return InvalidArgumentError(StrFormat(
-        "brute force would enumerate 2^%d assignments; the limit is %d "
-        "variables",
-        n, cap));
+  if (n > kMaxBruteForceVariables) {
+    return ResourceExhaustedError(StrFormat(
+        "exact oracle enumerates 2^%d assignments; limit is %d variables", n,
+        kMaxBruteForceVariables));
   }
+  QOPT_RETURN_IF_ERROR(deadline.Check());
   BruteForceResult result;
   std::vector<std::uint8_t> bits(static_cast<std::size_t>(n), 0);
   result.best_bits = bits;

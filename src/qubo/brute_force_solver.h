@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/deadline.h"
 #include "common/status.h"
 #include "qubo/qubo_model.h"
 
@@ -17,18 +18,17 @@ struct BruteForceResult {
   std::uint64_t num_optima = 0;
 };
 
-/// Absolute ceiling on exhaustive enumeration, regardless of what a
-/// caller passes as `max_variables`: 2^30 Gray-code steps is already ~10s
-/// of work, and anything past it would effectively hang the process. A
-/// decomposition misconfiguration that routes an oversized block to the
-/// exact lane must come back as a recoverable error, not a spin.
-inline constexpr int kBruteForceHardCap = 30;
+/// Largest problem the exhaustive walk accepts: 2^26 Gray-code steps stay
+/// sub-second, and anything much past it would effectively hang the
+/// process.
+inline constexpr int kMaxBruteForceVariables = 26;
 
 /// Enumerates all 2^n assignments. Intended as a ground-truth oracle for
 /// tests and tiny examples. Problems with more than
-/// min(max_variables, kBruteForceHardCap) variables are refused with
-/// kInvalidArgument.
-StatusOr<BruteForceResult> TrySolveQuboBruteForce(const QuboModel& qubo,
-                                                  int max_variables = 26);
+/// kMaxBruteForceVariables variables are refused with kResourceExhausted.
+/// The walk itself is not interruptible: `deadline` is polled once, after
+/// the size check, so an exhausted budget refuses to start it.
+StatusOr<BruteForceResult> TrySolveQuboBruteForce(
+    const QuboModel& qubo, const Deadline& deadline = {});
 
 }  // namespace qopt

@@ -8,6 +8,7 @@
 #include "common/check.h"
 #include "common/fault_injection.h"
 #include "common/random.h"
+#include "common/table_printer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "qubo/conversions.h"
@@ -158,12 +159,20 @@ std::pair<double, double> TwoLowestEigenvalues(
 StatusOr<AdiabaticResult> TrySolveQuboAdiabatically(
     const QuboModel& qubo, const AdiabaticOptions& options) {
   QQO_TRACE_SPAN("adiabatic.evolve");
-  QOPT_CHECK(qubo.NumVariables() >= 1);
-  QOPT_CHECK(options.steps >= 1);
-  QOPT_CHECK(options.total_time > 0.0);
-  QOPT_RETURN_IF_ERROR(options.deadline.Check());
   const int n = qubo.NumVariables();
-  QOPT_CHECK_MSG(n <= 20, "adiabatic simulation too large");
+  if (n < 1) return InvalidArgumentError("QUBO has no variables");
+  if (n > kMaxAdiabaticQubits) {
+    return ResourceExhaustedError(StrFormat(
+        "adiabatic evolution needs %d qubits; the dense propagator supports "
+        "at most %d",
+        n, kMaxAdiabaticQubits));
+  }
+  if (options.steps < 1 || !(options.total_time > 0.0) || options.shots < 1) {
+    return InvalidArgumentError(
+        "adiabatic options out of range (need steps >= 1, total_time > 0, "
+        "shots >= 1)");
+  }
+  QOPT_RETURN_IF_ERROR(options.deadline.Check());
   QOPT_FAULT_POINT("statevector.alloc");  // 2^n table + amplitude buffer
   const IsingModel ising = QuboToIsing(qubo);
   const std::vector<double> energies = IsingEnergyTable(ising);

@@ -39,11 +39,18 @@ struct AdiabaticResult {
   double ground_state_probability = 0.0;
 };
 
+/// Largest QUBO the dense propagator evolves: every Trotter step touches
+/// all 2^n amplitudes once per qubit.
+inline constexpr int kMaxAdiabaticQubits = 20;
+
 /// Simulates adiabatic evolution for the Ising form of `qubo` on the
-/// statevector backend (exponential in qubits; <= ~20 qubits). Returns
-/// kDeadlineExceeded / kCancelled when the budget trips mid-evolution,
-/// and the "statevector.alloc" fault point fires before the 2^n amplitude
-/// buffer is allocated.
+/// statevector backend (exponential in qubits). Before any deadline poll
+/// or fault point it refuses an empty QUBO with kInvalidArgument, one of
+/// more than kMaxAdiabaticQubits variables with kResourceExhausted, then
+/// out-of-range options (steps >= 1, total_time > 0, shots >= 1) with
+/// kInvalidArgument. Returns kDeadlineExceeded / kCancelled when the
+/// budget trips mid-evolution, and the "statevector.alloc" fault point
+/// fires before the 2^n amplitude buffer is allocated.
 StatusOr<AdiabaticResult> TrySolveQuboAdiabatically(
     const QuboModel& qubo, const AdiabaticOptions& options = {});
 

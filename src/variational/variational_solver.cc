@@ -9,6 +9,7 @@
 #include "common/check.h"
 #include "common/fault_injection.h"
 #include "common/random.h"
+#include "common/table_printer.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -38,6 +39,29 @@ OptimizeResult RunOuterLoop(const Objective& objective,
   }
   QOPT_CHECK_MSG(false, "unknown optimizer");
   return {};
+}
+
+/// The input both statevector solvers accept, checked before their first
+/// deadline poll: a non-empty QUBO within the register cap, then the
+/// option ranges. `method` names the solver in the size error.
+Status ValidateVariationalInput(const QuboModel& qubo,
+                                const VariationalOptions& options,
+                                const char* method) {
+  const int n = qubo.NumVariables();
+  if (n < 1) return InvalidArgumentError("QUBO has no variables");
+  if (n > kMaxStatevectorQubits) {
+    return ResourceExhaustedError(StrFormat(
+        "%s circuit needs %d qubits; the statevector simulator supports at "
+        "most %d",
+        method, n, kMaxStatevectorQubits));
+  }
+  if (options.qaoa_reps < 1 || options.vqe_reps < 0 ||
+      options.max_iterations < 1 || options.shots < 1) {
+    return InvalidArgumentError(
+        "variational options out of range (need qaoa_reps >= 1, "
+        "vqe_reps >= 0, max_iterations >= 1, shots >= 1)");
+  }
+  return OkStatus();
 }
 
 /// The non-OK status to report for an interrupted stage: the deadline's
@@ -98,8 +122,7 @@ StatusOr<VariationalResult> FinalizeFromCircuit(
 StatusOr<VariationalResult> TrySolveQuboWithQaoa(
     const QuboModel& qubo, const VariationalOptions& options) {
   QQO_TRACE_SPAN("variational.qaoa");
-  QOPT_CHECK(qubo.NumVariables() >= 1);
-  QOPT_CHECK(options.qaoa_reps >= 1);
+  QOPT_RETURN_IF_ERROR(ValidateVariationalInput(qubo, options, "QAOA"));
   QOPT_RETURN_IF_ERROR(options.deadline.Check());
   QOPT_FAULT_POINT("statevector.alloc");  // 2^n energy table comes first
   const IsingModel ising = QuboToIsing(qubo);
@@ -199,7 +222,7 @@ StatusOr<VariationalResult> TrySolveQuboWithQaoa(
 StatusOr<VariationalResult> TrySolveQuboWithVqe(
     const QuboModel& qubo, const VariationalOptions& options) {
   QQO_TRACE_SPAN("variational.vqe");
-  QOPT_CHECK(qubo.NumVariables() >= 1);
+  QOPT_RETURN_IF_ERROR(ValidateVariationalInput(qubo, options, "VQE"));
   QOPT_RETURN_IF_ERROR(options.deadline.Check());
   QOPT_FAULT_POINT("statevector.alloc");
   const IsingModel ising = QuboToIsing(qubo);

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "circuit/quantum_circuit.h"
+#include "circuit/statevector.h"
 #include "common/deadline.h"
 #include "common/status.h"
 #include "qubo/qubo_model.h"
@@ -45,9 +46,13 @@ struct VariationalResult {
 };
 
 /// Solve a QUBO with QAOA / VQE simulated on the statevector backend.
-/// Both return kDeadlineExceeded / kCancelled when the budget trips, and
-/// the "statevector.alloc" fault point fires before each 2^n
-/// amplitude/energy-table allocation.
+/// Before any deadline poll or fault point, both refuse an empty QUBO and
+/// out-of-range options (qaoa_reps >= 1, vqe_reps >= 0,
+/// max_iterations >= 1, shots >= 1) with kInvalidArgument, and a QUBO of
+/// more than kMaxStatevectorQubits variables with kResourceExhausted (the
+/// size is checked first). Both return kDeadlineExceeded / kCancelled when
+/// the budget trips, and the "statevector.alloc" fault point fires before
+/// each 2^n amplitude/energy-table allocation.
 StatusOr<VariationalResult> TrySolveQuboWithQaoa(
     const QuboModel& qubo, const VariationalOptions& options = {});
 StatusOr<VariationalResult> TrySolveQuboWithVqe(

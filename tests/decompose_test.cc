@@ -56,9 +56,8 @@ QuboModel MakeTestQubo(int n) {
 StatusOr<SubproblemResult> ExactSubproblemSolver(const QuboModel& subproblem,
                                                  std::uint64_t /*seed*/,
                                                  const Deadline& deadline) {
-  QOPT_RETURN_IF_ERROR(deadline.Check());
   QOPT_ASSIGN_OR_RETURN(const BruteForceResult exact,
-                        TrySolveQuboBruteForce(subproblem));
+                        TrySolveQuboBruteForce(subproblem, deadline));
   SubproblemResult result;
   result.bits = exact.best_bits;
   return result;
@@ -524,6 +523,36 @@ TEST_F(DecomposeFacadeTest, AnnealerBlocksNeedAValidPegasusFabric) {
   const auto report = TrySolveMqo(GenerateMqoProblem(gen), options);
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(DecomposeFacadeTest, InvalidBlockOptionsSurfaceAsInAPlainSolve) {
+  // Every block runs the same kernel with the same options, so an option
+  // out of range fails every block alike. The decomposed solve must
+  // surface the kernel's kInvalidArgument, exactly as the plain solve
+  // does, instead of reporting the untouched incumbent as a valid,
+  // undegraded answer. SA's read budget is capped per block, never raised
+  // to 1.
+  MqoGeneratorOptions gen;
+  gen.num_queries = 5;
+  gen.plans_per_query = 4;
+  gen.seed = 5;
+  const MqoProblem problem = GenerateMqoProblem(gen);  // 20 variables
+  OptimizerOptions qaoa;
+  qaoa.backend = Backend::kQaoa;
+  qaoa.variational.shots = 0;
+  qaoa.seed = 3;
+  OptimizerOptions sa = CheapDecomposeOptions(0, 3);
+  sa.anneal.num_reads = 0;
+  for (OptimizerOptions options : {qaoa, sa}) {
+    SCOPED_TRACE(BackendName(options.backend));
+    const auto plain = TrySolveMqo(problem, options);
+    ASSERT_FALSE(plain.ok());
+    EXPECT_EQ(plain.status().code(), StatusCode::kInvalidArgument);
+    options.decompose = 8;
+    const auto decomposed = TrySolveMqo(problem, options);
+    ASSERT_FALSE(decomposed.ok());
+    EXPECT_EQ(decomposed.status(), plain.status());
+  }
 }
 
 /// A chain join-order problem encoded up front, so a test's deadline

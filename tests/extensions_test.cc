@@ -1,6 +1,5 @@
-// Tests for the extension modules: randomized join ordering baselines,
-// the MQO -> BILP encoding, OpenQASM export and circuit reliability
-// estimation.
+// Tests for the extension modules: the MQO -> BILP encoding, OpenQASM
+// export and circuit reliability estimation.
 #include <gtest/gtest.h>
 
 #include "bilp/bilp_branch_and_bound.h"
@@ -8,8 +7,6 @@
 #include "circuit/qasm_exporter.h"
 #include "core/device_model.h"
 #include "core/reliability.h"
-#include "joinorder/join_order_baselines.h"
-#include "joinorder/join_order_randomized.h"
 #include "mqo/mqo_baselines.h"
 #include "mqo/mqo_bilp_encoder.h"
 #include "mqo/mqo_generator.h"
@@ -20,72 +17,6 @@
 
 namespace qopt {
 namespace {
-
-// --- Randomized join ordering -------------------------------------------------
-
-class RandomizedJoinOrderTest : public ::testing::TestWithParam<int> {
- protected:
-  QueryGraph MakeGraph() const {
-    QueryGeneratorOptions gen;
-    gen.num_relations = 8;
-    gen.num_predicates = 10;
-    gen.cardinality_min = 10.0;
-    gen.cardinality_max = 100000.0;
-    gen.selectivity_min = 0.0005;
-    gen.selectivity_max = 0.5;
-    gen.seed = GetParam();
-    return GenerateRandomQuery(gen);
-  }
-};
-
-TEST_P(RandomizedJoinOrderTest, IterativeImprovementValidAndNearOptimal) {
-  const QueryGraph graph = MakeGraph();
-  const JoinOrderSolution dp = SolveJoinOrderDp(graph);
-  RandomizedJoinOrderOptions options;
-  options.seed = GetParam() + 1;
-  const JoinOrderSolution ii =
-      SolveJoinOrderIterativeImprovement(graph, options);
-  EXPECT_TRUE(IsValidJoinOrder(graph, ii.order));
-  EXPECT_GE(ii.cost, dp.cost * (1.0 - 1e-12));
-  // With 10 restarts on 8 relations II should come within 10x of optimal.
-  EXPECT_LE(ii.cost, dp.cost * 10.0);
-  EXPECT_NEAR(CoutCost(graph, ii.order), ii.cost, ii.cost * 1e-12);
-}
-
-TEST_P(RandomizedJoinOrderTest, SimulatedAnnealingValidAndNearOptimal) {
-  const QueryGraph graph = MakeGraph();
-  const JoinOrderSolution dp = SolveJoinOrderDp(graph);
-  RandomizedJoinOrderOptions options;
-  options.seed = GetParam() + 2;
-  const JoinOrderSolution sa =
-      SolveJoinOrderSimulatedAnnealing(graph, options);
-  EXPECT_TRUE(IsValidJoinOrder(graph, sa.order));
-  EXPECT_GE(sa.cost, dp.cost * (1.0 - 1e-12));
-  EXPECT_LE(sa.cost, dp.cost * 10.0);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, RandomizedJoinOrderTest,
-                         ::testing::Range(0, 6));
-
-TEST(RandomizedJoinOrderTest, FindsOptimumOnSmallQueries) {
-  // On 5 relations the search space is 120 orders; both randomized
-  // algorithms should find the optimum.
-  QueryGeneratorOptions gen;
-  gen.num_relations = 5;
-  gen.num_predicates = 6;
-  gen.cardinality_min = 10.0;
-  gen.cardinality_max = 10000.0;
-  gen.selectivity_min = 0.001;
-  gen.seed = 3;
-  const QueryGraph graph = GenerateRandomQuery(gen);
-  const JoinOrderSolution exact = SolveJoinOrderExhaustive(graph);
-  RandomizedJoinOrderOptions options;
-  options.seed = 4;
-  EXPECT_NEAR(SolveJoinOrderIterativeImprovement(graph, options).cost,
-              exact.cost, exact.cost * 1e-9);
-  EXPECT_NEAR(SolveJoinOrderSimulatedAnnealing(graph, options).cost,
-              exact.cost, exact.cost * 1e-9);
-}
 
 // --- MQO via BILP ----------------------------------------------------------------
 

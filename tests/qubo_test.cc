@@ -201,26 +201,16 @@ TEST(BruteForceTest, ZeroVariablesHandled) {
 }
 
 TEST(BruteForceTest, HardCapRejectsOversizedProblems) {
-  // 2^31 assignments would walk for hours; past kBruteForceHardCap the
-  // Try variant must refuse with kInvalidArgument instead of hanging —
-  // even when the caller passes a larger explicit limit.
-  const QuboModel oversized(kBruteForceHardCap + 1);
+  // 2^27 assignments are past the sub-second budget; one past
+  // kMaxBruteForceVariables the oracle must refuse with kResourceExhausted
+  // (a simulation budget, not a malformed input) instead of walking.
+  const QuboModel oversized(kMaxBruteForceVariables + 1);
   const auto refused = TrySolveQuboBruteForce(oversized);
   ASSERT_FALSE(refused.ok());
-  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
-
-  const auto still_refused =
-      TrySolveQuboBruteForce(oversized, /*max_variables=*/1000);
-  ASSERT_FALSE(still_refused.ok());
-  EXPECT_EQ(still_refused.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(BruteForceTest, CallerCapBelowTheHardCapStillApplies) {
-  const QuboModel qubo(12);
-  const auto refused = TrySolveQuboBruteForce(qubo, /*max_variables=*/10);
-  ASSERT_FALSE(refused.ok());
-  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(TrySolveQuboBruteForce(qubo, /*max_variables=*/12).ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(refused.status().message(),
+            "exact oracle enumerates 2^27 assignments; limit is 26 "
+            "variables");
 }
 
 // ---------------------------------------------------------------------------

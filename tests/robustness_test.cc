@@ -5,8 +5,12 @@
 
 #include <complex>
 #include <numbers>
+#include <ostream>
+#include <string>
 
 #include "anneal/chimera.h"
+#include "anneal/minor_embedder.h"
+#include "anneal/pegasus.h"
 #include "anneal/embedding_composite.h"
 #include "bilp/bilp_to_qubo.h"
 #include "core/quantum_optimizer.h"
@@ -17,7 +21,9 @@
 #include "joinorder/join_order.h"
 #include "joinorder/join_order_bilp_encoder.h"
 #include "joinorder/query_graph.h"
+#include "variational/adiabatic.h"
 #include "variational/qaoa.h"
+#include "variational/variational_solver.h"
 #include "mqo/mqo_generator.h"
 #include "mqo/mqo_qubo_encoder.h"
 #include "qubo/brute_force_solver.h"
@@ -416,6 +422,262 @@ TEST(DegradationTest, JoinOrderDegradesLikeMqo) {
   EXPECT_TRUE(report->degraded);
   EXPECT_EQ(report->backend_used, Backend::kSimulatedAnnealing);
   EXPECT_FALSE(report->degradation_reason.empty());
+}
+
+// --- Backend input limits: one contract matrix ------------------------------
+
+/// One out-of-range input for one backend: an option outside its range, a
+/// QUBO one past the backend's qubit cap, or both at once. `code` and
+/// `message` are what the facade reports for it; `kernel_code` is what the
+/// kernel's own Try* entry returns for the same QUBO and options.
+struct LimitCase {
+  const char* name;
+  Backend backend;
+  /// Variables of the dense MQO: 6 fits every backend; 21, 27 and 42 are
+  /// one past the adiabatic cap, the statevector and exact caps and the
+  /// Pegasus P2 fabric (40 qubits), rounded up to whole 3-plan queries.
+  int num_variables;
+  void (*mutate)(OptimizerOptions*);
+  StatusCode code;
+  const char* message;
+  StatusCode kernel_code;
+};
+
+std::ostream& operator<<(std::ostream& os, const LimitCase& c) {
+  return os << c.name;
+}
+
+constexpr const char* kVariationalRange =
+    "variational options out of range (need qaoa_reps >= 1, vqe_reps >= 0, "
+    "max_iterations >= 1, shots >= 1)";
+constexpr const char* kAdiabaticRange =
+    "adiabatic options out of range (need steps >= 1, total_time > 0, "
+    "shots >= 1)";
+constexpr const char* kEmbeddedRange =
+    "embedded SA needs num_reads >= 1 and num_sweeps >= 1";
+constexpr StatusCode kInvalid = StatusCode::kInvalidArgument;
+constexpr StatusCode kExhausted = StatusCode::kResourceExhausted;
+
+void KeepOptions(OptimizerOptions*) {}
+void NoReads(OptimizerOptions* o) { o->anneal.num_reads = 0; }
+void NoSweeps(OptimizerOptions* o) { o->anneal.num_sweeps = 0; }
+void NoQaoaReps(OptimizerOptions* o) { o->variational.qaoa_reps = 0; }
+void NegativeVqeReps(OptimizerOptions* o) { o->variational.vqe_reps = -1; }
+void NoIterations(OptimizerOptions* o) { o->variational.max_iterations = 0; }
+void NoVariationalShots(OptimizerOptions* o) { o->variational.shots = 0; }
+void NoSteps(OptimizerOptions* o) { o->adiabatic.steps = 0; }
+void NoTime(OptimizerOptions* o) { o->adiabatic.total_time = 0.0; }
+void NoAdiabaticShots(OptimizerOptions* o) { o->adiabatic.shots = 0; }
+void NoEmbeddedReads(OptimizerOptions* o) { o->embedded.anneal.num_reads = 0; }
+void NoEmbeddedSweeps(OptimizerOptions* o) {
+  o->embedded.anneal.num_sweeps = 0;
+}
+
+const LimitCase kLimitCases[] = {
+    {"exact_over_cap", Backend::kExact, 27, KeepOptions, kExhausted,
+     "exact oracle enumerates 2^27 assignments; limit is 26 variables",
+     kExhausted},
+    {"sa_no_reads", Backend::kSimulatedAnnealing, 6, NoReads, kInvalid,
+     "SA needs num_reads >= 1 and num_sweeps >= 1, got 0 / 1000", kInvalid},
+    {"sa_no_sweeps", Backend::kSimulatedAnnealing, 6, NoSweeps, kInvalid,
+     "SA needs num_reads >= 1 and num_sweeps >= 1, got 10 / 0", kInvalid},
+    {"qaoa_no_reps", Backend::kQaoa, 6, NoQaoaReps, kInvalid,
+     kVariationalRange, kInvalid},
+    {"qaoa_negative_vqe_reps", Backend::kQaoa, 6, NegativeVqeReps, kInvalid,
+     kVariationalRange, kInvalid},
+    {"qaoa_no_iterations", Backend::kQaoa, 6, NoIterations, kInvalid,
+     kVariationalRange, kInvalid},
+    {"qaoa_no_shots", Backend::kQaoa, 6, NoVariationalShots, kInvalid,
+     kVariationalRange, kInvalid},
+    {"qaoa_over_cap", Backend::kQaoa, 27, KeepOptions, kExhausted,
+     "QAOA circuit needs 27 qubits; the statevector simulator supports at "
+     "most 26",
+     kExhausted},
+    {"qaoa_over_cap_and_no_shots", Backend::kQaoa, 27, NoVariationalShots,
+     kExhausted,
+     "QAOA circuit needs 27 qubits; the statevector simulator supports at "
+     "most 26",
+     kExhausted},
+    {"vqe_negative_reps", Backend::kVqe, 6, NegativeVqeReps, kInvalid,
+     kVariationalRange, kInvalid},
+    {"vqe_no_qaoa_reps", Backend::kVqe, 6, NoQaoaReps, kInvalid,
+     kVariationalRange, kInvalid},
+    {"vqe_no_iterations", Backend::kVqe, 6, NoIterations, kInvalid,
+     kVariationalRange, kInvalid},
+    {"vqe_no_shots", Backend::kVqe, 6, NoVariationalShots, kInvalid,
+     kVariationalRange, kInvalid},
+    {"vqe_over_cap", Backend::kVqe, 27, KeepOptions, kExhausted,
+     "VQE circuit needs 27 qubits; the statevector simulator supports at "
+     "most 26",
+     kExhausted},
+    {"vqe_over_cap_and_no_iterations", Backend::kVqe, 27, NoIterations,
+     kExhausted,
+     "VQE circuit needs 27 qubits; the statevector simulator supports at "
+     "most 26",
+     kExhausted},
+    {"adiabatic_no_steps", Backend::kAdiabatic, 6, NoSteps, kInvalid,
+     kAdiabaticRange, kInvalid},
+    {"adiabatic_no_time", Backend::kAdiabatic, 6, NoTime, kInvalid,
+     kAdiabaticRange, kInvalid},
+    {"adiabatic_no_shots", Backend::kAdiabatic, 6, NoAdiabaticShots, kInvalid,
+     kAdiabaticRange, kInvalid},
+    {"adiabatic_over_cap", Backend::kAdiabatic, 21, KeepOptions, kExhausted,
+     "adiabatic evolution needs 21 qubits; the dense propagator supports at "
+     "most 20",
+     kExhausted},
+    {"adiabatic_over_cap_and_no_steps", Backend::kAdiabatic, 21, NoSteps,
+     kExhausted,
+     "adiabatic evolution needs 21 qubits; the dense propagator supports at "
+     "most 20",
+     kExhausted},
+    {"annealer_no_reads", Backend::kAnnealerEmulation, 6, NoEmbeddedReads,
+     kInvalid, kEmbeddedRange, kInvalid},
+    {"annealer_no_sweeps", Backend::kAnnealerEmulation, 6, NoEmbeddedSweeps,
+     kInvalid, kEmbeddedRange, kInvalid},
+    // The kernel only sees a graph too large to embed (kUnavailable); the
+    // facade knows the fabric is fixed and reports a budget instead.
+    {"annealer_over_fabric", Backend::kAnnealerEmulation, 42, KeepOptions,
+     kExhausted,
+     "QUBO has 42 variables but the Pegasus P2 fabric offers only 40 "
+     "qubits; use a larger pegasus_m",
+     StatusCode::kUnavailable},
+    {"annealer_over_fabric_and_no_reads", Backend::kAnnealerEmulation, 42,
+     NoEmbeddedReads, kInvalid, kEmbeddedRange, kInvalid},
+};
+
+OptimizerOptions LimitCaseOptions(const LimitCase& c) {
+  OptimizerOptions options;
+  options.backend = c.backend;
+  options.pegasus_m = 2;
+  options.seed = 7;
+  c.mutate(&options);
+  return options;
+}
+
+/// Calls `options.backend`'s kernel directly, bypassing the facade.
+Status RunKernel(const QuboModel& qubo, const OptimizerOptions& options) {
+  switch (options.backend) {
+    case Backend::kExact:
+      return TrySolveQuboBruteForce(qubo, options.budget.deadline).status();
+    case Backend::kSimulatedAnnealing:
+      return TrySolveQuboWithAnnealing(qubo, options.anneal).status();
+    case Backend::kQaoa:
+      return TrySolveQuboWithQaoa(qubo, options.variational).status();
+    case Backend::kVqe:
+      return TrySolveQuboWithVqe(qubo, options.variational).status();
+    case Backend::kAdiabatic:
+      return TrySolveQuboAdiabatically(qubo, options.adiabatic).status();
+    case Backend::kAnnealerEmulation:
+      return TrySolveQuboOnTopology(qubo, MakePegasus(options.pegasus_m),
+                                    options.embedded)
+          .status();
+  }
+  return InternalError("unknown backend");
+}
+
+class BackendLimitsTest : public ::testing::TestWithParam<LimitCase> {};
+
+TEST_P(BackendLimitsTest, KernelReturnsTheErrorInsteadOfAborting) {
+  const LimitCase& c = GetParam();
+  const MqoProblem problem = MakeDenseMqo(c.num_variables / 3, 3);
+  const QuboModel qubo = EncodeMqoProblem(problem).value().qubo;
+  ASSERT_EQ(qubo.NumVariables(), c.num_variables);
+  const Status status = RunKernel(qubo, LimitCaseOptions(c));
+  EXPECT_EQ(status.code(), c.kernel_code) << status.ToString();
+  if (c.kernel_code == c.code) {
+    EXPECT_EQ(status.message(), c.message);
+  }
+}
+
+TEST_P(BackendLimitsTest, FacadeReportsTheSameErrorInEveryDispatch) {
+  // An invalid option always surfaces. An exhausted budget surfaces unless
+  // a stand-in may run: a quantum backend's classical fallback (serial or
+  // race), or any backend's SA lane in a race.
+  const LimitCase& c = GetParam();
+  const MqoProblem problem = MakeDenseMqo(c.num_variables / 3, 3);
+  const bool quantum = c.backend != Backend::kExact &&
+                       c.backend != Backend::kSimulatedAnnealing;
+  for (const DispatchMode dispatch :
+       {DispatchMode::kSerial, DispatchMode::kRace}) {
+    for (const bool fallback : {true, false}) {
+      SCOPED_TRACE(DispatchModeName(dispatch) +
+                   (fallback ? " with fallback" : " without fallback"));
+      OptimizerOptions options = LimitCaseOptions(c);
+      options.dispatch = dispatch;
+      options.classical_fallback = fallback;
+      const auto report = TrySolveMqo(problem, options);
+      const bool stands_in =
+          c.code == kExhausted && fallback &&
+          (quantum || dispatch == DispatchMode::kRace);
+      if (!stands_in) {
+        ASSERT_FALSE(report.ok());
+        EXPECT_EQ(report.status().code(), c.code);
+        EXPECT_EQ(report.status().message(), c.message);
+        continue;
+      }
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      EXPECT_TRUE(report->degraded);
+      EXPECT_EQ(report->backend_used, Backend::kSimulatedAnnealing);
+      EXPECT_EQ(report->degradation_reason,
+                BackendName(c.backend) + " backend failed (" +
+                    Status(c.code, c.message).ToString() + ")");
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, BackendLimitsTest, ::testing::ValuesIn(kLimitCases),
+    [](const ::testing::TestParamInfo<LimitCase>& param) {
+      return std::string(param.param.name);
+    });
+
+TEST(KernelLimitsTest, EmptyQubosAndMalformedKernelOptionsAreRefused) {
+  // Inputs only a direct kernel caller can set: the facade refuses an
+  // empty QUBO itself and does not expose these options' edges.
+  const QuboModel empty(0);
+  for (const Backend backend :
+       {Backend::kSimulatedAnnealing, Backend::kQaoa, Backend::kVqe,
+        Backend::kAdiabatic, Backend::kAnnealerEmulation}) {
+    OptimizerOptions options;
+    options.backend = backend;
+    options.pegasus_m = 2;
+    EXPECT_EQ(RunKernel(empty, options).code(), kInvalid)
+        << BackendName(backend);
+  }
+  const QuboModel qubo = MakeRandomQubo(6, 0.5, 1);
+  AnnealOptions anneal;
+  anneal.beta_min = -1.0;
+  anneal.beta_max = 1.0;
+  EXPECT_EQ(TrySolveQuboWithAnnealing(qubo, anneal).status().code(),
+            kInvalid);
+  EmbedOptions embed;
+  embed.tries = 0;
+  EXPECT_EQ(TryFindMinorEmbedding(qubo.InteractionGraph(), MakePegasus(2),
+                                  embed)
+                .status()
+                .code(),
+            kInvalid);
+}
+
+TEST(DegradationTest, QuboLargerThanTheFabricIsNotRetried) {
+  // No retry can fit 42 variables into the 40-qubit P2 fabric, so the
+  // failure is a budget (kResourceExhausted), not a retryable
+  // kUnavailable: one annealer attempt, then the SA fallback.
+  MqoGeneratorOptions gen;
+  gen.num_queries = 14;
+  gen.plans_per_query = 3;
+  gen.seed = 5;
+  OptimizerOptions options;
+  options.backend = Backend::kAnnealerEmulation;
+  options.pegasus_m = 2;
+  options.seed = 3;
+  options.budget.retry.max_attempts = 4;
+  options.budget.retry.initial_backoff_ms = 10.0;
+  const auto report = TrySolveMqo(GenerateMqoProblem(gen), options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->stats.attempts, 2);
+  EXPECT_TRUE(report->degraded);
+  EXPECT_EQ(report->backend_used, Backend::kSimulatedAnnealing);
 }
 
 TEST(EdgeCaseTest, QaoaOnFieldOnlyHamiltonian) {
