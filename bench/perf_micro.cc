@@ -185,7 +185,7 @@ void BM_StatevectorQaoa(benchmark::State& state) {
 }
 BENCHMARK(BM_StatevectorQaoa)->Arg(8)->Arg(12)->Arg(16);
 
-// Raw single-qubit gate throughput at SIMD-relevant widths: layers of
+// Raw single-qubit gate throughput up to the parallel threshold: layers of
 // H/RX/RY across every qubit (nothing diagonal, so nothing fuses away and
 // every gate goes through the vectorized ApplySingleQubit kernel).
 void BM_StatevectorGateLayer(benchmark::State& state) {

@@ -7,16 +7,8 @@
 #include <numbers>
 
 #include "common/check.h"
-#include "common/simd.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
-
-#if QQO_SIMD_X86
-#include <immintrin.h>
-#endif
-#if QQO_SIMD_NEON
-#include <arm_neon.h>
-#endif
 
 namespace qopt {
 
@@ -39,130 +31,84 @@ inline std::size_t InsertZeroBit(std::size_t k, std::size_t stride) {
   return ((k & ~(stride - 1)) << 1) | (k & (stride - 1));
 }
 
-/// Scalar reference kernel for one block of single-qubit-gate pairs. Every
-/// vector kernel below performs exactly these primitive FP operations in
-/// exactly this order per pair, so the paths are byte-identical.
-void ApplySingleQubitScalar(Complex* amp, std::size_t begin, std::size_t end,
-                            std::size_t stride, Complex m00, Complex m01,
-                            Complex m10, Complex m11) {
-  for (std::size_t k = begin; k < end; ++k) {
-    const std::size_t i0 = InsertZeroBit(k, stride);
-    const std::size_t i1 = i0 + stride;
-    const Complex a0 = amp[i0];
-    const Complex a1 = amp[i1];
-    amp[i0] = m00 * a0 + m01 * a1;
-    amp[i1] = m10 * a0 + m11 * a1;
-  }
+/// The x86 GCC/Clang ELF builds compile the single-qubit kernel twice, for
+/// AVX2 and for the baseline ISA; the loader's CPUID resolver picks the
+/// clone once per process. Other builds compile it at the baseline ISA
+/// (AArch64's already has 128-bit double vectors). Neither clone enables
+/// FMA, and src/CMakeLists.txt turns contraction off, so every build rounds
+/// each product and sum separately.
+#if defined(__GNUC__) && defined(__ELF__) && \
+    (defined(__x86_64__) || defined(__i386__))
+#define QQO_KERNEL_CLONES __attribute__((target_clones("avx2", "default")))
+#else
+#define QQO_KERNEL_CLONES
+#endif
+
+/// A 2x2 gate matrix, row-major, each entry as its real part `r`, its
+/// imaginary part `i` and that part negated, `n`.
+struct GateMatrix {
+  double m00r, m00i, m00n, m01r, m01i, m01n;
+  double m10r, m10i, m10n, m11r, m11i, m11n;
+};
+
+/// Applies the gate to one amplitude pair, a0 at x0 and a1 at x1. Each
+/// complex product m*a is re = m.re*a.re + (-m.im)*a.im, im = m.re*a.im +
+/// m.im*a.re: libstdc++'s order for finite operands, since IEEE rounds
+/// x + (-y) exactly like x - y. Each output half is one add of two
+/// products, so the result is `m00 * a0 + m01 * a1` of std::complex bit
+/// for bit. Both halves being adds lets the compiler vectorize a pair as
+/// lane-wise products of each amplitude and its swapped (im, re) halves.
+inline void ApplyToPair(const GateMatrix& m, double* x0, double* x1) {
+  const double a0r = x0[0], a0i = x0[1], a1r = x1[0], a1i = x1[1];
+  x0[0] = (m.m00r * a0r + m.m00n * a0i) + (m.m01r * a1r + m.m01n * a1i);
+  x0[1] = (m.m00r * a0i + m.m00i * a0r) + (m.m01r * a1i + m.m01i * a1r);
+  x1[0] = (m.m10r * a0r + m.m10n * a0i) + (m.m11r * a1r + m.m11n * a1i);
+  x1[1] = (m.m10r * a0i + m.m10i * a0r) + (m.m11r * a1i + m.m11i * a1r);
 }
 
-#if QQO_SIMD_X86
-
-/// Multiplies each 128-bit complex<double> lane of `v` by the matching
-/// lane of `c`. addsub keeps the scalar operation order: the real lane is
-/// c.re*v.re - c.im*v.im (two multiplies, one subtraction), the imaginary
-/// lane c.re*v.im + c.im*v.re (two multiplies, one addition) — the exact
-/// formula libstdc++ uses for finite complex products. No FMA contraction
-/// (the target attribute enables avx2 only), so rounding matches the
-/// scalar path bit for bit.
-QQO_SIMD_TARGET_AVX2 inline __m256d CMulAvx2(__m256d c, __m256d v) {
-  const __m256d c_re = _mm256_movedup_pd(c);       // [c.re, c.re | ...]
-  const __m256d c_im = _mm256_permute_pd(c, 0xF);  // [c.im, c.im | ...]
-  const __m256d v_sw = _mm256_permute_pd(v, 0x5);  // [v.im, v.re | ...]
-  return _mm256_addsub_pd(_mm256_mul_pd(c_re, v), _mm256_mul_pd(c_im, v_sw));
-}
-
-QQO_SIMD_TARGET_AVX2 inline __m256d BroadcastComplexAvx2(Complex c) {
-  return _mm256_setr_pd(c.real(), c.imag(), c.real(), c.imag());
-}
-
-/// AVX2 single-qubit kernel over pair indices [begin, end). For stride >=
-/// 2 both pair halves are contiguous runs (runs are stride-aligned, stride
-/// and begin are even), so two adjacent pairs load as one 256-bit vector
-/// per half. For stride == 1 each pair is two adjacent amplitudes in one
-/// vector, transformed in-register with per-lane matrix columns.
-QQO_SIMD_TARGET_AVX2 void ApplySingleQubitAvx2(Complex* amp,
-                                               std::size_t begin,
-                                               std::size_t end,
-                                               std::size_t stride, Complex m00,
-                                               Complex m01, Complex m10,
-                                               Complex m11) {
-  std::size_t k = begin;
-  if (stride >= 2) {
-    const __m256d vm00 = BroadcastComplexAvx2(m00);
-    const __m256d vm01 = BroadcastComplexAvx2(m01);
-    const __m256d vm10 = BroadcastComplexAvx2(m10);
-    const __m256d vm11 = BroadcastComplexAvx2(m11);
-    for (; k + 2 <= end; k += 2) {
-      const std::size_t i0 = InsertZeroBit(k, stride);
-      double* p0 = reinterpret_cast<double*>(amp + i0);
-      double* p1 = reinterpret_cast<double*>(amp + i0 + stride);
-      const __m256d a0 = _mm256_loadu_pd(p0);  // pairs k, k+1: |q>=0 half
-      const __m256d a1 = _mm256_loadu_pd(p1);  // pairs k, k+1: |q>=1 half
-      _mm256_storeu_pd(p0, _mm256_add_pd(CMulAvx2(vm00, a0),
-                                         CMulAvx2(vm01, a1)));
-      _mm256_storeu_pd(p1, _mm256_add_pd(CMulAvx2(vm10, a0),
-                                         CMulAvx2(vm11, a1)));
+/// Single-qubit gate pass over pair indices [begin, end) of the state at
+/// `amp` (2^n complex amplitudes as interleaved doubles). The pairs of
+/// qubit q are runs of `stride` = 2^q consecutive amplitudes, each run
+/// matched with the run `stride` amplitudes above it. One loop per stride
+/// shape keeps each loop simple enough to vectorize. `m` is taken by value
+/// so that no store to `amp` can alias it and its entries stay in
+/// registers.
+QQO_KERNEL_CLONES void ApplySingleQubitPairs(double* amp, std::size_t begin,
+                                             std::size_t end,
+                                             std::size_t stride,
+                                             const GateMatrix m) {
+  if (stride == 1) {
+    // Pair k is the two adjacent amplitudes 2k and 2k + 1.
+    for (std::size_t k = begin; k < end; ++k) {
+      ApplyToPair(m, amp + 4 * k, amp + 4 * k + 2);
     }
-  } else {
-    // Lane 0 of the column vectors transforms into the new a0, lane 1
-    // into the new a1: [m00|m10] * [a0|a0] + [m01|m11] * [a1|a1].
-    const __m256d vlo = _mm256_setr_pd(m00.real(), m00.imag(), m10.real(),
-                                       m10.imag());
-    const __m256d vhi = _mm256_setr_pd(m01.real(), m01.imag(), m11.real(),
-                                       m11.imag());
-    for (; k < end; ++k) {
-      double* p = reinterpret_cast<double*>(amp + 2 * k);
-      const __m256d v = _mm256_loadu_pd(p);                   // [a0 | a1]
-      const __m256d va = _mm256_permute2f128_pd(v, v, 0x00);  // [a0 | a0]
-      const __m256d vb = _mm256_permute2f128_pd(v, v, 0x11);  // [a1 | a1]
-      _mm256_storeu_pd(p, _mm256_add_pd(CMulAvx2(vlo, va), CMulAvx2(vhi, vb)));
+    return;
+  }
+  // From here on begin and end are even (blocks hold an even number of
+  // pairs, and so does a state wide enough to have qubit 1), and so are
+  // run lengths, so every loop below takes two pairs per step.
+  if (stride == 2) {
+    // Pairs k and k + 1 (k even) are amplitudes 2k, 2k + 1 and their
+    // partners 2k + 2, 2k + 3.
+    for (std::size_t k = begin; k < end; k += 2) {
+      double* p = amp + 4 * k;
+      ApplyToPair(m, p, p + 4);
+      ApplyToPair(m, p + 2, p + 6);
     }
+    return;
   }
-  // Odd tail (only possible for degenerate block sizes; blocks and pair
-  // counts are even for every real state width).
-  ApplySingleQubitScalar(amp, k, end, stride, m00, m01, m10, m11);
-}
-
-#endif  // QQO_SIMD_X86
-
-#if QQO_SIMD_NEON
-
-/// One complex<double> per 128-bit vector. The sign-flip multiply makes
-/// the real lane t1.re + (-(c.im*v.im)) — IEEE addition of a negation is
-/// bit-identical to the scalar subtraction c.re*v.re - c.im*v.im.
-inline float64x2_t CMulNeon(float64x2_t c_re, float64x2_t c_im,
-                            float64x2_t v) {
-  const float64x2_t kSign = {-1.0, 1.0};
-  const float64x2_t v_sw = vextq_f64(v, v, 1);  // [v.im, v.re]
-  const float64x2_t t1 = vmulq_f64(c_re, v);
-  const float64x2_t t2 = vmulq_f64(vmulq_f64(c_im, v_sw), kSign);
-  return vaddq_f64(t1, t2);
-}
-
-void ApplySingleQubitNeon(Complex* amp, std::size_t begin, std::size_t end,
-                          std::size_t stride, Complex m00, Complex m01,
-                          Complex m10, Complex m11) {
-  const float64x2_t m00r = vdupq_n_f64(m00.real());
-  const float64x2_t m00i = vdupq_n_f64(m00.imag());
-  const float64x2_t m01r = vdupq_n_f64(m01.real());
-  const float64x2_t m01i = vdupq_n_f64(m01.imag());
-  const float64x2_t m10r = vdupq_n_f64(m10.real());
-  const float64x2_t m10i = vdupq_n_f64(m10.imag());
-  const float64x2_t m11r = vdupq_n_f64(m11.real());
-  const float64x2_t m11i = vdupq_n_f64(m11.imag());
-  for (std::size_t k = begin; k < end; ++k) {
-    const std::size_t i0 = InsertZeroBit(k, stride);
-    const std::size_t i1 = i0 + stride;
-    double* p0 = reinterpret_cast<double*>(amp + i0);
-    double* p1 = reinterpret_cast<double*>(amp + i1);
-    const float64x2_t a0 = vld1q_f64(p0);
-    const float64x2_t a1 = vld1q_f64(p1);
-    vst1q_f64(p0, vaddq_f64(CMulNeon(m00r, m00i, a0), CMulNeon(m01r, m01i, a1)));
-    vst1q_f64(p1, vaddq_f64(CMulNeon(m10r, m10i, a0), CMulNeon(m11r, m11i, a1)));
+  for (std::size_t k = begin; k < end;) {
+    const std::size_t run_end = std::min(end, (k | (stride - 1)) + 1);
+    double* p0 = amp + 2 * InsertZeroBit(k, stride);
+    double* p1 = p0 + 2 * stride;
+    const std::size_t len = 2 * (run_end - k);
+    for (std::size_t j = 0; j < len; j += 4) {
+      ApplyToPair(m, p0 + j, p1 + j);
+      ApplyToPair(m, p0 + j + 2, p1 + j + 2);
+    }
+    k = run_end;
   }
 }
-
-#endif  // QQO_SIMD_NEON
 
 /// Runs fn over [0, n) in fixed-size blocks, on the default pool when the
 /// pass is large enough. fn must only touch slots derived from its own
@@ -197,28 +143,16 @@ void Statevector::Reset() {
 void Statevector::ApplySingleQubit(int q, const Complex m[2][2]) {
   const std::size_t stride = std::size_t{1} << q;
   const std::size_t pairs = amplitudes_.size() / 2;
-  Complex* amp = amplitudes_.data();
-  const Complex m00 = m[0][0], m01 = m[0][1], m10 = m[1][0], m11 = m[1][1];
-  const SimdLevel level = ActiveSimdLevel();
-  (void)level;  // unused when no vector kernel is compiled in
-#if QQO_SIMD_X86
-  if (level == SimdLevel::kAvx2) {
-    ForEachBlock(pairs, num_qubits_, [&](std::size_t begin, std::size_t end) {
-      ApplySingleQubitAvx2(amp, begin, end, stride, m00, m01, m10, m11);
-    });
-    return;
-  }
-#endif
-#if QQO_SIMD_NEON
-  if (level == SimdLevel::kNeon) {
-    ForEachBlock(pairs, num_qubits_, [&](std::size_t begin, std::size_t end) {
-      ApplySingleQubitNeon(amp, begin, end, stride, m00, m01, m10, m11);
-    });
-    return;
-  }
-#endif
+  // The standard lets a std::complex<double> array be read as interleaved
+  // (re, im) doubles.
+  double* amp = reinterpret_cast<double*>(amplitudes_.data());
+  const GateMatrix matrix{
+      m[0][0].real(), m[0][0].imag(), -m[0][0].imag(),
+      m[0][1].real(), m[0][1].imag(), -m[0][1].imag(),
+      m[1][0].real(), m[1][0].imag(), -m[1][0].imag(),
+      m[1][1].real(), m[1][1].imag(), -m[1][1].imag()};
   ForEachBlock(pairs, num_qubits_, [&](std::size_t begin, std::size_t end) {
-    ApplySingleQubitScalar(amp, begin, end, stride, m00, m01, m10, m11);
+    ApplySingleQubitPairs(amp, begin, end, stride, matrix);
   });
 }
 

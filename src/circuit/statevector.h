@@ -31,12 +31,11 @@ inline constexpr int kMaxStatevectorQubits = 26;
 /// any QQO_THREADS setting.
 ///
 /// The single-qubit gate pass (every H/X/Y/RX/RY layer — the bulk of QAOA
-/// mixer and VQE ansatz work) additionally dispatches to AVX2 or NEON
-/// vector kernels via qopt::ActiveSimdLevel() (QQO_SIMD env override,
-/// runtime CPUID probe, scalar fallback). The vector kernels perform the
-/// same primitive FP operations in the same order as the scalar path and
-/// never use FMA contraction, so scalar and SIMD amplitudes are
-/// byte-identical — see DESIGN.md "Performance".
+/// mixer and VQE ansatz work) is one plain-double kernel with simple loops
+/// the compiler vectorizes; x86 builds carry an AVX2 clone picked by
+/// CPUID. Contraction into FMA is off, so every build and every clone
+/// rounds alike and amplitudes equal std::complex arithmetic bit for bit —
+/// see DESIGN.md "Performance".
 class Statevector {
  public:
   /// Initializes |0...0>; 0 <= num_qubits <= kMaxStatevectorQubits.

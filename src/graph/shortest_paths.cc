@@ -46,37 +46,4 @@ std::vector<std::vector<int>> AllPairsBfsDistances(const SimpleGraph& graph) {
   return dist;
 }
 
-ShortestPathTree VertexWeightedDijkstra(
-    const SimpleGraph& graph, const std::vector<int>& sources,
-    const std::vector<double>& vertex_cost) {
-  const std::size_t n = static_cast<std::size_t>(graph.NumVertices());
-  QOPT_CHECK(vertex_cost.size() == n);
-  ShortestPathTree tree;
-  tree.distance.assign(n, kInfiniteDistance);
-  tree.parent.assign(n, -1);
-  using Entry = std::pair<double, int>;  // (distance, vertex)
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
-  for (int s : sources) {
-    QOPT_CHECK(s >= 0 && s < graph.NumVertices());
-    if (tree.distance[static_cast<std::size_t>(s)] > 0.0) {
-      tree.distance[static_cast<std::size_t>(s)] = 0.0;
-      heap.emplace(0.0, s);
-    }
-  }
-  while (!heap.empty()) {
-    const auto [dist, u] = heap.top();
-    heap.pop();
-    if (dist > tree.distance[static_cast<std::size_t>(u)]) continue;
-    for (int v : graph.Neighbors(u)) {
-      const double candidate = dist + vertex_cost[static_cast<std::size_t>(v)];
-      if (candidate < tree.distance[static_cast<std::size_t>(v)]) {
-        tree.distance[static_cast<std::size_t>(v)] = candidate;
-        tree.parent[static_cast<std::size_t>(v)] = u;
-        heap.emplace(candidate, v);
-      }
-    }
-  }
-  return tree;
-}
-
 }  // namespace qopt

@@ -20,17 +20,8 @@ struct ShortestPathTree {
 /// Unweighted BFS distances (each edge has length 1) from `source`.
 ShortestPathTree BfsShortestPaths(const SimpleGraph& graph, int source);
 
-/// All-pairs unweighted distances; entry [u][v] is kInfiniteDistance when
+/// All-pairs unweighted distances; entry [u][v] is -1 when
 /// unreachable. Quadratic memory — intended for device-sized graphs.
 std::vector<std::vector<int>> AllPairsBfsDistances(const SimpleGraph& graph);
-
-/// Dijkstra with per-*vertex* weights: the cost of a path is the sum of
-/// `vertex_cost` over the non-source vertices on it (the formulation used
-/// by the minor-embedding heuristic, where a vertex's cost encodes how
-/// "full" a physical qubit already is). Multiple sources are supported;
-/// each source starts with distance 0.
-ShortestPathTree VertexWeightedDijkstra(const SimpleGraph& graph,
-                                        const std::vector<int>& sources,
-                                        const std::vector<double>& vertex_cost);
 
 }  // namespace qopt

@@ -6,7 +6,6 @@
 #include "common/check.h"
 #include "common/env.h"
 #include "common/fault_injection.h"
-#include "common/simd.h"
 #include "common/table_printer.h"
 #include "common/thread_pool.h"
 #include "io/workload_io.h"
@@ -233,7 +232,6 @@ OptimizerOptions MakeOptimizerOptions(const SolveRequest& request,
 StatusOr<DispatchMode> CheckSolveEnvironment() {
   QOPT_RETURN_IF_ERROR(ThreadPool::PoolSizeFromEnvOrStatus().status());
   QOPT_RETURN_IF_ERROR(FaultInjection::EnvSpecStatus());
-  QOPT_RETURN_IF_ERROR(SimdLevelFromEnvOrStatus().status());
   SolveRequest defaults;
   if (std::optional<std::string> text = EnvString("QQO_DISPATCH")) {
     QOPT_RETURN_IF_ERROR(

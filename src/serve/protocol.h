@@ -106,7 +106,7 @@ OptimizerOptions MakeOptimizerOptions(const SolveRequest& request,
                                       const Deadline& deadline);
 
 /// Checks the environment knobs both binaries read (QQO_THREADS,
-/// QQO_FAULTS, QQO_SIMD, QQO_DISPATCH) before any work runs, and returns
+/// QQO_FAULTS, QQO_DISPATCH) before any work runs, and returns
 /// the default dispatch mode: QQO_DISPATCH, else serial. An error names
 /// its variable.
 StatusOr<DispatchMode> CheckSolveEnvironment();

@@ -268,8 +268,8 @@ int RunQqoServe(int argc, const char* const* argv) {
 int RunQqoServe(const std::vector<std::string>& args) {
   g_shutdown.store(false, std::memory_order_relaxed);  // in-process reruns
   // Environment knobs are validated before any work runs — same contract
-  // as the qqo CLI: a typo in QQO_THREADS, QQO_FAULTS or QQO_SIMD is usage
-  // misuse (exit 2), never a silent fallback.
+  // as the qqo CLI: a typo in QQO_THREADS, QQO_FAULTS or QQO_DISPATCH is
+  // usage misuse (exit 2), never a silent fallback.
   StatusOr<DispatchMode> env_dispatch = CheckSolveEnvironment();
   if (!env_dispatch.ok()) {
     return Fail(kServeExitUsage, env_dispatch.status());

@@ -42,11 +42,14 @@ OptimizeResult RunOuterLoop(const Objective& objective,
 }
 
 /// The input both statevector solvers accept, checked before their first
-/// deadline poll: a non-empty QUBO within the register cap, then the
-/// option ranges. `method` names the solver in the size error.
+/// deadline poll: a non-empty QUBO within the register cap, then the ranges
+/// of the options the solver reads. Each solver passes only its own
+/// circuit depth (`reps_name` = `reps`, at least `min_reps`); `method`
+/// names the solver in the errors.
 Status ValidateVariationalInput(const QuboModel& qubo,
                                 const VariationalOptions& options,
-                                const char* method) {
+                                const char* method, const char* reps_name,
+                                int reps, int min_reps) {
   const int n = qubo.NumVariables();
   if (n < 1) return InvalidArgumentError("QUBO has no variables");
   if (n > kMaxStatevectorQubits) {
@@ -55,11 +58,11 @@ Status ValidateVariationalInput(const QuboModel& qubo,
         "most %d",
         method, n, kMaxStatevectorQubits));
   }
-  if (options.qaoa_reps < 1 || options.vqe_reps < 0 ||
-      options.max_iterations < 1 || options.shots < 1) {
+  if (reps < min_reps || options.max_iterations < 1 || options.shots < 1) {
     return InvalidArgumentError(
-        "variational options out of range (need qaoa_reps >= 1, "
-        "vqe_reps >= 0, max_iterations >= 1, shots >= 1)");
+        StrFormat("%s options out of range (need %s >= %d, max_iterations "
+                  ">= 1, shots >= 1)",
+                  method, reps_name, min_reps));
   }
   return OkStatus();
 }
@@ -122,7 +125,8 @@ StatusOr<VariationalResult> FinalizeFromCircuit(
 StatusOr<VariationalResult> TrySolveQuboWithQaoa(
     const QuboModel& qubo, const VariationalOptions& options) {
   QQO_TRACE_SPAN("variational.qaoa");
-  QOPT_RETURN_IF_ERROR(ValidateVariationalInput(qubo, options, "QAOA"));
+  QOPT_RETURN_IF_ERROR(ValidateVariationalInput(
+      qubo, options, "QAOA", "qaoa_reps", options.qaoa_reps, 1));
   QOPT_RETURN_IF_ERROR(options.deadline.Check());
   QOPT_FAULT_POINT("statevector.alloc");  // 2^n energy table comes first
   const IsingModel ising = QuboToIsing(qubo);
@@ -222,7 +226,8 @@ StatusOr<VariationalResult> TrySolveQuboWithQaoa(
 StatusOr<VariationalResult> TrySolveQuboWithVqe(
     const QuboModel& qubo, const VariationalOptions& options) {
   QQO_TRACE_SPAN("variational.vqe");
-  QOPT_RETURN_IF_ERROR(ValidateVariationalInput(qubo, options, "VQE"));
+  QOPT_RETURN_IF_ERROR(ValidateVariationalInput(
+      qubo, options, "VQE", "vqe_reps", options.vqe_reps, 0));
   QOPT_RETURN_IF_ERROR(options.deadline.Check());
   QOPT_FAULT_POINT("statevector.alloc");
   const IsingModel ising = QuboToIsing(qubo);

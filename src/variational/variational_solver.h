@@ -47,8 +47,9 @@ struct VariationalResult {
 
 /// Solve a QUBO with QAOA / VQE simulated on the statevector backend.
 /// Before any deadline poll or fault point, both refuse an empty QUBO and
-/// out-of-range options (qaoa_reps >= 1, vqe_reps >= 0,
-/// max_iterations >= 1, shots >= 1) with kInvalidArgument, and a QUBO of
+/// out-of-range options (max_iterations >= 1, shots >= 1, and each its own
+/// depth: QAOA qaoa_reps >= 1, VQE vqe_reps >= 0; neither reads the
+/// other's) with kInvalidArgument, and a QUBO of
 /// more than kMaxStatevectorQubits variables with kResourceExhausted (the
 /// size is checked first). Both return kDeadlineExceeded / kCancelled when
 /// the budget trips, and the "statevector.alloc" fault point fires before

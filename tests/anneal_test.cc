@@ -149,8 +149,8 @@ TEST(AnnealerTest, SweepKernelMatchesPinnedOutputs) {
   // landed. Any change to a read's RNG consumption or to the order of its
   // floating-point operations shows up here as a changed bit pattern (the
   // tracked read energies differ in their last bits when it does). The
-  // thread- and SIMD-invariance tests cannot see such a change, because
-  // it moves every configuration at once.
+  // thread-invariance tests cannot see such a change, because it moves
+  // every configuration at once.
   struct Case {
     const char* name;
     QuboModel qubo;

@@ -132,28 +132,5 @@ TEST(ShortestPathsTest, AllPairsMatchesSingleSource) {
   }
 }
 
-TEST(ShortestPathsTest, VertexWeightedPrefersCheapVertices) {
-  // 0 - 1 - 3 and 0 - 2 - 3; vertex 1 is expensive.
-  SimpleGraph g(4);
-  g.AddEdge(0, 1);
-  g.AddEdge(1, 3);
-  g.AddEdge(0, 2);
-  g.AddEdge(2, 3);
-  const std::vector<double> cost = {1.0, 100.0, 1.0, 1.0};
-  const ShortestPathTree tree = VertexWeightedDijkstra(g, {0}, cost);
-  EXPECT_DOUBLE_EQ(tree.distance[3], 2.0);  // via vertex 2
-  EXPECT_EQ(tree.parent[3], 2);
-}
-
-TEST(ShortestPathsTest, MultiSourceStartsAtZero) {
-  SimpleGraph g = MakePath(6);
-  const std::vector<double> cost(6, 1.0);
-  const ShortestPathTree tree = VertexWeightedDijkstra(g, {0, 5}, cost);
-  EXPECT_DOUBLE_EQ(tree.distance[0], 0.0);
-  EXPECT_DOUBLE_EQ(tree.distance[5], 0.0);
-  EXPECT_DOUBLE_EQ(tree.distance[2], 2.0);
-  EXPECT_DOUBLE_EQ(tree.distance[3], 2.0);
-}
-
 }  // namespace
 }  // namespace qopt

@@ -1,9 +1,9 @@
 // Asserts the determinism contract of the parallel execution layer: every
-// parallel sweep (multi-seed transpile, multi-read annealing, multi-seed
-// embedding, the QAOA solver) produces results under an 8-thread pool that
-// are identical — bit for bit — to the 1-thread serial path, because all
-// parallel work is indexed by seed/read/start and all kernel arithmetic is
-// independent of the chunk-to-thread assignment.
+// parallel sweep (multi-seed transpile, multi-read annealing on sparse and
+// dense rows, multi-seed embedding, the QAOA solver) produces results under
+// an 8-thread pool that are identical — bit for bit — to the 1-thread
+// serial path, because all parallel work is indexed by seed/read/start and
+// all kernel arithmetic is independent of the chunk-to-thread assignment.
 
 #include <gtest/gtest.h>
 
@@ -79,6 +79,37 @@ TEST(ParallelDeterminismTest, MultiReadAnnealingMatchesSerial) {
   EXPECT_EQ(serial.best_bits, parallel.best_bits);
   EXPECT_EQ(serial.best_energy, parallel.best_energy);
   EXPECT_EQ(serial.read_energies, parallel.read_energies);
+}
+
+TEST(ParallelDeterminismTest, AnnealingSparseAndDenseRowsMatchSerial) {
+  // One QUBO on each side of the dense-row layout threshold: 0.1 stays on
+  // the CSR path, 0.8 switches to contiguous coefficient rows. The layout
+  // is a function of the problem alone, so results must not depend on the
+  // thread count either way.
+  for (const double density : {0.1, 0.8}) {
+    Rng rng(11);
+    QuboModel qubo(40);
+    for (int i = 0; i < 40; ++i) {
+      qubo.AddLinear(i, rng.NextDouble() * 2.0 - 1.0);
+      for (int j = i + 1; j < 40; ++j) {
+        if (rng.NextDouble() < density) {
+          qubo.AddQuadratic(i, j, rng.NextDouble() * 2.0 - 1.0);
+        }
+      }
+    }
+    AnnealOptions options;
+    options.num_reads = 8;
+    options.num_sweeps = 150;
+    options.seed = 5;
+    options.flip_groups = {{0, 1, 2}, {10, 20, 30}};
+
+    const auto [serial, parallel] = RunAtBothThreadCounts([&] {
+      return TrySolveQuboWithAnnealing(qubo, options).value();
+    });
+    EXPECT_EQ(serial.best_bits, parallel.best_bits) << "density " << density;
+    EXPECT_EQ(serial.best_energy, parallel.best_energy);
+    EXPECT_EQ(serial.read_energies, parallel.read_energies);
+  }
 }
 
 TEST(ParallelDeterminismTest, QaoaSolverMatchesSerial) {

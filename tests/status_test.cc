@@ -303,20 +303,6 @@ TEST(CliFlagTest, InvalidQqoThreadsIsUsageErrorOnEverySubcommand) {
   unsetenv("QQO_THREADS");
 }
 
-TEST(CliFlagTest, InvalidQqoSimdIsUsageErrorBeforeAnyWork) {
-  // Regression: QQO_SIMD was first parsed inside the statevector kernel,
-  // so `qqo mqo --backend=qaoa` died on a QOPT_CHECK (exit 134) and
-  // qqo_serve aborted on its first QAOA request, dropping its queue.
-  ::testing::internal::CaptureStderr();
-  setenv("QQO_SIMD", "bogus", 1);
-  EXPECT_EQ(cli::RunQqoCli({"qqo", "mqo", "w.json", "--backend=qaoa"}),
-            cli::kExitUsage);
-  unsetenv("QQO_SIMD");
-  const std::string err = ::testing::internal::GetCapturedStderr();
-  EXPECT_NE(err.find("INVALID_ARGUMENT: QQO_SIMD='bogus'"), std::string::npos)
-      << err;
-}
-
 TEST(CliFlagTest, InvalidQqoDispatchIsUsageErrorBeforeAnyWork) {
   // Env knobs are validated up front: a QQO_DISPATCH typo is command-line
   // misuse even when the workload path does not exist.

@@ -29,8 +29,8 @@
 #     shared/virtualized box see frequency and steal-time drift measured
 #     at up to ~8% between windows minutes apart, so a tighter cross-run
 #     gate flakes; 10% still catches the step regressions this gate
-#     exists for (losing SIMD dispatch or incremental sweeps is a
-#     2-10x effect, not a 10% one).
+#     exists for (losing the statevector kernel's vectorization or
+#     incremental sweeps is a 2-10x effect, not a 10% one).
 #   * QQO_PERF_TOLERANCE (default 2%) gates the intra-run
 #     BM_ObsDisarmed{Baseline,Traced} pair — disarmed tracing/metrics
 #     instrumentation vs the uninstrumented kernel. Both sides come from

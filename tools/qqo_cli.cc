@@ -563,7 +563,7 @@ int RunQqoCli(int argc, const char* const* argv) {
 
 int RunQqoCli(const std::vector<std::string>& args) {
   // Environment knobs are validated before any work runs: a typo in
-  // QQO_THREADS, QQO_FAULTS, QQO_SIMD, QQO_DISPATCH or QQO_DECOMPOSE is
+  // QQO_THREADS, QQO_FAULTS, QQO_DISPATCH or QQO_DECOMPOSE is
   // command-line misuse (exit 2), never a silent fallback to defaults.
   StatusOr<DispatchMode> env_dispatch = serve::CheckSolveEnvironment();
   if (!env_dispatch.ok()) return Fail(kExitUsage, env_dispatch.status());
