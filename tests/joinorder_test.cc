@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 
 #include "anneal/simulated_annealer.h"
 #include "common/random.h"
@@ -313,6 +314,21 @@ TEST(BilpToQuboTest, PenaltyWeightSatisfiesEq44) {
   EXPECT_GT(qubo.penalty_a,
             encoding.bilp.ObjectiveUpperBound() /
                 (encoding.omega * encoding.omega));
+}
+
+TEST(BilpToQuboTest, PaperExampleMatchesPinnedOutputs) {
+  // Golden penalty A (Eq. 44 with B = 1) and the energies of two
+  // assignments on the paper's three-relation example, in hexfloat.
+  const JoinOrderEncoding encoding =
+      EncodeJoinOrderAsBilp(MakePaperExampleQuery(), {});
+  const BilpQuboEncoding qubo = EncodeBilpAsQubo(encoding.bilp);
+  const std::vector<std::uint8_t> zeros(
+      static_cast<std::size_t>(qubo.qubo.NumVariables()), 0);
+  const std::vector<std::uint8_t> ones(zeros.size(), 1);
+  std::ostringstream pinned;
+  pinned << std::hexfloat << qubo.penalty_a << ' ' << qubo.qubo.Energy(zeros)
+         << ' ' << qubo.qubo.Energy(ones);
+  EXPECT_EQ(pinned.str(), "0x1.6p+3 0x1.b8p+6 0x1.b78p+9");
 }
 
 TEST(BilpToQuboTest, FeasibleAssignmentsKeepObjectiveEnergy) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "mqo/mqo_baselines.h"
 #include "mqo/mqo_generator.h"
 #include "mqo/mqo_problem.h"
@@ -197,6 +199,24 @@ TEST(MqoGeneratorTest, SavingsNeverExceedCheaperPlan) {
   }
 }
 
+TEST(MqoGeneratorTest, SavingsMatchPinnedOutputs) {
+  // Golden savings of the fixed saving range [0.1, 0.8] x the cheaper
+  // plan's cost, in hexfloat (equal strings mean equal bits).
+  MqoGeneratorOptions gen;
+  gen.num_queries = 3;
+  gen.plans_per_query = 3;
+  gen.seed = 5;
+  const MqoProblem problem = GenerateMqoProblem(gen);
+  std::ostringstream savings;
+  savings << std::hexfloat;
+  for (const auto& [plans, saving] : problem.Savings()) {
+    savings << plans.first << '-' << plans.second << ' ' << saving << ' ';
+  }
+  EXPECT_EQ(savings.str(),
+            "0-5 0x1.50c566b8fc972p+2 2-3 0x1.7d0f9a88fa91fp+4 "
+            "2-6 0x1.3067ff4511e87p+2 5-8 0x1.31097f84e609ap+3 ");
+}
+
 // --- Baselines -------------------------------------------------------------------
 
 class MqoBaselineParamTest : public ::testing::TestWithParam<int> {};
@@ -238,6 +258,26 @@ TEST_P(MqoBaselineParamTest, GeneticUsuallyFindsOptimumOnSmallInstances) {
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, MqoBaselineParamTest,
                          ::testing::Range(0, 8));
+
+TEST(MqoBaselineTest, GeneticSelectionMatchesPinnedOutputs) {
+  // Golden selection of the fixed GA (population 40, crossover 0.9,
+  // mutation 0.05, tournaments of 3) after a few generations on an
+  // instance too large for it to reach the optimum.
+  MqoGeneratorOptions gen;
+  gen.num_queries = 12;
+  gen.plans_per_query = 6;
+  gen.seed = 21;
+  const MqoProblem problem = GenerateMqoProblem(gen);
+  MqoGeneticOptions options;
+  options.generations = 6;
+  options.seed = 4;
+  const MqoSolution ga = SolveMqoGenetic(problem, options);
+  std::ostringstream selection;
+  for (int plan : ga.selection) selection << plan << ' ';
+  selection << std::hexfloat << ga.cost;
+  EXPECT_EQ(selection.str(),
+            "3 10 15 23 24 33 37 46 48 59 65 66 0x1.04e152f088aecp+4");
+}
 
 TEST(MqoBaselineTest, LocalSearchAtLeastAsGoodAsGreedy) {
   const MqoProblem example = MakePaperExampleMqo();

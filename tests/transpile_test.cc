@@ -3,15 +3,20 @@
 #include <cmath>
 #include <complex>
 #include <numbers>
+#include <sstream>
 
 #include "circuit/statevector.h"
 #include "common/random.h"
+#include "mqo/mqo_generator.h"
+#include "mqo/mqo_qubo_encoder.h"
+#include "qubo/conversions.h"
 #include "transpile/basis_decomposer.h"
 #include "transpile/coupling_map.h"
 #include "transpile/ibm_topologies.h"
 #include "transpile/layout.h"
 #include "transpile/swap_router.h"
 #include "transpile/transpiler.h"
+#include "variational/qaoa.h"
 
 namespace qopt {
 namespace {
@@ -310,6 +315,29 @@ TEST(TranspilerTest, ResultUsesBasisGatesOnly) {
       EXPECT_TRUE(mumbai.AreCoupled(g.qubit0, g.qubit1));
     }
   }
+}
+
+TEST(TranspilerTest, QaoaOnMumbaiMatchesPinnedOutputs) {
+  // Golden depth and gate counts of the fixed pipeline (dense layout,
+  // routing, basis rewrite, RZ merging) for a p = 1 QAOA circuit of a
+  // 12-variable MQO problem. Any change to a pass or to its order shows.
+  MqoGeneratorOptions gen;
+  gen.num_queries = 3;
+  gen.plans_per_query = 4;
+  gen.seed = 5;
+  const QuantumCircuit qaoa = BuildQaoaCircuit(
+      QuboToIsing(EncodeMqoAsQubo(GenerateMqoProblem(gen)).qubo), {0.4},
+      {0.7});
+  TranspileOptions options;
+  options.seed = 4;
+  const TranspileResult result =
+      TryTranspile(qaoa, MakeMumbai27(), options).value();
+  std::ostringstream ops;
+  ops << "depth " << result.depth;
+  for (const auto& [name, count] : result.circuit.CountOps()) {
+    ops << ' ' << name << ' ' << count;
+  }
+  EXPECT_EQ(ops.str(), "depth 71 cx 128 rz 88 sx 36");
 }
 
 TEST(TranspilerTest, DepthStatsSampleCount) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 
 #include "circuit/statevector.h"
 #include "qubo/brute_force_solver.h"
@@ -158,6 +159,30 @@ TEST(SpsaTest, MinimizesQuadratic) {
   EXPECT_LT(result.fval, 0.5);
 }
 
+TEST(OptimizerTest, FixedStepSizesMatchPinnedOutputs) {
+  // Golden results of the optimizers' fixed step constants (Nelder-Mead's
+  // initial simplex step, SPSA's gains a and c, Adam's learning rate and
+  // finite-difference step), in hexfloat.
+  const Objective f = [](const std::vector<double>& x) {
+    return (x[0] - 1.0) * (x[0] - 1.0) + 3.0 * (x[1] + 2.0) * (x[1] + 2.0) +
+           x[0] * x[1];
+  };
+  std::ostringstream pinned;
+  pinned << std::hexfloat;
+  for (const OptimizeResult& result :
+       {MinimizeNelderMead(f, {0.0, 0.0}, 30), MinimizeSpsa(f, {0.0, 0.0}, 30, 7),
+        MinimizeAdam(f, {0.0, 0.0}, 30)}) {
+    pinned << result.fval << ' ' << result.x[0] << ' ' << result.x[1] << ' '
+           << result.evaluations << " | ";
+  }
+  EXPECT_EQ(pinned.str(),
+            "-0x1.ae8ba15ad24ccp+1 0x1.17454c437ccp+1 -0x1.2e8369423bp+1 57 | "
+            "-0x1.7d865277ddbe4p+1 0x1.895fce998f20ep+0 "
+            "-0x1.1e08b79939dfbp+1 62 | "
+            "-0x1.ae5d4cd848ecap+1 0x1.1bc02779770a2p+1 "
+            "-0x1.2e074a851b0bdp+1 151 | ");
+}
+
 // --- End-to-end hybrid solves -------------------------------------------------
 
 QuboModel SmallMqoLikeQubo() {
@@ -196,6 +221,18 @@ TEST(VariationalSolverTest, VqeFindsGroundStateOfSmallQubo) {
   options.seed = 5;
   const VariationalResult result = TrySolveQuboWithVqe(qubo, options).value();
   EXPECT_NEAR(result.best_energy, exact.best_energy, 1e-6);
+}
+
+TEST(VariationalSolverTest, VqeMatchesPinnedOutputs) {
+  // Golden expectation of VQE with the fixed full-entanglement ansatz.
+  VariationalOptions options;
+  options.max_iterations = 40;
+  options.seed = 3;
+  const VariationalResult result =
+      TrySolveQuboWithVqe(SmallMqoLikeQubo(), options).value();
+  std::ostringstream pinned;
+  pinned << std::hexfloat << result.expectation << ' ' << result.evaluations;
+  EXPECT_EQ(pinned.str(), "-0x1.83b68d76b1dfdp+2 65");
 }
 
 TEST(VariationalSolverTest, ExpectationIsUpperBoundOnGroundEnergy) {
