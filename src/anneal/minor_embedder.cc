@@ -19,6 +19,25 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Improvement passes per try. Most passes are cheap conflict-driven
+/// re-embeddings; every eighth pass re-embeds all nodes.
+constexpr int kMaxPasses = 100;
+/// Passes without overfill improvement before the try is abandoned.
+constexpr int kPatience = 20;
+/// Base of the exponential congestion penalty: a physical qubit already
+/// used by c chains costs kPenaltyBase^c to route through.
+constexpr double kPenaltyBase = 8.0;
+/// Congestion exponent cap (keeps weights finite).
+constexpr int kMaxPenaltyExponent = 10;
+/// At most this many anchored neighbours get a full-graph Dijkstra when
+/// selecting a chain root; the rest are connected by early-exit searches.
+constexpr int kRootSample = 4;
+/// Root-selection Dijkstras stop after settling this many target
+/// vertices. Chains are local after the first pass, so a bounded search
+/// almost always contains the best root; if the bounded searches do not
+/// overlap, the embedder falls back to unbounded ones.
+constexpr int kSettleCap = 2500;
+
 /// Working state for one embedding attempt. Implements the vertex-model
 /// growth of Cai, Macready & Roy: every logical node owns a chain; nodes
 /// are (re-)embedded one at a time along congestion-weighted shortest
@@ -43,7 +62,7 @@ class Embedder {
     int best_overfill = std::numeric_limits<int>::max();
     int stale_passes = 0;
     // QQO_LOOP(embed.pass)
-    for (int pass = 0; pass <= options_.max_passes; ++pass) {
+    for (int pass = 0; pass <= kMaxPasses; ++pass) {
       QQO_COUNT("embed.passes", 1);
       // Budget check per improvement pass: an abandoned attempt looks like
       // an unsuccessful one; the caller re-checks the deadline to tell the
@@ -85,7 +104,7 @@ class Embedder {
       }
       const int overfill = Overfill();
       if (overfill == 0) {
-        if (options_.minimize_chains) TrimChains();
+        TrimChains();
         Embedding embedding;
         embedding.chains = chains_;
         return embedding;
@@ -93,9 +112,9 @@ class Embedder {
       if (overfill < best_overfill) {
         best_overfill = overfill;
         stale_passes = 0;
-      } else if (++stale_passes >= options_.patience) {
+      } else if (++stale_passes >= kPatience) {
         break;
-      } else if (stale_passes == options_.patience / 2) {
+      } else if (stale_passes == kPatience / 2) {
         Shake();
       }
     }
@@ -177,8 +196,8 @@ class Embedder {
   }
 
   double PenaltyFor(int usage) const {
-    const int exponent = std::min(usage, options_.max_penalty_exponent);
-    return std::pow(options_.penalty_base, exponent);
+    const int exponent = std::min(usage, kMaxPenaltyExponent);
+    return std::pow(kPenaltyBase, exponent);
   }
 
   void SetUsage(int p, int delta) {
@@ -334,7 +353,7 @@ class Embedder {
     }
 
     rng_.Shuffle(&anchored);
-    const int num_roots = std::min<int>(options_.root_sample,
+    const int num_roots = std::min<int>(kRootSample,
                                         static_cast<int>(anchored.size()));
 
     // Root selection: full Dijkstra from the first num_roots anchor
@@ -346,7 +365,7 @@ class Embedder {
     for (int a = 0; a < num_roots; ++a) {
       FullDijkstra(chains_[static_cast<std::size_t>(
                        anchored[static_cast<std::size_t>(a)])],
-                   options_.settle_cap,
+                   kSettleCap,
                    &dists[static_cast<std::size_t>(a)],
                    &parents[static_cast<std::size_t>(a)]);
     }
@@ -512,11 +531,9 @@ StatusOr<Embedding> TryFindMinorEmbedding(const SimpleGraph& source,
                                           const SimpleGraph& target,
                                           const EmbedOptions& options) {
   QQO_TRACE_SPAN("embed.solve");
-  if (options.tries < 1 || !(options.penalty_base > 1.0)) {
+  if (options.tries < 1) {
     return InvalidArgumentError(
-        StrFormat("embedding needs tries >= 1 and penalty_base > 1, got "
-                  "%d / %g",
-                  options.tries, options.penalty_base));
+        StrFormat("embedding needs tries >= 1, got %d", options.tries));
   }
   if (source.NumVertices() == 0) return Embedding{};
   if (target.NumVertices() == 0) {

@@ -15,26 +15,6 @@ namespace qopt {
 struct EmbedOptions {
   /// Independent restarts with fresh random vertex orders.
   int tries = 3;
-  /// Improvement passes per try. Most passes are cheap conflict-driven
-  /// re-embeddings; every eighth pass re-embeds all nodes.
-  int max_passes = 100;
-  /// Passes without overfill improvement before the try is abandoned.
-  int patience = 20;
-  /// Base of the exponential congestion penalty: a physical qubit already
-  /// used by c chains costs penalty_base^c to route through.
-  double penalty_base = 8.0;
-  /// Congestion exponent cap (keeps weights finite).
-  int max_penalty_exponent = 10;
-  /// At most this many anchored neighbours get a full-graph Dijkstra when
-  /// selecting a chain root; the rest are connected by early-exit searches.
-  int root_sample = 4;
-  /// Root-selection Dijkstras stop after settling this many target
-  /// vertices (0 = unbounded). Chains are local after the first pass, so a
-  /// bounded search almost always contains the best root; if the bounded
-  /// searches do not overlap, the embedder falls back to unbounded ones.
-  int settle_cap = 2500;
-  /// Run the chain-trimming post-pass on success.
-  bool minimize_chains = true;
   std::uint64_t seed = 0;
   /// Wall-clock budget, checked at every improvement-pass boundary of
   /// every try. Unbounded by default.
@@ -50,8 +30,7 @@ struct EmbedOptions {
 /// running; the "embedder.attempt" fault point fires once per attempt, and
 /// a retryable injected fault (kUnavailable) merely consumes that attempt —
 /// the next re-seeded attempt still runs. Returns:
-///   - kInvalidArgument, before any attempt, for tries < 1 or
-///     penalty_base <= 1,
+///   - kInvalidArgument, before any attempt, for tries < 1,
 ///   - the embedding on success,
 ///   - kUnavailable when every attempt failed (the paper's Fig. 14
 ///     "embedding not reliably found" outcome),

@@ -7,10 +7,15 @@
 namespace qopt {
 namespace {
 
+/// Hard cap on explored nodes. When the cap is hit the best incumbent
+/// found so far is returned (or nullopt if none).
+constexpr std::uint64_t kMaxNodes = 50'000'000;
+/// Slack allowed when comparing constraint sides and objectives.
+constexpr double kTolerance = 1e-6;
+
 class Solver {
  public:
-  Solver(const BilpProblem& bilp, const BilpSolveOptions& options)
-      : bilp_(bilp), options_(options) {
+  explicit Solver(const BilpProblem& bilp) : bilp_(bilp) {
     const int n = bilp.NumVariables();
     const int m = bilp.NumConstraints();
     lhs_.assign(static_cast<std::size_t>(m), 0.0);
@@ -48,8 +53,8 @@ class Solver {
  private:
   bool Prunable() const {
     for (std::size_t j = 0; j < lhs_.size(); ++j) {
-      if (lhs_[j] + max_add_[j] < rhs_[j] - options_.tolerance ||
-          lhs_[j] + min_add_[j] > rhs_[j] + options_.tolerance) {
+      if (lhs_[j] + max_add_[j] < rhs_[j] - kTolerance ||
+          lhs_[j] + min_add_[j] > rhs_[j] + kTolerance) {
         return true;
       }
     }
@@ -80,8 +85,8 @@ class Solver {
   }
 
   void Search(int var, double objective) {
-    if (options_.max_nodes != 0 && ++nodes_ > options_.max_nodes) return;
-    if (objective >= best_objective_ - options_.tolerance) return;
+    if (++nodes_ > kMaxNodes) return;
+    if (objective >= best_objective_ - kTolerance) return;
     if (Prunable()) return;
     if (var == bilp_.NumVariables()) {
       best_objective_ = objective;
@@ -99,7 +104,6 @@ class Solver {
   }
 
   const BilpProblem& bilp_;
-  const BilpSolveOptions& options_;
   std::vector<double> lhs_, min_add_, max_add_, rhs_;
   std::vector<std::vector<std::pair<int, double>>> terms_of_var_;
   std::vector<std::uint8_t> bits_;
@@ -110,10 +114,9 @@ class Solver {
 
 }  // namespace
 
-std::optional<BilpSolution> SolveBilpBranchAndBound(
-    const BilpProblem& bilp, const BilpSolveOptions& options) {
+std::optional<BilpSolution> SolveBilpBranchAndBound(const BilpProblem& bilp) {
   QOPT_CHECK(bilp.NumVariables() >= 1);
-  Solver solver(bilp, options);
+  Solver solver(bilp);
   return solver.Solve();
 }
 

@@ -14,21 +14,14 @@ struct BilpSolution {
   double objective = 0.0;
 };
 
-/// Options for the branch-and-bound solver.
-struct BilpSolveOptions {
-  /// Hard cap on explored nodes; 0 disables the cap. When the cap is hit
-  /// the best incumbent found so far is returned (or nullopt if none).
-  std::uint64_t max_nodes = 50'000'000;
-  double tolerance = 1e-6;
-};
-
 /// Exact depth-first branch-and-bound over the binary variables with
 /// per-constraint interval propagation: a partial assignment is pruned as
 /// soon as some equality constraint can no longer reach its right-hand
 /// side, or the (non-negative) objective already matches the incumbent.
 /// This is the classical comparator standing in for the MILP solver of
-/// [16]. Returns nullopt for infeasible problems.
-std::optional<BilpSolution> SolveBilpBranchAndBound(
-    const BilpProblem& bilp, const BilpSolveOptions& options = {});
+/// [16]. Returns nullopt for infeasible problems. The search explores at
+/// most 50 million nodes; when that cap is hit the best incumbent found
+/// so far is returned (or nullopt if none).
+std::optional<BilpSolution> SolveBilpBranchAndBound(const BilpProblem& bilp);
 
 }  // namespace qopt

@@ -3,27 +3,26 @@
 #include "common/check.h"
 
 namespace qopt {
+namespace {
 
-BilpQuboEncoding EncodeBilpAsQubo(const BilpProblem& bilp, double penalty_a,
-                                  double penalty_b) {
-  QOPT_CHECK(penalty_b > 0.0);
+/// The objective scale B of H_B.
+constexpr double kPenaltyB = 1.0;
+
+}  // namespace
+
+BilpQuboEncoding EncodeBilpAsQubo(const BilpProblem& bilp) {
   BilpQuboEncoding encoding;
-  encoding.penalty_b = penalty_b;
-  if (penalty_a > 0.0) {
-    encoding.penalty_a = penalty_a;
-  } else {
-    // Eq. 44: A > B * C / omega^2. The +1 keeps A strictly dominant even
-    // for an all-zero objective.
-    const double omega = bilp.Granularity();
-    encoding.penalty_a =
-        penalty_b * (bilp.ObjectiveUpperBound() + 1.0) / (omega * omega);
-  }
+  // Eq. 44: A > B * C / omega^2. The +1 keeps A strictly dominant even
+  // for an all-zero objective.
+  const double omega = bilp.Granularity();
+  encoding.penalty_a =
+      kPenaltyB * (bilp.ObjectiveUpperBound() + 1.0) / (omega * omega);
 
   QuboModel qubo(bilp.NumVariables());
   // H_B = B * sum c_i x_i.
   for (int i = 0; i < bilp.NumVariables(); ++i) {
     const double c = bilp.ObjectiveCoefficient(i);
-    if (c != 0.0) qubo.AddLinear(i, penalty_b * c);
+    if (c != 0.0) qubo.AddLinear(i, kPenaltyB * c);
   }
   // H_A = A * sum_j (b_j - sum_i S_ji x_i)^2. Expanding (x_i^2 = x_i):
   //   b^2  - 2 b S_i x_i + S_i^2 x_i  (diagonal)  + 2 S_i S_k x_i x_k (i<k).

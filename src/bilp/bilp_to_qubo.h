@@ -14,14 +14,11 @@ namespace qopt {
 /// the coefficient granularity.
 struct BilpQuboEncoding {
   QuboModel qubo;
-  double penalty_a = 0.0;
-  double penalty_b = 1.0;
+  double penalty_a = 0.0;  ///< The penalty weight A the encoding used.
 };
 
-/// Encodes `bilp` as a QUBO. `penalty_a <= 0` derives A automatically from
-/// Eq. 44 with a safety margin; `penalty_b` is the objective scale B.
-BilpQuboEncoding EncodeBilpAsQubo(const BilpProblem& bilp,
-                                  double penalty_a = 0.0,
-                                  double penalty_b = 1.0);
+/// Encodes `bilp` as a QUBO with objective scale B = 1 and A derived from
+/// Eq. 44 with a safety margin.
+BilpQuboEncoding EncodeBilpAsQubo(const BilpProblem& bilp);
 
 }  // namespace qopt

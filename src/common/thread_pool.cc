@@ -216,12 +216,6 @@ void ThreadPool::ParallelForRange(
   ParallelForRangeImpl(n, grain, /*deadline=*/nullptr, fn).IgnoreError();
 }
 
-Status ThreadPool::ParallelForRange(
-    std::size_t n, std::size_t grain, const Deadline& deadline,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
-  return ParallelForRangeImpl(n, grain, &deadline, fn);
-}
-
 void ThreadPool::ParallelFor(std::size_t n,
                              const std::function<void(std::size_t)>& fn) {
   // One index per chunk keeps scheduling fair for coarse tasks (one seed,
@@ -233,10 +227,10 @@ void ThreadPool::ParallelFor(std::size_t n,
 
 Status ThreadPool::ParallelFor(std::size_t n, const Deadline& deadline,
                                const std::function<void(std::size_t)>& fn) {
-  return ParallelForRange(n, 1, deadline,
-                          [&fn](std::size_t begin, std::size_t end) {
-                            for (std::size_t i = begin; i < end; ++i) fn(i);
-                          });
+  return ParallelForRangeImpl(
+      n, 1, &deadline, [&fn](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) fn(i);
+      });
 }
 
 StatusOr<int> ThreadPool::PoolSizeFromEnvOrStatus() {

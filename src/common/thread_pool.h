@@ -61,11 +61,6 @@ class ThreadPool {
   Status ParallelFor(std::size_t n, const Deadline& deadline,
                      const std::function<void(std::size_t)>& fn);
 
-  /// Cancellable chunked flavour; see the deadline-aware ParallelFor.
-  Status ParallelForRange(
-      std::size_t n, std::size_t grain, const Deadline& deadline,
-      const std::function<void(std::size_t, std::size_t)>& fn);
-
   /// Enqueues one task; the future reports completion or the task's
   /// exception. With a pool of size 1 the task runs immediately inline.
   std::future<void> Submit(std::function<void()> task);
@@ -99,8 +94,8 @@ class ThreadPool {
   /// (other claimed chunks may still be running elsewhere).
   struct ForState;
   static void RunChunks(ForState* state);
-  /// Shared body of both ParallelForRange overloads; `deadline` may be
-  /// null (never checked, never returns non-OK).
+  /// Shared body of ParallelForRange and the deadline-aware ParallelFor;
+  /// `deadline` may be null (never checked, never returns non-OK).
   Status ParallelForRangeImpl(
       std::size_t n, std::size_t grain, const Deadline* deadline,
       const std::function<void(std::size_t, std::size_t)>& fn);

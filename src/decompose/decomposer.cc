@@ -21,6 +21,9 @@ namespace {
 constexpr double kImproveEps = 1e-12;
 /// Hard cap on tabu moves per round, independent of problem size.
 constexpr int kMaxRefineIters = 20000;
+/// Tabu tenure: a flipped variable stays tabu for this many moves
+/// (aspiration: a move that beats the best-so-far is always allowed).
+constexpr int kTabuTenure = 8;
 
 // AttemptSeed domains. The facade's serial lanes draw attempts 1..N, so
 // the decomposer starts its bases far above them and gives every
@@ -208,7 +211,7 @@ Status TabuRefine(const QuboModel& qubo, const CsrAdjacency& adj,
       // d(delta_w)/d(x_u) = (1 - 2 x_w) * c_uw; x_u moved by -direction.
       delta[w] += -direction * -sign * adj.coeffs[k];
     }
-    tabu_until[u] = it + std::max(1, options.tabu_tenure);
+    tabu_until[u] = it + kTabuTenure;
     if (*energy < best_energy - kImproveEps) {
       best_energy = *energy;
       best_bits = *bits;
@@ -334,7 +337,6 @@ StatusOr<DecomposeResult> SolveQuboDecomposed(const QuboModel& qubo,
     result.rounds += 1;
     result.round_energies.push_back(result.energy);
     QQO_COUNT("decompose.rounds", 1);
-    QQO_OBSERVE("decompose.round_energy", result.energy);
     if (truncated) {
       result.timed_out = true;
       break;

@@ -30,9 +30,6 @@ struct DecomposeOptions {
   /// Tabu refinement budget per round, as a multiple of the variable
   /// count (capped at kMaxRefineIters); 0 disables refinement.
   int refine_passes = 1;
-  /// Tabu tenure: a flipped variable stays tabu for this many moves
-  /// (aspiration: a move that beats the best-so-far is always allowed).
-  int tabu_tenure = 8;
   /// Base seed. Every per-round and per-block seed is derived from it via
   /// the AttemptSeed sequence (see SubproblemSeed / PartitionSeed), so a
   /// decomposed solve is byte-identical across QQO_THREADS whenever the

@@ -38,8 +38,7 @@ int ExpansionBits(double bound, double omega, bool exact) {
   return bits;
 }
 
-}  // namespace
-
+/// Input validation of the encoder as a recoverable error.
 Status ValidateJoinOrderEncoderInput(const QueryGraph& graph,
                                      const JoinOrderEncoderOptions& options) {
   if (graph.NumRelations() < 2) {
@@ -69,6 +68,8 @@ Status ValidateJoinOrderEncoderInput(const QueryGraph& graph,
   }
   return OkStatus();
 }
+
+}  // namespace
 
 StatusOr<JoinOrderEncoding> TryEncodeJoinOrderAsBilp(
     const QueryGraph& graph, const JoinOrderEncoderOptions& options) {

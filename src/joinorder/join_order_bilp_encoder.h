@@ -57,14 +57,10 @@ struct JoinOrderEncoding {
 JoinOrderEncoding EncodeJoinOrderAsBilp(
     const QueryGraph& graph, const JoinOrderEncoderOptions& options = {});
 
-/// Input validation of the encoder as a recoverable error: at least two
-/// relations, thresholds finite / >= 1 / strictly ascending, precision in
-/// a range that keeps omega = 0.1^p positive and the slack expansions
-/// bounded.
-Status ValidateJoinOrderEncoderInput(
-    const QueryGraph& graph, const JoinOrderEncoderOptions& options = {});
-
-/// Validates, then encodes. Never aborts on bad input.
+/// Validates the input as a recoverable error (at least two relations,
+/// thresholds finite / >= 1 / strictly ascending, precision in a range
+/// that keeps omega = 0.1^p positive and the slack expansions bounded),
+/// then encodes. Never aborts on bad input.
 StatusOr<JoinOrderEncoding> TryEncodeJoinOrderAsBilp(
     const QueryGraph& graph, const JoinOrderEncoderOptions& options = {});
 

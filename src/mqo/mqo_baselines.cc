@@ -8,6 +8,16 @@
 namespace qopt {
 namespace {
 
+/// Genetic baseline: chromosomes per generation.
+constexpr int kPopulationSize = 40;
+/// Probability that a child mixes both parents (uniform crossover) rather
+/// than copying the first.
+constexpr double kCrossoverRate = 0.9;
+/// Per-gene probability of replacing the plan with a random one.
+constexpr double kMutationRate = 0.05;
+/// Contestants per tournament selection.
+constexpr int kTournamentSize = 3;
+
 MqoSolution MakeSolution(const MqoProblem& problem,
                          std::vector<int> selection) {
   MqoSolution solution;
@@ -83,14 +93,13 @@ MqoSolution SolveMqoGreedy(const MqoProblem& problem) {
 
 MqoSolution SolveMqoGenetic(const MqoProblem& problem,
                             const MqoGeneticOptions& options) {
-  QOPT_CHECK(options.population_size >= 2);
   QOPT_CHECK(options.generations >= 1);
   Rng rng(options.seed);
   const int num_queries = problem.NumQueries();
 
   std::vector<std::vector<int>> population(
-      static_cast<std::size_t>(options.population_size));
-  std::vector<double> fitness(static_cast<std::size_t>(options.population_size));
+      static_cast<std::size_t>(kPopulationSize));
+  std::vector<double> fitness(static_cast<std::size_t>(kPopulationSize));
   for (std::size_t i = 0; i < population.size(); ++i) {
     population[i] = RandomSelection(problem, &rng);
     fitness[i] = problem.SelectionCost(population[i]);
@@ -104,7 +113,7 @@ MqoSolution SolveMqoGenetic(const MqoProblem& problem,
   };
   auto tournament = [&]() {
     std::size_t winner = rng.NextUint64(population.size());
-    for (int t = 1; t < options.tournament_size; ++t) {
+    for (int t = 1; t < kTournamentSize; ++t) {
       const std::size_t challenger = rng.NextUint64(population.size());
       if (fitness[challenger] < fitness[winner]) winner = challenger;
     }
@@ -119,13 +128,13 @@ MqoSolution SolveMqoGenetic(const MqoProblem& problem,
       const auto& parent_a = population[tournament()];
       const auto& parent_b = population[tournament()];
       std::vector<int> child(static_cast<std::size_t>(num_queries));
-      const bool crossover = rng.NextBool(options.crossover_rate);
+      const bool crossover = rng.NextBool(kCrossoverRate);
       for (int q = 0; q < num_queries; ++q) {
         const auto& source =
             crossover && rng.NextBool() ? parent_b : parent_a;
         child[static_cast<std::size_t>(q)] =
             source[static_cast<std::size_t>(q)];
-        if (rng.NextBool(options.mutation_rate)) {
+        if (rng.NextBool(kMutationRate)) {
           const auto& plans = problem.PlansOfQuery(q);
           child[static_cast<std::size_t>(q)] =
               plans[rng.NextUint64(plans.size())];

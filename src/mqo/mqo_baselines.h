@@ -24,16 +24,13 @@ MqoSolution SolveMqoGreedy(const MqoProblem& problem);
 
 /// Options for the genetic-algorithm baseline (after Bayir et al. [14]).
 struct MqoGeneticOptions {
-  int population_size = 40;
   int generations = 200;
-  double crossover_rate = 0.9;
-  double mutation_rate = 0.05;
-  int tournament_size = 3;
   std::uint64_t seed = 0;
 };
 
-/// Genetic algorithm over selection chromosomes with tournament selection,
-/// uniform crossover and per-gene mutation.
+/// Genetic algorithm over selection chromosomes (population 40, elitist)
+/// with tournament selection (size 3), uniform crossover (rate 0.9) and
+/// per-gene mutation (rate 0.05).
 MqoSolution SolveMqoGenetic(const MqoProblem& problem,
                             const MqoGeneticOptions& options = {});
 

@@ -6,6 +6,15 @@
 #include "common/random.h"
 
 namespace qopt {
+namespace {
+
+/// Savings are drawn uniformly from [kSavingMinFraction,
+/// kSavingMaxFraction] times the smaller of the two plan costs (so a
+/// saving never exceeds the cheaper plan, keeping costs meaningful).
+constexpr double kSavingMinFraction = 0.1;
+constexpr double kSavingMaxFraction = 0.8;
+
+}  // namespace
 
 MqoProblem GenerateMqoProblem(const MqoGeneratorOptions& options) {
   QOPT_CHECK(options.num_queries >= 1);
@@ -27,9 +36,8 @@ MqoProblem GenerateMqoProblem(const MqoGeneratorOptions& options) {
       if (!rng.NextBool(options.saving_density)) continue;
       const double cheaper =
           std::min(problem.PlanCost(p1), problem.PlanCost(p2));
-      const double saving = rng.NextDouble(options.saving_min_fraction,
-                                           options.saving_max_fraction) *
-                            cheaper;
+      const double saving =
+          rng.NextDouble(kSavingMinFraction, kSavingMaxFraction) * cheaper;
       if (saving > 0.0) problem.AddSaving(p1, p2, saving);
     }
   }

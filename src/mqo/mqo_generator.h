@@ -16,12 +16,10 @@ struct MqoGeneratorOptions {
   double cost_min = 1.0;
   double cost_max = 50.0;
   /// Each cross-query plan pair receives a saving with this probability.
+  /// Savings are drawn uniformly from [0.1, 0.8] times the smaller of the
+  /// two plan costs (so a saving never exceeds the cheaper plan, keeping
+  /// costs meaningful).
   double saving_density = 0.3;
-  /// Savings are drawn uniformly from [saving_min_fraction,
-  /// saving_max_fraction] times the smaller of the two plan costs (so a
-  /// saving never exceeds the cheaper plan, keeping costs meaningful).
-  double saving_min_fraction = 0.1;
-  double saving_max_fraction = 0.8;
   std::uint64_t seed = 0;
 };
 

@@ -3,30 +3,24 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "common/table_printer.h"
 
 namespace qopt {
+namespace {
 
-Status ValidateMqoEncodingInput(const MqoProblem& problem, double slack) {
+/// How much the penalty-weight inequalities (Eq. 34/35) are exceeded by.
+constexpr double kSlack = 1.0;
+
+}  // namespace
+
+StatusOr<MqoQuboEncoding> TryEncodeMqoAsQubo(const MqoProblem& problem) {
   if (problem.NumQueries() < 1) {
     return InvalidArgumentError("MQO problem has no queries");
   }
-  if (!(slack > 0.0)) {
-    return InvalidArgumentError(
-        StrFormat("penalty slack must be > 0, got %g", slack));
-  }
-  return OkStatus();
+  return EncodeMqoAsQubo(problem);
 }
 
-StatusOr<MqoQuboEncoding> TryEncodeMqoAsQubo(const MqoProblem& problem,
-                                             double slack) {
-  QOPT_RETURN_IF_ERROR(ValidateMqoEncodingInput(problem, slack));
-  return EncodeMqoAsQubo(problem, slack);
-}
-
-MqoQuboEncoding EncodeMqoAsQubo(const MqoProblem& problem, double slack) {
+MqoQuboEncoding EncodeMqoAsQubo(const MqoProblem& problem) {
   QOPT_CHECK(problem.NumQueries() >= 1);
-  QOPT_CHECK(slack > 0.0);
 
   // Penalty weights (Eq. 34/35).
   double max_cost = 0.0;
@@ -45,8 +39,8 @@ MqoQuboEncoding EncodeMqoAsQubo(const MqoProblem& problem, double slack) {
           : *std::max_element(savings_per_plan.begin(), savings_per_plan.end());
 
   MqoQuboEncoding encoding;
-  encoding.weight_l = max_cost + slack;
-  encoding.weight_m = encoding.weight_l + max_savings + slack;
+  encoding.weight_l = max_cost + kSlack;
+  encoding.weight_m = encoding.weight_l + max_savings + kSlack;
 
   QuboModel qubo(problem.NumPlans());
   // EL = -sum_p X_p, weighted by wL.

@@ -21,19 +21,14 @@ struct MqoQuboEncoding {
   double weight_m = 0.0;
 };
 
-/// Encodes `problem`; the variable of plan p is QUBO variable p.
-/// `slack` (> 0) is how much the penalty-weight inequalities are exceeded
-/// by. Aborts on invalid input — internal callers only; external input
-/// goes through TryEncodeMqoAsQubo.
-MqoQuboEncoding EncodeMqoAsQubo(const MqoProblem& problem,
-                                double slack = 1.0);
+/// Encodes `problem`; the variable of plan p is QUBO variable p. Each
+/// penalty-weight inequality is exceeded by 1. Aborts on invalid input —
+/// internal callers only; external input goes through TryEncodeMqoAsQubo.
+MqoQuboEncoding EncodeMqoAsQubo(const MqoProblem& problem);
 
-/// Input validation of the encoder as a recoverable error (the boundary
-/// flavour for problems built from external workload files / CLI flags).
-Status ValidateMqoEncodingInput(const MqoProblem& problem, double slack = 1.0);
-
-/// Validates, then encodes. Never aborts on bad input.
-StatusOr<MqoQuboEncoding> TryEncodeMqoAsQubo(const MqoProblem& problem,
-                                             double slack = 1.0);
+/// Validates the input as a recoverable error (the boundary flavour for
+/// problems built from external workload files / CLI flags), then
+/// encodes. Never aborts on bad input.
+StatusOr<MqoQuboEncoding> TryEncodeMqoAsQubo(const MqoProblem& problem);
 
 }  // namespace qopt

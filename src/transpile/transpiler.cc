@@ -21,9 +21,8 @@ StatusOr<TranspileResult> TryTranspile(const QuantumCircuit& circuit,
   QOPT_RETURN_IF_ERROR(options.deadline.Check());
   Rng rng(options.seed);
   const std::vector<int> layout =
-      options.dense_layout && !coupling.IsFullyConnected()
-          ? DenseLayout(coupling, circuit.NumQubits())
-          : TrivialLayout(circuit.NumQubits());
+      coupling.IsFullyConnected() ? TrivialLayout(circuit.NumQubits())
+                                  : DenseLayout(coupling, circuit.NumQubits());
 
   // The pipeline deadline also bounds the router's per-gate checks.
   RouterOptions router_options = options.router;
@@ -41,9 +40,9 @@ StatusOr<TranspileResult> TryTranspile(const QuantumCircuit& circuit,
   result.final_layout = std::move(routed.final_layout);
   QuantumCircuit transformed = std::move(routed.circuit);
   QOPT_RETURN_IF_ERROR(options.deadline.Check());
-  if (options.to_basis) transformed = DecomposeToBasis(transformed);
+  transformed = DecomposeToBasis(transformed);
   QOPT_RETURN_IF_ERROR(options.deadline.Check());
-  if (options.optimize) transformed = MergeAdjacentRz(transformed);
+  transformed = MergeAdjacentRz(transformed);
   result.depth = transformed.Depth();
   QQO_OBSERVE("transpile.depth", result.depth);
   result.circuit = std::move(transformed);

@@ -17,12 +17,6 @@ namespace qopt {
 struct TranspileOptions {
   /// Seed for the stochastic swap router.
   std::uint64_t seed = 0;
-  /// Choose a dense initial layout instead of the trivial one.
-  bool dense_layout = true;
-  /// Rewrite into the {RZ, SX, X, CX} device basis after routing.
-  bool to_basis = true;
-  /// Merge adjacent RZ rotations (light optimization).
-  bool optimize = true;
   /// Swap-routing heuristics (commutation awareness, lookahead).
   RouterOptions router;
   /// Wall-clock budget for the whole pipeline; also composed into the
@@ -38,9 +32,10 @@ struct TranspileResult {
   int depth = 0;                     ///< circuit.Depth(), for convenience.
 };
 
-/// Full pipeline: layout -> stochastic swap routing -> basis decomposition
-/// -> peephole optimization. On a fully connected device no swaps are
-/// inserted and the layout is trivial. Returns kDeadlineExceeded /
+/// Full pipeline: dense layout -> stochastic swap routing -> rewrite into
+/// the {RZ, SX, X, CX} device basis -> merging of adjacent RZ rotations.
+/// On a fully connected device no swaps are inserted and the layout is
+/// trivial. Returns kDeadlineExceeded /
 /// kCancelled when `options.deadline` trips mid-pipeline, injected routing
 /// faults verbatim.
 StatusOr<TranspileResult> TryTranspile(const QuantumCircuit& circuit,

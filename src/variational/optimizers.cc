@@ -8,11 +8,25 @@
 #include "obs/metrics.h"
 
 namespace qopt {
+namespace {
+
+/// Nelder-Mead: offset of each initial simplex vertex from x0 along its
+/// coordinate.
+constexpr double kInitialStep = 0.5;
+/// SPSA gain numerators: a_k = kSpsaA / (k + 1 + 10)^0.602 scales the step,
+/// c_k = kSpsaC / (k + 1)^0.101 the perturbation.
+constexpr double kSpsaA = 0.2;
+constexpr double kSpsaC = 0.1;
+/// Adam step size.
+constexpr double kLearningRate = 0.1;
+/// Central finite-difference step of Adam's gradient estimate.
+constexpr double kGradientStep = 1e-4;
+
+}  // namespace
 
 OptimizeResult MinimizeNelderMead(const Objective& objective,
                                   const std::vector<double>& x0,
                                   int max_iterations, double tolerance,
-                                  double initial_step,
                                   const Deadline& deadline) {
   const std::size_t n = x0.size();
   QOPT_CHECK(n >= 1);
@@ -20,7 +34,7 @@ OptimizeResult MinimizeNelderMead(const Objective& objective,
 
   // Build the initial simplex: x0 plus one vertex per coordinate.
   std::vector<std::vector<double>> simplex(n + 1, x0);
-  for (std::size_t i = 0; i < n; ++i) simplex[i + 1][i] += initial_step;
+  for (std::size_t i = 0; i < n; ++i) simplex[i + 1][i] += kInitialStep;
   std::vector<double> fvals(n + 1);
   for (std::size_t i = 0; i <= n; ++i) {
     fvals[i] = objective(simplex[i]);
@@ -122,11 +136,9 @@ OptimizeResult MinimizeNelderMead(const Objective& objective,
 
 OptimizeResult MinimizeAdam(const Objective& objective,
                             const std::vector<double>& x0, int max_iterations,
-                            double learning_rate, double gradient_step,
                             const Deadline& deadline) {
   const std::size_t n = x0.size();
   QOPT_CHECK(n >= 1);
-  QOPT_CHECK(gradient_step > 0.0);
   OptimizeResult result;
   std::vector<double> x = x0;
   std::vector<double> m(n, 0.0);
@@ -150,19 +162,19 @@ OptimizeResult MinimizeAdam(const Objective& objective,
     std::vector<double> gradient(n);
     for (std::size_t d = 0; d < n; ++d) {
       probe = x;
-      probe[d] += gradient_step;
+      probe[d] += kGradientStep;
       const double f_plus = objective(probe);
-      probe[d] -= 2.0 * gradient_step;
+      probe[d] -= 2.0 * kGradientStep;
       const double f_minus = objective(probe);
       result.evaluations += 2;
-      gradient[d] = (f_plus - f_minus) / (2.0 * gradient_step);
+      gradient[d] = (f_plus - f_minus) / (2.0 * kGradientStep);
     }
     for (std::size_t d = 0; d < n; ++d) {
       m[d] = kBeta1 * m[d] + (1.0 - kBeta1) * gradient[d];
       v[d] = kBeta2 * v[d] + (1.0 - kBeta2) * gradient[d] * gradient[d];
       const double m_hat = m[d] / (1.0 - std::pow(kBeta1, k));
       const double v_hat = v[d] / (1.0 - std::pow(kBeta2, k));
-      x[d] -= learning_rate * m_hat / (std::sqrt(v_hat) + kEpsilon);
+      x[d] -= kLearningRate * m_hat / (std::sqrt(v_hat) + kEpsilon);
     }
     const double f = objective(x);
     ++result.evaluations;
@@ -178,8 +190,7 @@ OptimizeResult MinimizeAdam(const Objective& objective,
 
 OptimizeResult MinimizeSpsa(const Objective& objective,
                             const std::vector<double>& x0, int max_iterations,
-                            std::uint64_t seed, double a, double c,
-                            const Deadline& deadline) {
+                            std::uint64_t seed, const Deadline& deadline) {
   const std::size_t n = x0.size();
   QOPT_CHECK(n >= 1);
   Rng rng(seed);
@@ -203,8 +214,8 @@ OptimizeResult MinimizeSpsa(const Objective& objective,
     }
     ++result.iterations;
     QQO_COUNT("variational.iterations", 1);
-    const double ak = a / std::pow(k + 1 + kStability, kAlphaExp);
-    const double ck = c / std::pow(k + 1, kGammaExp);
+    const double ak = kSpsaA / std::pow(k + 1 + kStability, kAlphaExp);
+    const double ck = kSpsaC / std::pow(k + 1, kGammaExp);
     for (std::size_t d = 0; d < n; ++d) {
       delta[d] = rng.NextBool() ? 1.0 : -1.0;
       x_plus[d] = x[d] + ck * delta[d];

@@ -29,31 +29,31 @@ struct OptimizeResult {
 /// `interrupted`. The default deadline is unbounded.
 
 /// Derivative-free Nelder–Mead simplex minimization (the COBYLA stand-in;
-/// both are the derivative-free local optimizers Qiskit defaults to).
+/// both are the derivative-free local optimizers Qiskit defaults to). The
+/// initial simplex steps 0.5 along each coordinate from x0.
 OptimizeResult MinimizeNelderMead(const Objective& objective,
                                   const std::vector<double>& x0,
                                   int max_iterations = 400,
                                   double tolerance = 1e-6,
-                                  double initial_step = 0.5,
                                   const Deadline& deadline = {});
 
-/// Adam-style gradient descent with central finite-difference gradients.
-/// On a noiseless statevector backend the gradients are effectively
-/// exact, which makes this the strongest (if costly: 2N evaluations per
-/// step) outer optimizer for larger parameter counts.
+/// Adam-style gradient descent (learning rate 0.1) with central
+/// finite-difference gradients (step 1e-4). On a noiseless statevector
+/// backend the gradients are effectively exact, which makes this the
+/// strongest (if costly: 2N evaluations per step) outer optimizer for
+/// larger parameter counts.
 OptimizeResult MinimizeAdam(const Objective& objective,
                             const std::vector<double>& x0,
                             int max_iterations = 100,
-                            double learning_rate = 0.1,
-                            double gradient_step = 1e-4,
                             const Deadline& deadline = {});
 
-/// Simultaneous perturbation stochastic approximation, the optimizer
-/// recommended for noisy quantum objective evaluations.
+/// Simultaneous perturbation stochastic approximation (gains a = 0.2,
+/// c = 0.1), the optimizer recommended for noisy quantum objective
+/// evaluations.
 OptimizeResult MinimizeSpsa(const Objective& objective,
                             const std::vector<double>& x0,
                             int max_iterations = 200,
-                            std::uint64_t seed = 0, double a = 0.2,
-                            double c = 0.1, const Deadline& deadline = {});
+                            std::uint64_t seed = 0,
+                            const Deadline& deadline = {});
 
 }  // namespace qopt

@@ -20,21 +20,22 @@
 namespace qopt {
 namespace {
 
+/// Entanglement of the VQE RealAmplitudes ansatz (the paper's setup).
+constexpr Entanglement kVqeEntanglement = Entanglement::kFull;
+
 OptimizeResult RunOuterLoop(const Objective& objective,
                             const std::vector<double>& x0,
                             const VariationalOptions& options) {
   switch (options.optimizer) {
     case OuterOptimizer::kNelderMead:
       return MinimizeNelderMead(objective, x0, options.max_iterations,
-                                /*tolerance=*/1e-6, /*initial_step=*/0.5,
-                                options.deadline);
+                                /*tolerance=*/1e-6, options.deadline);
     case OuterOptimizer::kSpsa:
       return MinimizeSpsa(objective, x0, options.max_iterations, options.seed,
-                          /*a=*/0.2, /*c=*/0.1, options.deadline);
+                          options.deadline);
     case OuterOptimizer::kAdam:
       return MinimizeAdam(objective, x0,
                           std::max(1, options.max_iterations / 4),
-                          /*learning_rate=*/0.1, /*gradient_step=*/1e-4,
                           options.deadline);
   }
   QOPT_CHECK_MSG(false, "unknown optimizer");
@@ -242,7 +243,7 @@ StatusOr<VariationalResult> TrySolveQuboWithVqe(
     // returns +inf instead of the energy of a half-applied ansatz.
     if (!state
              .ApplyCircuit(BuildRealAmplitudes(n, options.vqe_reps, theta,
-                                               options.vqe_entanglement),
+                                               kVqeEntanglement),
                            options.deadline)
              .ok()) {
       return std::numeric_limits<double>::infinity();
@@ -261,7 +262,7 @@ StatusOr<VariationalResult> TrySolveQuboWithVqe(
   if (opt.interrupted) return InterruptionStatus(options.deadline);
   return FinalizeFromCircuit(
       qubo,
-      BuildRealAmplitudes(n, options.vqe_reps, opt.x, options.vqe_entanglement),
+      BuildRealAmplitudes(n, options.vqe_reps, opt.x, kVqeEntanglement),
       energies, options, opt.evaluations, &state);
 }
 

@@ -21,7 +21,6 @@ enum class OuterOptimizer { kNelderMead, kSpsa, kAdam };
 struct VariationalOptions {
   int qaoa_reps = 1;
   int vqe_reps = 3;
-  Entanglement vqe_entanglement = Entanglement::kFull;
   OuterOptimizer optimizer = OuterOptimizer::kNelderMead;
   int max_iterations = 300;
   int shots = 1024;  ///< Samples drawn from the optimal state.

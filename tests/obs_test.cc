@@ -5,13 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "anneal/simulated_annealer.h"
 #include "common/json.h"
 #include "common/thread_pool.h"
 #include "core/quantum_optimizer.h"
+#include "decompose/decomposer.h"
 #include "mqo/mqo_generator.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -47,6 +50,45 @@ const Metrics::Row* FindRow(const std::vector<Metrics::Row>& rows,
 // ---------------------------------------------------------------------------
 // Metrics
 // ---------------------------------------------------------------------------
+
+TEST_F(ObsTest, DecomposedSolveOfHugeEnergiesRecordsNoWrappedRow) {
+  // Metrics aggregate integers, so a QUBO energy (a double, here ~1e25)
+  // must never be recorded: converting it to long long is undefined and
+  // reads back as LLONG_MIN on x86, and summing two such rows overflows.
+  QuboModel qubo(30);
+  for (int i = 0; i < 30; ++i) {
+    qubo.AddLinear(i, (i % 3 == 0) ? -1.0 : 0.5);
+    if (i + 1 < 30) qubo.AddQuadratic(i, i + 1, (i % 2 == 0) ? 0.75 : -0.5);
+  }
+  qubo.AddOffset(1e25);
+  DecomposeOptions options;
+  options.max_subproblem_size = 8;
+  options.max_rounds = 3;
+  options.seed = 4;
+  const SubproblemSolver sa_blocks =
+      [](const QuboModel& subproblem, std::uint64_t seed,
+         const Deadline& deadline) -> StatusOr<SubproblemResult> {
+    AnnealOptions anneal;
+    anneal.num_reads = 2;
+    anneal.num_sweeps = 50;
+    anneal.seed = seed;
+    anneal.deadline = deadline;
+    QOPT_ASSIGN_OR_RETURN(const AnnealResult annealed,
+                          TrySolveQuboWithAnnealing(subproblem, anneal));
+    return SubproblemResult{annealed.best_bits};
+  };
+
+  Metrics::Instance().Enable();
+  const auto result = SolveQuboDecomposed(qubo, options, sa_blocks);
+  Metrics::Instance().Disable();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_GT(result->energy, 9.2e18);  // beyond LLONG_MAX
+  for (const Metrics::Row& row : Metrics::Instance().Snapshot(true)) {
+    EXPECT_NE(row.min, LLONG_MIN) << row.name;
+    EXPECT_NE(row.max, LLONG_MIN) << row.name;
+    EXPECT_NE(row.sum, LLONG_MIN) << row.name;
+  }
+}
 
 TEST_F(ObsTest, DisarmedMacrosRecordNothing) {
   ASSERT_FALSE(Metrics::Armed());

@@ -16,13 +16,16 @@
 # (minimum) time of every benchmark, normalised to ns, into
 # BENCH_<date>_<shortsha>.json (schema qqo-bench-snapshot-v2, see
 # DESIGN.md "Performance") in <outdir>
-# (default: the repo root). Commit the file so future --check runs — and
-# future readers of the history — can see how each change moved the hot
-# paths.
+# (default: the repo root). The sha gets a "-dirty" suffix when tracked
+# files differ from HEAD, and reads "nogit" outside a git work tree.
+# Commit the file so future --check runs — and future readers of the
+# history — can see how each change moved the hot paths.
 #
 # --check re-runs the hot-loop benchmarks and fails on regressions
 # against <baseline.json>; when no baseline is given it uses the newest
-# committed BENCH_*.json snapshot. Two tolerances apply:
+# committed BENCH_*.json snapshot (outside a git work tree, e.g. in a
+# `git archive` export, the newest by its date-prefixed file name). Two
+# tolerances apply:
 #
 #   * QQO_PERF_SNAPSHOT_TOLERANCE (default 10%) gates the cross-run
 #     comparison against the snapshot. Runs separated in time on a
@@ -178,6 +181,9 @@ if [[ "${1:-}" == "--record" ]]; then
   perf_bin="${build_dir}/bench/perf_micro"
   require_perf_bin
   sha="$(git -C "${repo_root}" rev-parse --short=9 HEAD 2>/dev/null || echo nogit)"
+  if [[ "${sha}" != nogit ]] && ! git -C "${repo_root}" diff --quiet HEAD --; then
+    sha="${sha}-dirty"
+  fi
   date_utc="$(date -u +%Y-%m-%d)"
   out_json="${outdir}/BENCH_${date_utc}_${sha}.json"
   compiler="$(sed -n 's/^CMAKE_CXX_COMPILER:[^=]*=//p' "${build_dir}/CMakeCache.txt" 2>/dev/null | head -1)"
@@ -245,13 +251,22 @@ if [[ "${1:-}" == "--check" ]]; then
   build_dir="${3:-build}"
   # No baseline path (or a build dir in its place): compare against the
   # newest committed snapshot — by commit time, since two snapshots of one
-  # day sort by their sha, not by age; the name breaks exact ties.
+  # day sort by their sha, not by age; the name breaks exact ties. Outside
+  # a work tree there is no commit time, so the date prefix of the name
+  # decides.
   if [[ -z "${baseline_json}" || -d "${baseline_json}" ]]; then
     [[ -n "${baseline_json}" ]] && build_dir="${baseline_json}"
-    baseline_json="$(git -C "${repo_root}" ls-files 'BENCH_*.json' |
-      while read -r snapshot; do
-        echo "$(git -C "${repo_root}" log -1 --format=%ct -- "${snapshot}") ${snapshot}"
-      done | sort -k1,1n -k2 | tail -1 | cut -d' ' -f2-)"
+    if git -C "${repo_root}" rev-parse --is-inside-work-tree &>/dev/null; then
+      baseline_json="$(git -C "${repo_root}" ls-files 'BENCH_*.json' |
+        while read -r snapshot; do
+          echo "$(git -C "${repo_root}" log -1 --format=%ct -- "${snapshot}") ${snapshot}"
+        done | sort -k1,1n -k2 | tail -1 | cut -d' ' -f2-)"
+    else
+      baseline_json="$(cd "${repo_root}" && ls BENCH_*.json 2>/dev/null |
+        sort | tail -1)" || true
+      echo "not a git work tree; newest snapshot by name:" \
+           "${baseline_json:-none}"
+    fi
     if [[ -z "${baseline_json}" ]]; then
       echo "error: no committed BENCH_*.json snapshot to check against;" >&2
       echo "  capture one with: tools/perf_baseline.sh --record" >&2
