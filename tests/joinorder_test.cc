@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
+#include <vector>
 
 #include "anneal/simulated_annealer.h"
 #include "common/random.h"
@@ -357,6 +360,77 @@ TEST(BilpToQuboTest, GroundStateIsOptimalFeasibleAssignment) {
   const BruteForceResult ground = TrySolveQuboBruteForce(encoding.qubo).value();
   EXPECT_EQ(ground.best_bits, (std::vector<std::uint8_t>{0, 1, 0}));
   EXPECT_NEAR(ground.best_energy, 1.0, 1e-9);
+}
+
+/// FNV-1a over 64-bit words: a digest of an encoding's exact bit patterns.
+std::uint64_t Fnv1a(std::uint64_t hash, std::uint64_t word) {
+  for (int byte = 0; byte < 8; ++byte) {
+    hash ^= (word >> (8 * byte)) & 0xFFu;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+/// The bit patterns of an encoding: penalty A, offset, every linear
+/// coefficient and every sorted quadratic term, as hex words plus one
+/// digest of all of them. `std::bit_cast` tells -0.0 from +0.0, which `==`
+/// would not.
+std::string EncodingBits(const BilpQuboEncoding& encoding) {
+  const QuboModel& qubo = encoding.qubo;
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (int i = 0; i < qubo.NumVariables(); ++i) {
+    hash = Fnv1a(hash, std::bit_cast<std::uint64_t>(qubo.Linear(i)));
+  }
+  for (const auto& [pair, coeff] : qubo.QuadraticTerms()) {
+    hash = Fnv1a(hash, static_cast<std::uint64_t>(pair.first));
+    hash = Fnv1a(hash, static_cast<std::uint64_t>(pair.second));
+    hash = Fnv1a(hash, std::bit_cast<std::uint64_t>(coeff));
+  }
+  std::ostringstream out;
+  out << std::hex << std::bit_cast<std::uint64_t>(encoding.penalty_a) << ' '
+      << std::bit_cast<std::uint64_t>(qubo.Offset()) << ' ' << std::dec
+      << qubo.NumVariables() << ' ' << qubo.NumQuadraticTerms() << ' '
+      << std::hex << hash;
+  return out.str();
+}
+
+TEST(BilpToQuboTest, ZeroCoefficientRowsMatchPinnedOutputs) {
+  // At omega = 1 a predicate with selectivity above 10^-0.5 rounds to a
+  // log-selectivity of 0, so its type-7 rows carry pao terms with
+  // coefficient 0. The clique is shaped like perfbench's large_decompose
+  // clique; the chain is one of its sparse joins.
+  const JoinOrderEncoding clique =
+      EncodeJoinOrderAsBilp(GenerateCliqueQuery(20, 100.0, 0.656531), {});
+  EXPECT_EQ(EncodingBits(EncodeBilpAsQubo(clique.bilp)),
+            "4066a00000000000 40f278a000000000 11504 31936 a1fe7c9b3a54c6e");
+  const JoinOrderEncoding chain =
+      EncodeJoinOrderAsBilp(GenerateChainQuery(20, 100.0, 0.4), {});
+  EXPECT_EQ(EncodingBits(EncodeBilpAsQubo(chain.bilp)),
+            "4066a00000000000 40f278a000000000 2270 13468 d5139f7aa1b25496");
+}
+
+TEST(BilpToQuboTest, ZeroCoefficientTermEncodesLikeItsAbsence) {
+  // The same rows with and without a zero-coefficient term on x1. Row 2
+  // also couples x1 to x0 and x2, so those pairs sum a non-zero
+  // coefficient with the +0 and -0 the zero term contributes.
+  auto make = [](bool with_zero_term) {
+    BilpProblem bilp;
+    const int x0 = bilp.AddVariable("x0", 1.0);
+    const int x1 = bilp.AddVariable("x1", 2.0);
+    const int x2 = bilp.AddVariable("x2", 0.5);
+    const int x3 = bilp.AddVariable("x3", 0.0);
+    BilpProblem::Constraint row{{{x0, 1.0}}, 1.0};
+    if (with_zero_term) row.terms.emplace_back(x1, 0.0);
+    row.terms.emplace_back(x2, -1.0);
+    row.terms.emplace_back(x3, 2.0);
+    bilp.AddConstraint(row);
+    bilp.AddConstraint({{{x1, 1.0}, {x0, -1.0}, {x2, 1.0}}, 0.0});
+    return EncodeBilpAsQubo(bilp);
+  };
+  const BilpQuboEncoding with_zero = make(true);
+  const BilpQuboEncoding without = make(false);
+  EXPECT_EQ(EncodingBits(with_zero), EncodingBits(without));
+  EXPECT_EQ(with_zero.qubo.NumQuadraticTerms(), 5);
 }
 
 TEST(JoinOrderQuboTest, GroundStateDecodesToOptimalOrder) {
