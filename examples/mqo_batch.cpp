@@ -67,8 +67,10 @@ int main() {
   const MqoQuboEncoding encoding = EncodeMqoAsQubo(batch);
   GateEstimateOptions estimate_options;
   estimate_options.transpile_trials = 10;
-  const GateResourceEstimate estimate = EstimateGateResources(
-      encoding.qubo, MakeMumbai27(), MumbaiDevice(), estimate_options);
+  const GateResourceEstimate estimate =
+      EstimateGateResources(encoding.qubo, MakeMumbai27(), MumbaiDevice(),
+                            estimate_options)
+          .value();
   std::printf(
       "\nIBM-Q Mumbai resource estimate:\n"
       "  QAOA depth: %d (ideal) -> %.1f (routed), %s coherence budget %d\n"

@@ -1,6 +1,9 @@
 #include "core/resource_estimator.h"
 
+#include <string>
+
 #include "common/check.h"
+#include "common/table_printer.h"
 #include "qubo/conversions.h"
 #include "transpile/basis_decomposer.h"
 #include "transpile/transpiler.h"
@@ -9,11 +12,25 @@
 
 namespace qopt {
 
-GateResourceEstimate EstimateGateResources(const QuboModel& qubo,
-                                           const CouplingMap& coupling,
-                                           const DeviceModel& device,
-                                           const GateEstimateOptions& options) {
+Status CheckTemplateGates(std::string_view what, std::int64_t gates) {
+  if (gates <= kMaxTemplateGates) return OkStatus();
+  return ResourceExhaustedError(StrFormat(
+      "the %s template has %lld gates, more than the %lld a template may "
+      "have",
+      std::string(what).c_str(), static_cast<long long>(gates),
+      static_cast<long long>(kMaxTemplateGates)));
+}
+
+StatusOr<GateResourceEstimate> EstimateGateResources(
+    const QuboModel& qubo, const CouplingMap& coupling,
+    const DeviceModel& device, const GateEstimateOptions& options) {
   QOPT_CHECK(qubo.NumVariables() >= 1);
+  QOPT_RETURN_IF_ERROR(CheckTemplateGates(
+      "QAOA", QaoaTemplateGateCount(qubo.NumVariables(),
+                                    qubo.NumQuadraticTerms(),
+                                    options.qaoa_reps)));
+  QOPT_RETURN_IF_ERROR(CheckTemplateGates(
+      "VQE", VqeTemplateGateCount(qubo.NumVariables(), options.vqe_reps)));
   GateResourceEstimate estimate;
   estimate.logical_qubits = qubo.NumVariables();
   estimate.quadratic_terms = qubo.NumQuadraticTerms();

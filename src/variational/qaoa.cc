@@ -42,4 +42,10 @@ QuantumCircuit BuildQaoaTemplate(const IsingModel& ising, int reps) {
   return BuildQaoaCircuit(ising, gammas, betas);
 }
 
+std::int64_t QaoaTemplateGateCount(int num_qubits, int quadratic_terms,
+                                   int reps) {
+  const std::int64_t n = num_qubits;
+  return n + std::int64_t{reps} * (quadratic_terms + 2 * n);
+}
+
 }  // namespace qopt

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "circuit/quantum_circuit.h"
@@ -24,5 +25,12 @@ QuantumCircuit BuildQaoaCircuit(const IsingModel& ising,
 /// Convenience: the p=1 template circuit with all angles zero, used for
 /// depth studies where only the structure matters.
 QuantumCircuit BuildQaoaTemplate(const IsingModel& ising, int reps = 1);
+
+/// Gates of BuildQaoaTemplate(QuboToIsing(qubo), reps) for a QUBO of
+/// `num_qubits` variables and `quadratic_terms` terms, without building
+/// it: n H + reps * (terms RZZ + n RZ + n RX). Exact when every Ising field
+/// is non-zero; otherwise an upper bound (a zero field emits no RZ).
+std::int64_t QaoaTemplateGateCount(int num_qubits, int quadratic_terms,
+                                   int reps = 1);
 
 }  // namespace qopt

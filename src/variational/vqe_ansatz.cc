@@ -45,4 +45,9 @@ QuantumCircuit BuildVqeTemplate(int num_qubits, int reps,
   return BuildRealAmplitudes(num_qubits, reps, thetas, entanglement);
 }
 
+std::int64_t VqeTemplateGateCount(int num_qubits, int reps) {
+  const std::int64_t n = num_qubits;
+  return n * (reps + 1) + std::int64_t{reps} * n * (n - 1) / 2;
+}
+
 }  // namespace qopt

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "circuit/quantum_circuit.h"
@@ -30,5 +31,9 @@ int RealAmplitudesNumParameters(int num_qubits, int reps);
 QuantumCircuit BuildVqeTemplate(int num_qubits, int reps = 3,
                                 Entanglement entanglement =
                                     Entanglement::kFull);
+
+/// Gates of BuildVqeTemplate(num_qubits, reps) with full entanglement,
+/// without building it: n (reps + 1) RY + reps n (n - 1) / 2 CX.
+std::int64_t VqeTemplateGateCount(int num_qubits, int reps = 3);
 
 }  // namespace qopt

@@ -2,12 +2,16 @@
 
 #include <cmath>
 
+#include "common/random.h"
 #include "core/device_model.h"
 #include "core/quantum_optimizer.h"
 #include "core/resource_estimator.h"
 #include "mqo/mqo_generator.h"
 #include "mqo/mqo_qubo_encoder.h"
+#include "qubo/conversions.h"
 #include "transpile/ibm_topologies.h"
+#include "variational/qaoa.h"
+#include "variational/vqe_ansatz.h"
 
 namespace qopt {
 namespace {
@@ -55,8 +59,10 @@ TEST(ResourceEstimatorTest, MqoEstimateShape) {
   const MqoQuboEncoding encoding = EncodeMqoAsQubo(problem);
   GateEstimateOptions options;
   options.transpile_trials = 5;
-  const GateResourceEstimate estimate = EstimateGateResources(
-      encoding.qubo, MakeMumbai27(), MumbaiDevice(), options);
+  const GateResourceEstimate estimate =
+      EstimateGateResources(encoding.qubo, MakeMumbai27(), MumbaiDevice(),
+                            options)
+          .value();
   EXPECT_EQ(estimate.logical_qubits, 12);
   EXPECT_GT(estimate.quadratic_terms, 0);
   EXPECT_GT(estimate.qaoa_depth_ideal, 0);
@@ -70,9 +76,56 @@ TEST(ResourceEstimatorTest, OversizedProblemHasNoDeviceDepth) {
   QuboModel qubo(40);  // more than Mumbai's 27 qubits
   for (int i = 0; i + 1 < 40; ++i) qubo.AddQuadratic(i, i + 1, 1.0);
   const GateResourceEstimate estimate =
-      EstimateGateResources(qubo, MakeMumbai27(), MumbaiDevice());
+      EstimateGateResources(qubo, MakeMumbai27(), MumbaiDevice()).value();
   EXPECT_EQ(estimate.qaoa_depth_device, -1.0);
   EXPECT_FALSE(estimate.qaoa_within_coherence);
+}
+
+TEST(ResourceEstimatorTest, TemplateGateCountsMatchBuiltCircuits) {
+  Rng rng(5);
+  for (int n = 1; n <= 9; ++n) {
+    for (int reps = 1; reps <= 3; ++reps) {
+      QuboModel qubo(n);
+      for (int i = 0; i < n; ++i) {
+        qubo.AddLinear(i, rng.NextDouble(-2.0, 2.0));
+        for (int j = i + 1; j < n; ++j) {
+          if (rng.NextDouble() < 0.5) {
+            qubo.AddQuadratic(i, j, rng.NextDouble(-2.0, 2.0));
+          }
+        }
+      }
+      EXPECT_EQ(QaoaTemplateGateCount(n, qubo.NumQuadraticTerms(), reps),
+                BuildQaoaTemplate(QuboToIsing(qubo), reps).NumGates())
+          << "n=" << n << " reps=" << reps;
+      EXPECT_EQ(VqeTemplateGateCount(n, reps),
+                BuildVqeTemplate(n, reps).NumGates())
+          << "n=" << n << " reps=" << reps;
+    }
+  }
+  // A zero Ising field emits no RZ, so the QAOA count is then a bound:
+  // x0 x1 - x0/2 - x1/2 has h = 0 on both spins.
+  QuboModel zero_fields(2);
+  zero_fields.AddQuadratic(0, 1, 1.0);
+  zero_fields.AddLinear(0, -0.5);
+  zero_fields.AddLinear(1, -0.5);
+  EXPECT_EQ(BuildQaoaTemplate(QuboToIsing(zero_fields)).NumGates(), 5);
+  EXPECT_EQ(QaoaTemplateGateCount(2, 1), 7);
+}
+
+TEST(ResourceEstimatorTest, OversizedTemplateIsRefusedBeforeBuilding) {
+  // 3 400 qubits: the VQE template alone has 3 * 3400 * 3399 / 2 + 4 * 3400
+  // = 17 348 500 gates, past kMaxTemplateGates (2^24); building it would
+  // take about 1.5 GB.
+  const QuboModel qubo(3400);
+  ASSERT_GT(VqeTemplateGateCount(3400), kMaxTemplateGates);
+  const StatusOr<GateResourceEstimate> estimate =
+      EstimateGateResources(qubo, MakeMumbai27(), MumbaiDevice());
+  ASSERT_FALSE(estimate.ok());
+  EXPECT_EQ(estimate.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(estimate.status().message(),
+            "the VQE template has 17348500 gates, more than the 16777216 a "
+            "template may have");
+  EXPECT_TRUE(CheckTemplateGates("QAOA", kMaxTemplateGates).ok());
 }
 
 // --- Facade: MQO ------------------------------------------------------------------

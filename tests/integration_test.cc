@@ -107,8 +107,10 @@ TEST(ShapeTest, VqeTranspilationOverheadExceedsQaoaOverhead) {
   const MqoQuboEncoding encoding = EncodeMqoAsQubo(GenerateMqoProblem(gen));
   GateEstimateOptions options;
   options.transpile_trials = 5;
-  const GateResourceEstimate estimate = EstimateGateResources(
-      encoding.qubo, MakeMumbai27(), MumbaiDevice(), options);
+  const GateResourceEstimate estimate =
+      EstimateGateResources(encoding.qubo, MakeMumbai27(), MumbaiDevice(),
+                            options)
+          .value();
   const double vqe_overhead =
       estimate.vqe_depth_device / estimate.vqe_depth_ideal;
   const double qaoa_overhead =

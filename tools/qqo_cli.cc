@@ -476,8 +476,10 @@ int RunEstimate(const std::vector<std::string>& args) {
   StatusOr<long long> trials = IntFlag(*flags, "trials", 10, 1, 1000);
   if (!trials.ok()) return Fail(kExitUsage, trials.status());
   options.transpile_trials = static_cast<int>(*trials);
-  const GateResourceEstimate estimate =
+  const StatusOr<GateResourceEstimate> estimated =
       EstimateGateResources(*qubo, coupling, device, options);
+  if (!estimated.ok()) return Fail(kExitError, estimated.status());
+  const GateResourceEstimate& estimate = *estimated;
   std::printf("device: %s (max reliable depth %d)\n", device.name.c_str(),
               estimate.max_reliable_depth);
   std::printf("logical qubits: %d (device offers %d)\n",
@@ -504,17 +506,22 @@ int RunQasm(const std::vector<std::string>& args) {
   StatusOr<QuboModel> qubo = LoadAsQubo(args[2], args[3], encoder);
   if (!qubo.ok()) return Fail(kExitError, qubo.status());
   const std::string algorithm = FlagOr(*flags, "algorithm", "qaoa");
-  QuantumCircuit circuit;
-  if (algorithm == "qaoa") {
-    circuit = BuildQaoaTemplate(QuboToIsing(*qubo));
-  } else if (algorithm == "vqe") {
-    circuit = BuildVqeTemplate(qubo->NumVariables(), 3);
-  } else {
+  if (algorithm != "qaoa" && algorithm != "vqe") {
     return Fail(kExitUsage,
                 InvalidArgumentError(StrFormat(
                     "unknown algorithm \"%s\" (known: qaoa, vqe)",
                     algorithm.c_str())));
   }
+  const bool qaoa = algorithm == "qaoa";
+  const Status size = CheckTemplateGates(
+      qaoa ? "QAOA" : "VQE",
+      qaoa ? QaoaTemplateGateCount(qubo->NumVariables(),
+                                   qubo->NumQuadraticTerms())
+           : VqeTemplateGateCount(qubo->NumVariables()));
+  if (!size.ok()) return Fail(kExitError, size);
+  const QuantumCircuit circuit = qaoa
+                                     ? BuildQaoaTemplate(QuboToIsing(*qubo))
+                                     : BuildVqeTemplate(qubo->NumVariables());
   std::fputs(ToQasm2(circuit, /*measure_all=*/true).c_str(), stdout);
   return kExitOk;
 }
