@@ -36,16 +36,22 @@
 #     incremental sweeps is a 2-10x effect, not a 10% one).
 #   * QQO_PERF_TOLERANCE (default 2%) gates the intra-run
 #     BM_ObsDisarmed{Baseline,Traced} pair — disarmed tracing/metrics
-#     instrumentation vs the uninstrumented kernel. Both sides come from
-#     the same run window, so the tight budget is reliable, and it is
-#     always checked even when the cross-run comparison is skipped.
+#     instrumentation vs the uninstrumented kernel. The pair runs in its
+#     own perf_micro call: 60 repetitions of 0.1 s with random
+#     interleaving, so both sides sample the same windows, compared by the
+#     median of each side's repetitions. It is always checked, even when
+#     the cross-run comparison is skipped.
 #
-# Both sides compare best-of-repetitions rather than medians: scheduling
-# noise on a shared box is one-sided (interference only ever slows a run
-# down), so the minimum is the stable estimator of the code's true cost.
-# On failure the suite is re-run and the minima merged, up to
-# QQO_PERF_CHECK_ATTEMPTS (default 2) passes — a real regression fails
-# every window, noise does not. Snapshots carry a host fingerprint: when
+# The cross-run comparison uses best-of-repetitions rather than medians:
+# scheduling noise on a shared box is one-sided (interference only ever
+# slows a run down), so the minimum is the stable estimator of the code's
+# true cost. The intra-run pair uses medians instead: one lucky window
+# sets a minimum, and on a shared 4-vCPU VM the minima of two
+# interleaved sides of an unchanged kernel differed by up to 5%, their
+# medians by under 2%. On failure the suite is re-run and the minima (and
+# the pair's repetitions) merged, up to QQO_PERF_CHECK_ATTEMPTS
+# (default 2) passes — a real regression fails every window, noise does
+# not. Snapshots carry a host fingerprint: when
 # it does not match the current machine, the cross-run comparison is
 # skipped with a warning (numbers from different CPUs are not
 # comparable) unless QQO_PERF_ALLOW_CROSS_HOST=1.
@@ -77,7 +83,7 @@ require_perf_bin() {
 # attempt; minima are merged across attempts before comparing.
 write_compare_py() {
   cat > "$1" <<'PY'
-import json, os, sys
+import json, os, statistics, sys
 
 baseline_path = sys.argv[1]
 tolerance, snapshot_tolerance = float(sys.argv[2]), float(sys.argv[3])
@@ -162,15 +168,24 @@ else:
 # Disarmed-observability budget: traced vs untraced kernel in THIS run,
 # host-relative by construction, so it runs even when the cross-run
 # comparison is skipped — and at the tight intra-run tolerance, since
-# both sides share the same measurement window.
-untraced = cur.get("BM_ObsDisarmedBaseline")
-traced = cur.get("BM_ObsDisarmedTraced")
-if untraced and traced:
+# interleaved repetitions put both sides in the same windows. Each side
+# is the median of all its repetitions, pooled over the attempts.
+def repetitions(name):
+    return [t for doc in current_docs for row, t, aggregate, _ in raw_rows(doc)
+            if row == name and not aggregate]
+
+untraced_reps = repetitions("BM_ObsDisarmedBaseline")
+traced_reps = repetitions("BM_ObsDisarmedTraced")
+if untraced_reps and traced_reps:
+    untraced = statistics.median(untraced_reps)
+    traced = statistics.median(traced_reps)
     ratio = traced / untraced - 1.0
     verdict = "FAIL" if ratio > tolerance else "ok"
     failed |= ratio > tolerance
     print(f"{verdict:4} disarmed obs overhead: {untraced:.0f} -> "
-          f"{traced:.0f} ns ({ratio:+.2%}, tolerance {tolerance:.0%})")
+          f"{traced:.0f} ns ({ratio:+.2%}, tolerance {tolerance:.0%}; "
+          f"medians of {len(untraced_reps)} and {len(traced_reps)} "
+          f"interleaved repetitions)")
 sys.exit(1 if failed else 0)
 PY
 }
@@ -279,7 +294,7 @@ if [[ "${1:-}" == "--check" ]]; then
   tolerance="${QQO_PERF_TOLERANCE:-0.02}"
   snapshot_tolerance="${QQO_PERF_SNAPSHOT_TOLERANCE:-0.10}"
   attempts="${QQO_PERF_CHECK_ATTEMPTS:-2}"
-  hot_filter="${QQO_BENCH_FILTER:-BM_SimulatedAnnealing|BM_SaSweepDensity|BM_EmbeddedAnnealSweep|BM_StatevectorQaoa|BM_StatevectorGateLayer|BM_ObsDisarmed|BM_RaceDispatch|BM_Serve|BM_DecomposeSolve|BM_DecomposeJoinOrder}"
+  hot_filter="${QQO_BENCH_FILTER:-BM_SimulatedAnnealing|BM_SaSweepDensity|BM_EmbeddedAnnealSweep|BM_StatevectorQaoa|BM_StatevectorGateLayer|BM_RaceDispatch|BM_Serve|BM_DecomposeSolve|BM_DecomposeJoinOrder}"
   require_perf_bin
   if [[ ! -r "${baseline_json}" ]]; then
     echo "error: baseline ${baseline_json} not readable" >&2
@@ -299,6 +314,16 @@ if [[ "${1:-}" == "--check" ]]; then
       --benchmark_filter="${hot_filter}" \
       --benchmark_repetitions=3 \
       --benchmark_out="${current_json}" --benchmark_out_format=json
+    obs_json="${tmpdir}/obs_${attempt}.json"
+    current_jsons+=("${obs_json}")
+    echo "== perf_micro disarmed-observability pair, attempt" \
+         "${attempt}/${attempts} (60 interleaved repetitions) =="
+    QQO_THREADS=1 "${perf_bin}" \
+      --benchmark_filter='^BM_ObsDisarmed(Baseline|Traced)$' \
+      --benchmark_repetitions=60 --benchmark_min_time=0.1 \
+      --benchmark_enable_random_interleaving=true \
+      --benchmark_display_aggregates_only=true \
+      --benchmark_out="${obs_json}" --benchmark_out_format=json
     if QQO_PERF_HOST="$(host_fingerprint)" \
        python3 "${tmpdir}/compare.py" "${baseline_json}" "${tolerance}" \
          "${snapshot_tolerance}" "${current_jsons[@]}"; then
