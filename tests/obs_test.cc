@@ -133,6 +133,34 @@ TEST_F(ObsTest, CounterGaugeAndHistogramAggregate) {
   EXPECT_EQ(bucketed, 2);
 }
 
+TEST_F(ObsTest, AnnealCountsEveryReadAndEverySweep) {
+  // One anneal.reads increment per read and one anneal.sweeps increment
+  // per read per sweep, whatever the kernel's internal batching: the
+  // count column is the number of calls, and the stable table must stay
+  // byte-identical across kernels and thread counts.
+  QuboModel qubo(6);
+  for (int i = 0; i < 6; ++i) {
+    qubo.AddLinear(i, i % 2 == 0 ? -1.0 : 0.5);
+    if (i + 1 < 6) qubo.AddQuadratic(i, i + 1, 0.75);
+  }
+  AnnealOptions options;
+  options.num_reads = 5;
+  options.num_sweeps = 50;
+  options.seed = 11;
+  Metrics::Instance().Enable();
+  ASSERT_TRUE(TrySolveQuboWithAnnealing(qubo, options).ok());
+  Metrics::Instance().Disable();
+  const std::vector<Metrics::Row> rows = Metrics::Instance().Snapshot(false);
+  const Metrics::Row* reads = FindRow(rows, "anneal.reads");
+  ASSERT_NE(reads, nullptr);
+  EXPECT_EQ(reads->count, 5);
+  EXPECT_EQ(reads->sum, 5);
+  const Metrics::Row* sweeps = FindRow(rows, "anneal.sweeps");
+  ASSERT_NE(sweeps, nullptr);
+  EXPECT_EQ(sweeps->count, 250);
+  EXPECT_EQ(sweeps->sum, 250);
+}
+
 TEST_F(ObsTest, EnablePreRegistersStableCatalog) {
   Metrics::Instance().Enable();
   const std::vector<Metrics::Row> rows = Metrics::Instance().Snapshot(false);
