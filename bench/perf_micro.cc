@@ -122,6 +122,36 @@ void BM_SaSweepDensity(benchmark::State& state) {
 BENCHMARK(BM_SaSweepDensity)
     ->ArgsProduct({{32, 64, 128}, {10, 50, 100}});
 
+// The block a decomposed solve anneals: the facade clamps every block
+// solve to 8 reads x 1000 sweeps, and a join-order block is a dense
+// 20-26-variable QUBO dominated by constraint penalties. Here 24
+// variables carry small random costs under one-hot penalties
+// P * (1 - sum x)^2 over four rows of six. Items = proposals.
+void BM_SaDecomposeBlock(benchmark::State& state) {
+  constexpr int kRows = 4;
+  constexpr int kCols = 6;
+  constexpr double kPenalty = 10.0;
+  QuboModel qubo = MakeRandomQubo(kRows * kCols, 0.4, 305);
+  for (int r = 0; r < kRows; ++r) {
+    for (int a = 0; a < kCols; ++a) {
+      qubo.AddLinear(r * kCols + a, -kPenalty);
+      for (int b = a + 1; b < kCols; ++b) {
+        qubo.AddQuadratic(r * kCols + a, r * kCols + b, 2.0 * kPenalty);
+      }
+    }
+    qubo.AddOffset(kPenalty);
+  }
+  AnnealOptions options;
+  options.num_reads = 8;
+  options.num_sweeps = 1000;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(TrySolveQuboWithAnnealing(qubo, options).value());
+  }
+  state.SetItemsProcessed(state.iterations() * options.num_reads *
+                          options.num_sweeps * qubo.NumVariables());
+}
+BENCHMARK(BM_SaDecomposeBlock);
+
 // The annealer's group-move path: SA on the physical problem of an MQO
 // batch embedded into Pegasus P4, with the chains as flip groups (what an
 // `annealer` solve runs after embedding). The embedding is found once,

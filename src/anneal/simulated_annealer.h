@@ -53,7 +53,9 @@ struct AnnealResult {
 /// flip proposal is an O(1) lookup and only *accepted* flips pay
 /// O(degree) to update neighbor fields (dense problems use contiguous
 /// coefficient rows instead of the CSR gather). Group flips share the
-/// same cache. See DESIGN.md "Performance".
+/// same cache. On hosts with AVX2 one worker anneals four reads in
+/// lock-step, one per vector lane, with bit-identical results. See
+/// DESIGN.md "Annealer sweep layout".
 ///
 /// Before any deadline poll it refuses, with kInvalidArgument, an empty
 /// QUBO, num_reads or num_sweeps below 1, an explicit beta range outside

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -30,6 +31,13 @@ class Rng {
     s_[2] ^= t;
     s_[3] = Rotl(s_[3], 45);
     return result;
+  }
+
+  /// The four xoshiro256** state words, for kernels that step several
+  /// streams in lock-step and must consume each one exactly as
+  /// operator() does.
+  std::array<std::uint64_t, 4> State() const {
+    return {s_[0], s_[1], s_[2], s_[3]};
   }
 
   /// Uniform integer in [0, bound). `bound` must be > 0.
