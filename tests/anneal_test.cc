@@ -5,6 +5,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "anneal/anneal_internal.h"
 #include "anneal/chimera.h"
@@ -168,20 +169,21 @@ AnnealOptions PinnedOptions(int reads, int sweeps, std::uint64_t seed) {
   return options;
 }
 
-TEST(AnnealerTest, SweepKernelMatchesPinnedOutputs) {
-  // Golden outputs of the sweep kernel, recorded before its fast path
-  // landed. Any change to a read's RNG consumption or to the order of its
-  // floating-point operations shows up here as a changed bit pattern (the
-  // tracked read energies differ in their last bits when it does). The
-  // thread-invariance tests cannot see such a change, because it moves
-  // every configuration at once.
-  struct Case {
-    const char* name;
-    QuboModel qubo;
-    AnnealOptions options;
-    const char* best_bits;
-    const char* read_energies;
-  };
+struct PinnedCase {
+  const char* name;
+  QuboModel qubo;
+  AnnealOptions options;
+  const char* best_bits;
+  const char* read_energies;
+};
+
+// Golden outputs of the sweep kernel, recorded before its fast path
+// landed. Any change to a read's RNG consumption or to the order of its
+// floating-point operations shows up here as a changed bit pattern (the
+// tracked read energies differ in their last bits when it does). The
+// thread-invariance tests cannot see such a change, because it moves
+// every configuration at once.
+std::vector<PinnedCase> PinnedCases() {
   std::vector<std::vector<int>> groups;
   const QuboModel grouped = MakeGroupedQubo(&groups);
   AnnealOptions grouped_options = PinnedOptions(6, 200, 9);
@@ -191,15 +193,19 @@ TEST(AnnealerTest, SweepKernelMatchesPinnedOutputs) {
   cold_options.beta_min = 20.0;
   cold_options.beta_max = 200.0;
   // The pack edges of a kernel that anneals several reads in lock-step:
-  // one read, a partial last pack, three packs, a single variable, a
-  // single sweep, and the facade's clamped decomposition block.
+  // one read, partial last packs of 4- and 8-lane kernels, several packs,
+  // a single variable, a single sweep, and the facade's clamped
+  // decomposition block.
   AnnealOptions grouped9 = grouped_options;
   grouped9.num_reads = 9;
+  AnnealOptions grouped13 = grouped_options;
+  grouped13.num_reads = 13;
+  grouped13.num_sweeps = 120;
   AnnealOptions grouped_one_sweep = grouped_options;
   grouped_one_sweep.num_sweeps = 1;
   QuboModel single(1);
   single.AddLinear(0, 0.75);
-  const std::vector<Case> cases = {
+  return {
       {"reads1", MakeRandomQubo(26, 0.5, 301), PinnedOptions(1, 150, 21),
        "11101110001110011110101001",
        "-0x1.e943883adbbe9p+4"},
@@ -212,6 +218,23 @@ TEST(AnnealerTest, SweepKernelMatchesPinnedOutputs) {
        "-0x1.c83db4a37d862p+5 -0x1.c83db4a37d872p+5 -0x1.c83db4a37d86p+5 "
        "-0x1.c83db4a37d85ep+5 -0x1.c83db4a37d86dp+5 -0x1.c83db4a37d856p+5 "
        "-0x1.c83db4a37d86p+5 -0x1.c83db4a37d869p+5 -0x1.c83db4a37d866p+5"},
+      {"reads6_block", MakePenaltyBlock(306), PinnedOptions(6, 400, 25),
+       "100000010000100000000010",
+       "-0x1.f40183106e0ap-1 -0x1.b788a3d38a2ap-1 -0x1.31da47d8ab91ap+2 "
+       "0x1.3ce1ade433d4ep+2 -0x1.060cd9333d7e8p+0 -0x1.c95f381a9f778p+1"},
+      {"reads10", MakeRandomQubo(40, 0.1, 302), PinnedOptions(10, 150, 26),
+       "0111111010011110110011010101011111110001",
+       "-0x1.5afb405591edap+5 -0x1.5afb405591edap+5 -0x1.5afb405591edap+5 "
+       "-0x1.50028b182d852p+5 -0x1.50028b182d861p+5 -0x1.5afb405591ed8p+5 "
+       "-0x1.5afb405591ed6p+5 -0x1.5afb405591edcp+5 -0x1.5afb405591ee6p+5 "
+       "-0x1.5afb405591ed1p+5"},
+      {"reads13_grouped", grouped, grouped13,
+       "1111111110011110010011110111011111110101",
+       "-0x1.c83db4a37d85fp+5 -0x1.c83db4a37d868p+5 -0x1.c83db4a37d85dp+5 "
+       "-0x1.c83db4a37d865p+5 -0x1.c83db4a37d86ap+5 -0x1.c83db4a37d861p+5 "
+       "-0x1.c83db4a37d86ap+5 -0x1.c83db4a37d867p+5 -0x1.c83db4a37d85fp+5 "
+       "-0x1.c83db4a37d862p+5 -0x1.c83db4a37d868p+5 -0x1.c83db4a37d862p+5 "
+       "-0x1.c83db4a37d85fp+5"},
       {"n1", single, PinnedOptions(5, 20, 23), "0",
        "0x0p+0 0x0p+0 0x0p+0 0x0p+0 0x0p+0"},
       {"grouped_one_sweep", grouped, grouped_one_sweep,
@@ -240,31 +263,59 @@ TEST(AnnealerTest, SweepKernelMatchesPinnedOutputs) {
        "-0x1.c83db4a37d863p+5 -0x1.bffbda0f39646p+5 -0x1.c83db4a37d862p+5 "
        "-0x1.bffbda0f39646p+5 -0x1.c83db4a37d864p+5 -0x1.c30b4b410c812p+5"},
   };
-  for (const Case& c : cases) {
+}
+
+/// The golden rows at one pack width each (1, 4 and 8 lanes): every
+/// width the host can run gives the same bits. An instance whose kernel
+/// the host cannot run is skipped and names the instruction set it
+/// lacks.
+class SweepKernelTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(SweepKernelTest, MatchesPinnedOutputs) {
+  const int width = GetParam();
+  if (width > anneal_internal::HostPackWidth()) {
+    GTEST_SKIP() << "the " << width << "-lane pack needs "
+                 << (width == 8 ? "AVX-512F and AVX-512DQ" : "AVX2")
+                 << ", which this host lacks";
+  }
+  const std::vector<PinnedCase> cases = PinnedCases();
+  for (const PinnedCase& c : cases) {
     const std::string name = c.name;
-    if (name == "dense" || name == "reads1" || name == "decompose_block") {
+    if (name == "dense" || name == "reads1" || name == "decompose_block" ||
+        name == "reads6_block") {
       ASSERT_GE(c.qubo.Density(), 0.35) << name;  // the dense-row layout
     }
   }
   ASSERT_LT(MakeRandomQubo(40, 0.1, 302).Density(), 0.35);  // the CSR layout
-  // Every pack width the host can run gives the same bits.
-  std::vector<int> widths = {1};
-  if (anneal_internal::HostPackWidth() != 1) {
-    widths.push_back(anneal_internal::HostPackWidth());
+  for (const PinnedCase& c : cases) {
+    const AnnealResult result =
+        anneal_internal::TrySolveQuboWithAnnealingAtWidth(c.qubo, c.options,
+                                                          width)
+            .value();
+    EXPECT_EQ(BitString(result.best_bits), c.best_bits) << c.name;
+    EXPECT_EQ(HexDoubles(result.read_energies), c.read_energies) << c.name;
   }
-  for (const int width : widths) {
-    for (const Case& c : cases) {
-      const AnnealResult result =
-          anneal_internal::TrySolveQuboWithAnnealingAtWidth(c.qubo, c.options,
-                                                            width)
-              .value();
-      EXPECT_EQ(BitString(result.best_bits), c.best_bits)
-          << c.name << " at width " << width;
-      EXPECT_EQ(HexDoubles(result.read_energies), c.read_energies)
-          << c.name << " at width " << width;
-    }
-  }
+}
 
+INSTANTIATE_TEST_SUITE_P(
+    PackWidths, SweepKernelTest, ::testing::Values(1, 4, 8),
+    [](const ::testing::TestParamInfo<int>& param) {
+      return "Width" + std::to_string(param.param);
+    });
+
+TEST(AnnealerTest, AtWidthRejectsWidthsWithoutAKernel) {
+  const QuboModel qubo = MakeRandomQubo(6, 0.5, 1);
+  for (const int width : {0, 2, 3, 16}) {
+    EXPECT_EQ(anneal_internal::TrySolveQuboWithAnnealingAtWidth(
+                  qubo, PinnedOptions(4, 10, 1), width)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << "width " << width;
+  }
+}
+
+TEST(AnnealerTest, CallersThroughOtherLayersMatchPinnedOutputs) {
   // The two callers that reach the kernel through another layer: the
   // embedding composite (chains as flip groups, on Pegasus) and the
   // decomposer (SA as the block solver).

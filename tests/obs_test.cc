@@ -143,22 +143,28 @@ TEST_F(ObsTest, AnnealCountsEveryReadAndEverySweep) {
     qubo.AddLinear(i, i % 2 == 0 ? -1.0 : 0.5);
     if (i + 1 < 6) qubo.AddQuadratic(i, i + 1, 0.75);
   }
-  AnnealOptions options;
-  options.num_reads = 5;
-  options.num_sweeps = 50;
-  options.seed = 11;
-  Metrics::Instance().Enable();
-  ASSERT_TRUE(TrySolveQuboWithAnnealing(qubo, options).ok());
-  Metrics::Instance().Disable();
-  const std::vector<Metrics::Row> rows = Metrics::Instance().Snapshot(false);
-  const Metrics::Row* reads = FindRow(rows, "anneal.reads");
-  ASSERT_NE(reads, nullptr);
-  EXPECT_EQ(reads->count, 5);
-  EXPECT_EQ(reads->sum, 5);
-  const Metrics::Row* sweeps = FindRow(rows, "anneal.sweeps");
-  ASSERT_NE(sweeps, nullptr);
-  EXPECT_EQ(sweeps->count, 250);
-  EXPECT_EQ(sweeps->sum, 250);
+  // 5 reads fill one partial pack; 13 fill a full pack and a partial one
+  // at every pack width.
+  for (const int reads : {5, 13}) {
+    AnnealOptions options;
+    options.num_reads = reads;
+    options.num_sweeps = 50;
+    options.seed = 11;
+    Metrics::Instance().Reset();
+    Metrics::Instance().Enable();
+    ASSERT_TRUE(TrySolveQuboWithAnnealing(qubo, options).ok());
+    Metrics::Instance().Disable();
+    const std::vector<Metrics::Row> rows =
+        Metrics::Instance().Snapshot(false);
+    const Metrics::Row* read_row = FindRow(rows, "anneal.reads");
+    ASSERT_NE(read_row, nullptr);
+    EXPECT_EQ(read_row->count, reads);
+    EXPECT_EQ(read_row->sum, reads);
+    const Metrics::Row* sweeps = FindRow(rows, "anneal.sweeps");
+    ASSERT_NE(sweeps, nullptr);
+    EXPECT_EQ(sweeps->count, reads * 50);
+    EXPECT_EQ(sweeps->sum, reads * 50);
+  }
 }
 
 TEST_F(ObsTest, EnablePreRegistersStableCatalog) {
