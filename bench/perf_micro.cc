@@ -3,6 +3,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "anneal/anneal_internal.h"
 #include "anneal/chimera.h"
 #include "anneal/embedding_composite.h"
 #include "anneal/minor_embedder.h"
@@ -126,8 +127,8 @@ BENCHMARK(BM_SaSweepDensity)
 // solve to 8 reads x 1000 sweeps, and a join-order block is a dense
 // 20-26-variable QUBO dominated by constraint penalties. Here 24
 // variables carry small random costs under one-hot penalties
-// P * (1 - sum x)^2 over four rows of six. Items = proposals.
-void BM_SaDecomposeBlock(benchmark::State& state) {
+// P * (1 - sum x)^2 over four rows of six.
+QuboModel MakePenaltyBlock() {
   constexpr int kRows = 4;
   constexpr int kCols = 6;
   constexpr double kPenalty = 10.0;
@@ -141,6 +142,12 @@ void BM_SaDecomposeBlock(benchmark::State& state) {
     }
     qubo.AddOffset(kPenalty);
   }
+  return qubo;
+}
+
+// Items = proposals.
+void BM_SaDecomposeBlock(benchmark::State& state) {
+  const QuboModel qubo = MakePenaltyBlock();
   AnnealOptions options;
   options.num_reads = 8;
   options.num_sweeps = 1000;
@@ -151,6 +158,82 @@ void BM_SaDecomposeBlock(benchmark::State& state) {
                           options.num_sweeps * qubo.NumVariables());
 }
 BENCHMARK(BM_SaDecomposeBlock);
+
+// The pack widths whose kernel this host runs (1 = the scalar sweep).
+// Rows of the others are not registered, so no snapshot holds an empty
+// row for them.
+std::vector<int> HostPackWidths() {
+  std::vector<int> widths;
+  for (const int width : {1, 4, 8}) {
+    if (width <= anneal_internal::HostPackWidth()) widths.push_back(width);
+  }
+  return widths;
+}
+
+// Anneals `options` with every pack forced to the `width`-lane kernel.
+void RunAtPackWidth(benchmark::State& state, const QuboModel& qubo,
+                    const AnnealOptions& options, int width) {
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        anneal_internal::TrySolveQuboWithAnnealingAtWidth(qubo, options,
+                                                          width)
+            .value());
+  }
+  state.SetItemsProcessed(state.iterations() * options.num_reads *
+                          options.num_sweeps * qubo.NumVariables());
+}
+
+// BM_SaDecomposeBlock's 8 x 1000 anneal at each pack width, so that each
+// kernel stays timed whichever one the host routes full packs to.
+// range(0) = lanes per pack. Items = proposals.
+void BM_SaPackWidth(benchmark::State& state) {
+  AnnealOptions options;
+  options.num_reads = 8;
+  options.num_sweeps = 1000;
+  RunAtPackWidth(state, MakePenaltyBlock(), options,
+                 static_cast<int>(state.range(0)));
+}
+BENCHMARK(BM_SaPackWidth)->Apply([](benchmark::internal::Benchmark* b) {
+  for (const int width : HostPackWidths()) b->Arg(width);
+});
+
+// The timings behind the annealer's routing of partial packs (scalar
+// below 3 live reads, 4 lanes for 3-4, 8 lanes from 5): `live` reads x
+// 200 sweeps through one kernel, on the three shapes the rule was chosen
+// from, at the live counts either side of each boundary. range(0) = QUBO
+// (0 = the dense 100-variable QUBO of a 10 x 10 MQO batch, 1 = the dense
+// 24-variable penalty block, 2 = a sparse 64-variable QUBO at 10%
+// density), range(1) = live reads, range(2) = kernel lanes.
+// Items = proposals.
+void BM_SaPackRoute(benchmark::State& state) {
+  QuboModel qubo(1);
+  switch (state.range(0)) {
+    case 0: {
+      MqoGeneratorOptions gen;
+      gen.num_queries = 10;
+      gen.plans_per_query = 10;
+      gen.seed = 1;
+      qubo = EncodeMqoAsQubo(GenerateMqoProblem(gen)).qubo;
+      break;
+    }
+    case 1:
+      qubo = MakePenaltyBlock();
+      break;
+    default:
+      qubo = MakeRandomQubo(64, 0.1, 7);
+  }
+  AnnealOptions options;
+  options.num_reads = static_cast<int>(state.range(1));
+  options.num_sweeps = 200;
+  RunAtPackWidth(state, qubo, options, static_cast<int>(state.range(2)));
+}
+BENCHMARK(BM_SaPackRoute)->Apply([](benchmark::internal::Benchmark* b) {
+  for (const int qubo : {0, 1, 2}) {
+    for (const int live : {2, 3, 4, 5}) {
+      for (const int width : HostPackWidths()) b->Args({qubo, live, width});
+    }
+  }
+});
 
 // The annealer's group-move path: SA on the physical problem of an MQO
 // batch embedded into Pegasus P4, with the chains as flip groups (what an

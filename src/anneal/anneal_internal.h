@@ -1,8 +1,8 @@
 #pragma once
 
 // Internals of the simulated annealer's sweep kernel, shared with its
-// tests. Not part of the library's API: nothing outside src/anneal and
-// tests/ includes this header.
+// tests and benchmarks. Not part of the library's API: nothing outside
+// src/anneal, tests/ and bench/ includes this header.
 
 #include <cmath>
 #include <cstddef>
@@ -74,13 +74,17 @@ inline bool AcceptUphill(double x, double u,
   return u < std::exp(-x);
 }
 
-/// Reads one worker anneals in lock-step on this host: 4 (one per AVX2
-/// lane) when the CPU has AVX2 and the build can target it, else 1.
+/// Reads one worker anneals in lock-step on this host, one per lane of
+/// the widest kernel it runs: 8 (AVX-512F and AVX-512DQ, and AVX2), else
+/// 4 (AVX2), else 1. Read once from CPUID; x86-64 GCC/Clang ELF builds
+/// compile the lane kernels, other builds only the scalar sweep.
 int HostPackWidth();
 
-/// TrySolveQuboWithAnnealing with the pack width fixed to `width` (1, or
-/// 4 where HostPackWidth() is 4). Every width returns bit-identical
-/// results; tests run the golden rows through each.
+/// TrySolveQuboWithAnnealing with every pack, partial ones included, run
+/// by the `width`-lane kernel: 1 (the scalar sweep), 4 where
+/// HostPackWidth() >= 4, or 8 where it is 8. Any other width returns
+/// kInvalidArgument. Every width returns bit-identical results; tests run
+/// the golden rows through each, and perf_micro times each kernel.
 StatusOr<AnnealResult> TrySolveQuboWithAnnealingAtWidth(
     const QuboModel& qubo, const AnnealOptions& options, int width);
 

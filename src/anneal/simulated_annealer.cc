@@ -9,10 +9,11 @@
 #include <new>
 #include <span>
 
-// x86-64 GCC/Clang ELF builds compile the AVX2 read-pack kernel.
+// x86-64 GCC/Clang ELF builds compile the AVX2 and AVX-512 read-pack
+// kernels.
 #if defined(__GNUC__) && defined(__ELF__) && defined(__x86_64__)
 #include <immintrin.h>
-#define QQO_SA_AVX2_PACKS 1
+#define QQO_SA_LANE_PACKS 1
 #endif
 
 #include "anneal/anneal_internal.h"
@@ -357,21 +358,15 @@ class ScalarPack {
   ReadState& state_;
 };
 
-#ifdef QQO_SA_AVX2_PACKS
-/// The AVX2 pack kernel is compiled for AVX2 in every x86-64 GCC/Clang ELF
-/// build and runs only where the CPU reports AVX2 (HostPackWidth). Like
-/// the statevector kernel it enables neither FMA nor contraction, so each
-/// lane rounds every product and sum exactly as the scalar sweep does.
-#define QQO_AVX2 __attribute__((target("avx2")))
-
-/// Grow-only buffer on a 32-byte boundary, the alignment of one AVX2
-/// register, which the pack kernel's aligned loads and stores require.
+#ifdef QQO_SA_LANE_PACKS
+/// Grow-only buffer on a 64-byte boundary, the alignment of one AVX-512
+/// register, which the pack kernels' aligned loads and stores require.
 class AlignedDoubles {
  public:
   double* Resize(std::size_t count) {
     if (count > capacity_) {
       data_.reset(static_cast<double*>(
-          ::operator new(count * sizeof(double), std::align_val_t{32})));
+          ::operator new(count * sizeof(double), std::align_val_t{64})));
       capacity_ = count;
     }
     return data_.get();
@@ -380,26 +375,97 @@ class AlignedDoubles {
  private:
   struct Free {
     void operator()(double* p) const {
-      ::operator delete(p, std::align_val_t{32});
+      ::operator delete(p, std::align_val_t{64});
     }
   };
   std::unique_ptr<double, Free> data_;
   std::size_t capacity_ = 0;
 };
 
-constexpr std::size_t kAvx2Lanes = 4;
+/// The lanes of one pack of W reads, structure of arrays: variable i's
+/// local fields sit in field[W*i .. W*i + W-1] and its bits, as all-ones
+/// or all-zeros masks, in bits[W*i .. W*i + W-1], so one register holds
+/// one variable of every read. field and bits point into the worker's
+/// arena; a pack overwrites every cell it reads.
+template <std::size_t W>
+struct PackLanes {
+  double* field = nullptr;
+  double* bits = nullptr;
+  alignas(64) double energy[W] = {};
+  /// Word w of lane l's xoshiro256** state at [w][l].
+  alignas(64) std::uint64_t rng[4][W] = {};
+};
 
-/// Lane-wise FlipDelta: bits ? -field : field, by flipping the sign bit
-/// of the lanes whose bit (an all-ones mask) is set.
-QQO_AVX2 inline __m256d PackFlipDelta(const double* field, const double* bits,
-                                      std::size_t i) {
-  return _mm256_xor_pd(
-      _mm256_load_pd(field + kAvx2Lanes * i),
-      _mm256_and_pd(_mm256_load_pd(bits + kAvx2Lanes * i),
-                    _mm256_set1_pd(-0.0)));
+struct PackArena {
+  AlignedDoubles field;
+  AlignedDoubles bits;
+};
+
+PackArena& LocalPackArena() {
+  thread_local PackArena arena;
+  return arena;
 }
 
-QQO_AVX2 inline __m256i Rotl64(__m256i x, int k) {
+// The lane kernels are compiled for their instruction set in every x86-64
+// GCC/Clang ELF build and run only where the CPU reports it
+// (HostPackWidth). Like the statevector kernel they enable no FMA
+// instruction set, and -ffp-contract=off keeps AVX-512's own fused forms
+// out, so each lane rounds every product and sum exactly as the scalar
+// sweep does.
+
+/// Four reads per AVX2 register.
+namespace avx2_lanes {
+#define QQO_PACK_TARGET __attribute__((target("avx2")))
+
+constexpr std::size_t kLanes = 4;
+using Vec = __m256d;
+using Ints = __m256i;
+/// All-ones or all-zeros per lane.
+using Mask = __m256i;
+
+QQO_PACK_TARGET inline Vec Load(const double* p) { return _mm256_load_pd(p); }
+QQO_PACK_TARGET inline void Store(double* p, Vec v) { _mm256_store_pd(p, v); }
+QQO_PACK_TARGET inline Ints LoadInts(const std::uint64_t* p) {
+  return _mm256_load_si256(reinterpret_cast<const __m256i*>(p));
+}
+QQO_PACK_TARGET inline void StoreInts(std::uint64_t* p, Ints v) {
+  _mm256_store_si256(reinterpret_cast<__m256i*>(p), v);
+}
+QQO_PACK_TARGET inline Vec Splat(double x) { return _mm256_set1_pd(x); }
+QQO_PACK_TARGET inline Vec Add(Vec a, Vec b) { return _mm256_add_pd(a, b); }
+QQO_PACK_TARGET inline Vec Mul(Vec a, Vec b) { return _mm256_mul_pd(a, b); }
+
+template <int kPredicate>
+QQO_PACK_TARGET inline Mask Compare(Vec a, Vec b) {
+  return _mm256_castpd_si256(_mm256_cmp_pd(a, b, kPredicate));
+}
+QQO_PACK_TARGET inline unsigned Bits(Mask m) {
+  return static_cast<unsigned>(_mm256_movemask_pd(_mm256_castsi256_pd(m)));
+}
+QQO_PACK_TARGET inline Mask FromBits(unsigned bits) {
+  const __m256i lane_bits = _mm256_setr_epi64x(1, 2, 4, 8);
+  return _mm256_cmpeq_epi64(
+      _mm256_and_si256(_mm256_set1_epi64x(bits), lane_bits), lane_bits);
+}
+
+/// old + inc on the lanes of `m`, old on the others.
+QQO_PACK_TARGET inline Vec AddWhere(Vec old, Mask m, Vec inc) {
+  return _mm256_blendv_pd(old, _mm256_add_pd(old, inc), _mm256_castsi256_pd(m));
+}
+/// Per lane: if_set where `flags` (a bits vector) is set, else if_clear.
+QQO_PACK_TARGET inline Vec Choose(Vec flags, Vec if_set, Vec if_clear) {
+  return _mm256_blendv_pd(if_clear, if_set, flags);
+}
+/// `bits` with the lanes of `m` flipped.
+QQO_PACK_TARGET inline Vec ToggleWhere(Vec bits, Mask m) {
+  return _mm256_xor_pd(bits, _mm256_castsi256_pd(m));
+}
+/// -x on the lanes whose `bits` are set, by flipping the sign bit.
+QQO_PACK_TARGET inline Vec NegateWhere(Vec x, Vec bits) {
+  return _mm256_xor_pd(x, _mm256_and_pd(bits, _mm256_set1_pd(-0.0)));
+}
+
+QQO_PACK_TARGET inline __m256i Rotl64(__m256i x, int k) {
   return _mm256_or_si256(_mm256_slli_epi64(x, k),
                          _mm256_srli_epi64(x, 64 - k));
 }
@@ -410,7 +476,7 @@ QQO_AVX2 inline __m256i Rotl64(__m256i x, int k) {
 /// multiplications by 5 and 9 are shifts and adds, and (r >> 11) becomes a
 /// double exactly as hi * 2^32 + lo, each half through the 2^52 exponent
 /// trick (AVX2 has no 64-bit integer to double conversion).
-QQO_AVX2 inline __m256d MaskedNextDouble(__m256i s[4], __m256i draw) {
+QQO_PACK_TARGET inline Vec MaskedNextDouble(Ints s[4], Mask draw) {
   const __m256i s1 = s[1];
   const __m256i times5 = _mm256_add_epi64(_mm256_slli_epi64(s1, 2), s1);
   const __m256i rotated = Rotl64(times5, 7);
@@ -438,162 +504,166 @@ QQO_AVX2 inline __m256d MaskedNextDouble(__m256i s[4], __m256i draw) {
   return _mm256_mul_pd(_mm256_add_pd(hi, lo), _mm256_set1_pd(0x1.0p-53));
 }
 
-/// MetropolisAccept on four lanes at once, returning the accepting lanes
-/// as all-ones masks. Downhill lanes accept without a draw; the others
-/// draw and are decided by AcceptUphill's rule, lane by lane: the bracket
-/// decides x <= 40, u != 0 rejects x > 40 (and NaN), and the rest compare
-/// with std::exp one lane at a time.
-QQO_AVX2 inline __m256d PackAccept(__m256d delta, __m256d beta, __m256i rng[4],
-                                   const double* bounds) {
+/// The bracket bounds of x's bucket, x clamped into [0, kMaxX] so that
+/// downhill and NaN lanes index inside the table too (min and max return
+/// their second operand on NaN).
+QQO_PACK_TARGET inline void GatherBracket(Vec x, const double* bounds,
+                                          Vec* lower, Vec* upper) {
   using anneal_internal::MetropolisBracket;
   const __m256d zero = _mm256_setzero_pd();
-  const __m256d downhill = _mm256_cmp_pd(delta, zero, _CMP_LE_OQ);
-  if (_mm256_movemask_pd(downhill) == 0xF) return downhill;
-  const __m256d draw = _mm256_cmp_pd(delta, zero, _CMP_NLE_UQ);
-  const __m256d u = MaskedNextDouble(rng, _mm256_castpd_si256(draw));
-  const __m256d x = _mm256_mul_pd(beta, delta);
-
-  const __m256d max_x = _mm256_set1_pd(MetropolisBracket::kMaxX);
-  const __m256d in_table = _mm256_cmp_pd(x, max_x, _CMP_LE_OQ);
-  // Clamped so that downhill and NaN lanes index inside the table too.
-  const __m256d clamped = _mm256_max_pd(_mm256_min_pd(x, max_x), zero);
+  const __m256d clamped = _mm256_max_pd(
+      _mm256_min_pd(x, _mm256_set1_pd(MetropolisBracket::kMaxX)), zero);
   const __m128i bucket = _mm256_cvttpd_epi32(
       _mm256_mul_pd(clamped, _mm256_set1_pd(MetropolisBracket::kScale)));
   const __m128i index = _mm_add_epi32(bucket, bucket);
   // Masked gathers: GCC 12 flags the plain gather's undefined pass-through
   // source as maybe-uninitialized.
   const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-  const __m256d lower = _mm256_mask_i32gather_pd(zero, bounds, index, all, 8);
-  const __m256d upper =
-      _mm256_mask_i32gather_pd(zero, bounds + 1, index, all, 8);
-  const __m256d below =
-      _mm256_and_pd(in_table, _mm256_cmp_pd(u, lower, _CMP_LT_OQ));
-  const __m256d reject = _mm256_or_pd(
-      _mm256_and_pd(in_table, _mm256_cmp_pd(u, upper, _CMP_GE_OQ)),
-      _mm256_andnot_pd(in_table, _mm256_cmp_pd(u, zero, _CMP_NEQ_OQ)));
-  __m256d accept = _mm256_or_pd(downhill, _mm256_and_pd(draw, below));
-  int undecided = _mm256_movemask_pd(
-      _mm256_andnot_pd(_mm256_or_pd(below, reject), draw));
-  if (undecided != 0) {
-    alignas(32) double xs[kAvx2Lanes];
-    alignas(32) double us[kAvx2Lanes];
-    alignas(32) std::uint64_t decided[kAvx2Lanes];
-    _mm256_store_pd(xs, x);
-    _mm256_store_pd(us, u);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(decided),
-                       _mm256_castpd_si256(accept));
-    for (; undecided != 0; undecided &= undecided - 1) {
-      const int lane = __builtin_ctz(static_cast<unsigned>(undecided));
-      decided[lane] = us[lane] < std::exp(-xs[lane]) ? ~std::uint64_t{0} : 0;
-    }
-    accept = _mm256_castsi256_pd(
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(decided)));
-  }
-  return accept;
+  *lower = _mm256_mask_i32gather_pd(zero, bounds, index, all, 8);
+  *upper = _mm256_mask_i32gather_pd(zero, bounds + 1, index, all, 8);
 }
 
-/// ReadState::CommitFlip on the accepting lanes. Every lane computes
-/// field + sign * c, and the accepting lanes take it by a blend, never by
-/// adding 0, so no lane's field can change even in the sign of a zero.
-QQO_AVX2 inline void PackCommitFlip(const SweepGraph& graph, std::size_t i,
-                                    __m256d accept, double* field,
-                                    double* bits) {
-  const __m256d now = _mm256_xor_pd(_mm256_load_pd(bits + kAvx2Lanes * i),
-                                    accept);
-  _mm256_store_pd(bits + kAvx2Lanes * i, now);
-  const __m256d sign =
-      _mm256_blendv_pd(_mm256_set1_pd(-1.0), _mm256_set1_pd(1.0), now);
-  if (graph.dense) {
-    const std::size_t n = static_cast<std::size_t>(graph.n);
-    const double* row = graph.rows.data() + i * n;
-    for (std::size_t j = 0; j < n; ++j) {
-      double* lanes = field + kAvx2Lanes * j;
-      const __m256d old = _mm256_load_pd(lanes);
-      const __m256d updated =
-          _mm256_add_pd(old, _mm256_mul_pd(sign, _mm256_set1_pd(row[j])));
-      _mm256_store_pd(lanes, _mm256_blendv_pd(old, updated, accept));
-    }
-  } else {
-    for (std::size_t k = graph.csr.offsets[i]; k < graph.csr.offsets[i + 1];
-         ++k) {
-      double* lanes =
-          field + kAvx2Lanes * static_cast<std::size_t>(graph.csr.neighbors[k]);
-      const __m256d old = _mm256_load_pd(lanes);
-      const __m256d updated = _mm256_add_pd(
-          old, _mm256_mul_pd(sign, _mm256_set1_pd(graph.csr.coeffs[k])));
-      _mm256_store_pd(lanes, _mm256_blendv_pd(old, updated, accept));
-    }
-  }
+#include "anneal/sa_pack_sweep.inc"
+
+#undef QQO_PACK_TARGET
+}  // namespace avx2_lanes
+
+/// Eight reads per AVX-512 register. GCC 12 expands the unmasked forms of
+/// several AVX-512 intrinsics (shifts, rotates, min/max, the double to
+/// int32 conversion, the gather) through an undefined pass-through value
+/// that -Wmaybe-uninitialized flags; the all-lanes masked forms used here
+/// compute the same thing without one.
+namespace avx512_lanes {
+#define QQO_PACK_TARGET __attribute__((target("avx512f,avx512dq")))
+
+constexpr std::size_t kLanes = 8;
+constexpr __mmask8 kAll = 0xFF;
+using Vec = __m512d;
+using Ints = __m512i;
+using Mask = __mmask8;
+
+QQO_PACK_TARGET inline Vec Load(const double* p) { return _mm512_load_pd(p); }
+QQO_PACK_TARGET inline void Store(double* p, Vec v) { _mm512_store_pd(p, v); }
+QQO_PACK_TARGET inline Ints LoadInts(const std::uint64_t* p) {
+  return _mm512_load_si512(p);
+}
+QQO_PACK_TARGET inline void StoreInts(std::uint64_t* p, Ints v) {
+  _mm512_store_si512(p, v);
+}
+QQO_PACK_TARGET inline Vec Splat(double x) { return _mm512_set1_pd(x); }
+QQO_PACK_TARGET inline Vec Add(Vec a, Vec b) { return _mm512_add_pd(a, b); }
+QQO_PACK_TARGET inline Vec Mul(Vec a, Vec b) { return _mm512_mul_pd(a, b); }
+
+template <int kPredicate>
+QQO_PACK_TARGET inline Mask Compare(Vec a, Vec b) {
+  return _mm512_cmp_pd_mask(a, b, kPredicate);
+}
+QQO_PACK_TARGET inline unsigned Bits(Mask m) { return m; }
+QQO_PACK_TARGET inline Mask FromBits(unsigned bits) {
+  return static_cast<Mask>(bits);
 }
 
-/// ReadState::GroupDelta on every lane: the member deltas and then the
-/// in-group couplings, summed in the same order.
-QQO_AVX2 inline __m256d PackGroupDelta(
-    const std::vector<int>& group, std::span<const GroupCoupling> couplings,
-    const double* field, const double* bits) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d minus_one = _mm256_set1_pd(-1.0);
-  __m256d delta = _mm256_setzero_pd();
-  for (int i : group) {
-    delta = _mm256_add_pd(
-        delta, PackFlipDelta(field, bits, static_cast<std::size_t>(i)));
-  }
-  for (const GroupCoupling& edge : couplings) {
-    const __m256d si = _mm256_blendv_pd(
-        one, minus_one,
-        _mm256_load_pd(bits + kAvx2Lanes * static_cast<std::size_t>(edge.i)));
-    const __m256d sj = _mm256_blendv_pd(
-        one, minus_one,
-        _mm256_load_pd(bits + kAvx2Lanes * static_cast<std::size_t>(edge.j)));
-    delta = _mm256_add_pd(
-        delta, _mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(edge.coeff), si), sj));
-  }
-  return delta;
+/// old + inc on the lanes of `m`, old on the others: the masked add is
+/// the blend, so the other lanes are never += 0.
+QQO_PACK_TARGET inline Vec AddWhere(Vec old, Mask m, Vec inc) {
+  return _mm512_mask_add_pd(old, m, old, inc);
+}
+/// Per lane: if_set where `flags` (a bits vector) is set, else if_clear.
+QQO_PACK_TARGET inline Vec Choose(Vec flags, Vec if_set, Vec if_clear) {
+  return _mm512_mask_blend_pd(_mm512_movepi64_mask(_mm512_castpd_si512(flags)),
+                              if_clear, if_set);
+}
+/// `bits` with the lanes of `m` flipped.
+QQO_PACK_TARGET inline Vec ToggleWhere(Vec bits, Mask m) {
+  return _mm512_mask_xor_pd(bits, m, bits,
+                            _mm512_castsi512_pd(_mm512_set1_epi64(-1)));
+}
+/// -x on the lanes whose `bits` are set, by flipping the sign bit.
+QQO_PACK_TARGET inline Vec NegateWhere(Vec x, Vec bits) {
+  return _mm512_xor_pd(x, _mm512_and_pd(bits, _mm512_set1_pd(-0.0)));
 }
 
-/// The lanes of one pack, structure of arrays: variable i's local fields
-/// sit in field[4i .. 4i + 3] and its bits, as all-ones or all-zeros
-/// masks, in bits[4i .. 4i + 3], so one AVX2 register holds one variable
-/// of all four reads. Each worker keeps one arena, and a pack overwrites
-/// every cell it reads. Lanes pass through the worker's scalar ReadState
-/// for Reset and the final descent, one at a time.
-struct PackArena {
-  AlignedDoubles field;
-  AlignedDoubles bits;
-};
-
-PackArena& LocalPackArena() {
-  thread_local PackArena arena;
-  return arena;
+/// Rng::NextDouble() of every lane's xoshiro256** stream, advancing only
+/// the lanes in `draw` (masked xors and rotate), as in the AVX2 kernel.
+/// (r >> 11) < 2^53 converts to a double exactly in one instruction.
+QQO_PACK_TARGET inline Vec MaskedNextDouble(Ints s[4], Mask draw) {
+  const __m512i s1 = s[1];
+  const __m512i times5 =
+      _mm512_add_epi64(_mm512_maskz_slli_epi64(kAll, s1, 2), s1);
+  const __m512i rotated = _mm512_maskz_rol_epi64(kAll, times5, 7);
+  const __m512i result =
+      _mm512_add_epi64(_mm512_maskz_slli_epi64(kAll, rotated, 3), rotated);
+  const __m512i t = _mm512_maskz_slli_epi64(kAll, s1, 17);
+  const __m512i s2 = _mm512_xor_si512(s[2], s[0]);
+  const __m512i s3 = _mm512_xor_si512(s[3], s1);
+  s[0] = _mm512_mask_xor_epi64(s[0], draw, s[0], s3);
+  s[1] = _mm512_mask_xor_epi64(s1, draw, s1, s2);
+  s[2] = _mm512_mask_xor_epi64(s[2], draw, s2, t);
+  s[3] = _mm512_mask_rol_epi64(s[3], draw, s3, 45);
+  return _mm512_mul_pd(
+      _mm512_maskz_cvtepu64_pd(kAll, _mm512_maskz_srli_epi64(kAll, result, 11)),
+      _mm512_set1_pd(0x1.0p-53));
 }
 
-/// Four reads annealed in lock-step, one per AVX2 lane: lane l is read
-/// first + l. Every lane performs exactly the floating-point operations
-/// and RNG draws of its scalar read. A partial last pack fills its spare
-/// lanes with copies of its first read; the caller drops their results.
-class Avx2Pack {
+/// The bracket bounds of x's bucket, x clamped into [0, kMaxX] so that
+/// downhill and NaN lanes index inside the table too (min and max return
+/// their second operand on NaN, as in the AVX2 kernel).
+QQO_PACK_TARGET inline void GatherBracket(Vec x, const double* bounds,
+                                          Vec* lower, Vec* upper) {
+  using anneal_internal::MetropolisBracket;
+  const __m512d zero = _mm512_setzero_pd();
+  const __m512d clamped = _mm512_maskz_max_pd(
+      kAll,
+      _mm512_maskz_min_pd(kAll, x, _mm512_set1_pd(MetropolisBracket::kMaxX)),
+      zero);
+  const __m256i bucket = _mm512_maskz_cvttpd_epi32(
+      kAll, _mm512_mul_pd(clamped, _mm512_set1_pd(MetropolisBracket::kScale)));
+  const __m256i index = _mm256_add_epi32(bucket, bucket);
+  *lower = _mm512_mask_i32gather_pd(zero, kAll, index, bounds, 8);
+  *upper = _mm512_mask_i32gather_pd(zero, kAll, index, bounds + 1, 8);
+}
+
+#include "anneal/sa_pack_sweep.inc"
+
+#undef QQO_PACK_TARGET
+}  // namespace avx512_lanes
+
+using avx2_lanes::SweepLanes;
+using avx512_lanes::SweepLanes;
+
+/// W reads annealed in lock-step, one per lane: lane l is read first + l.
+/// Every lane performs exactly the floating-point operations and RNG
+/// draws of its scalar read. A partial pack fills its spare lanes with
+/// copies of its first read, which accept exactly when that read does and
+/// so add no row update of their own; the caller drops their results.
+/// Lanes pass through the worker's scalar ReadState for Reset and the
+/// final descent, one at a time.
+template <std::size_t W>
+class LanePack {
  public:
-  static constexpr std::size_t kWidth = kAvx2Lanes;
+  static constexpr std::size_t kWidth = W;
 
-  Avx2Pack(const AnnealCall& call, std::size_t first, std::size_t live)
+  LanePack(const AnnealCall& call, std::size_t first, std::size_t live)
       : call_(call) {
     const std::size_t n = static_cast<std::size_t>(call.graph.n);
     PackArena& arena = LocalPackArena();
-    field_ = arena.field.Resize(kWidth * n);
-    bits_ = arena.bits.Resize(kWidth * n);
+    lanes_.field = arena.field.Resize(kWidth * n);
+    lanes_.bits = arena.bits.Resize(kWidth * n);
     for (std::size_t lane = 0; lane < kWidth; ++lane) {
       const std::size_t read = first + (lane < live ? lane : 0);
       Rng rng(ReadSeed(call.options.seed, static_cast<int>(read)));
       ReadState& state = LocalReadState();
       state.Reset(call.graph, call.qubo, &rng);
       for (std::size_t i = 0; i < n; ++i) {
-        field_[kWidth * i + lane] = state.local_field[i];
+        lanes_.field[kWidth * i + lane] = state.local_field[i];
         const std::uint64_t mask = state.bits[i] ? ~std::uint64_t{0} : 0;
-        std::memcpy(&bits_[kWidth * i + lane], &mask, sizeof(mask));
+        std::memcpy(&lanes_.bits[kWidth * i + lane], &mask, sizeof(mask));
       }
-      energy_[lane] = state.energy;
+      lanes_.energy[lane] = state.energy;
       const std::array<std::uint64_t, 4> words = rng.State();
-      for (std::size_t w = 0; w < words.size(); ++w) rng_[w][lane] = words[w];
+      for (std::size_t w = 0; w < words.size(); ++w) {
+        lanes_.rng[w][lane] = words[w];
+      }
     }
   }
 
@@ -603,58 +673,21 @@ class Avx2Pack {
     const std::size_t n = static_cast<std::size_t>(call_.graph.n);
     for (std::size_t i = 0; i < n; ++i) {
       std::uint64_t mask = 0;
-      std::memcpy(&mask, &bits_[kWidth * i + lane], sizeof(mask));
+      std::memcpy(&mask, &lanes_.bits[kWidth * i + lane], sizeof(mask));
       state.bits[i] = mask != 0 ? 1 : 0;
-      state.local_field[i] = field_[kWidth * i + lane];
+      state.local_field[i] = lanes_.field[kWidth * i + lane];
     }
-    state.energy = energy_[lane];
+    state.energy = lanes_.energy[lane];
     return state;
   }
 
-  QQO_AVX2 void Sweep(double beta_value) {
-    const SweepGraph& graph = call_.graph;
-    const double* bounds = call_.bracket.Bounds();
-    const __m256d beta = _mm256_set1_pd(beta_value);
-    __m256i rng[4];
-    for (std::size_t w = 0; w < 4; ++w) {
-      rng[w] = _mm256_load_si256(reinterpret_cast<const __m256i*>(rng_[w]));
-    }
-    __m256d energy = _mm256_load_pd(energy_);
-    const std::size_t n = static_cast<std::size_t>(graph.n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const __m256d delta = PackFlipDelta(field_, bits_, i);
-      const __m256d accept = PackAccept(delta, beta, rng, bounds);
-      if (_mm256_movemask_pd(accept) == 0) continue;
-      PackCommitFlip(graph, i, accept, field_, bits_);
-      energy = _mm256_blendv_pd(energy, _mm256_add_pd(energy, delta), accept);
-    }
-    const std::vector<std::vector<int>>& groups = call_.options.flip_groups;
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      const __m256d delta =
-          PackGroupDelta(groups[g], graph.GroupCouplings(g), field_, bits_);
-      const __m256d accept = PackAccept(delta, beta, rng, bounds);
-      if (_mm256_movemask_pd(accept) == 0) continue;
-      for (int i : groups[g]) {
-        PackCommitFlip(graph, static_cast<std::size_t>(i), accept, field_,
-                       bits_);
-      }
-      energy = _mm256_blendv_pd(energy, _mm256_add_pd(energy, delta), accept);
-    }
-    for (std::size_t w = 0; w < 4; ++w) {
-      _mm256_store_si256(reinterpret_cast<__m256i*>(rng_[w]), rng[w]);
-    }
-    _mm256_store_pd(energy_, energy);
-  }
+  void Sweep(double beta) { SweepLanes(call_, lanes_, beta); }
 
  private:
   const AnnealCall& call_;
-  double* field_ = nullptr;
-  double* bits_ = nullptr;
-  alignas(32) double energy_[kWidth] = {};
-  /// Word w of lane l's xoshiro256** state at [w][l].
-  alignas(32) std::uint64_t rng_[4][kWidth] = {};
+  PackLanes<W> lanes_;
 };
-#endif  // QQO_SA_AVX2_PACKS
+#endif  // QQO_SA_LANE_PACKS
 
 /// Per-read results of one call, indexed by read. A pack writes only the
 /// slots of its own reads.
@@ -732,9 +765,24 @@ void AnnealPack(const AnnealCall& call, std::size_t first, std::size_t live,
   }
 }
 
+/// The kernel for a pack of `live` reads of the `width`-lane host: the
+/// scalar sweep, read by read, below three live reads, else the narrowest
+/// lane kernel that holds them. A pack pays a row update whenever any of
+/// its reads accepts, so one or two reads in a pack ran slower than on
+/// their own on two of the three QUBOs this was timed on, and three or
+/// four reads ran faster in 4 lanes than in 8 (DESIGN.md "Read packs",
+/// BM_SaPackRoute).
+std::size_t RoutedKernel(std::size_t live, std::size_t width) {
+  if (live < 3) return 1;
+  return live <= 4 ? 4 : width;
+}
+
+/// Anneals in packs of `width` reads (the last one partial), each run by
+/// the `width`-lane kernel or, with `route`, by the kernel RoutedKernel
+/// picks. Kernels are bit-identical, so the choice changes no result.
 StatusOr<AnnealResult> AnnealInPacks(const QuboModel& qubo,
                                      const AnnealOptions& options,
-                                     std::size_t width) {
+                                     std::size_t width, bool route) {
   QQO_TRACE_SPAN("anneal.solve");
   const int n = qubo.NumVariables();
   if (n < 1) return InvalidArgumentError("QUBO has no variables");
@@ -782,14 +830,27 @@ StatusOr<AnnealResult> AnnealInPacks(const QuboModel& qubo,
         QQO_TRACE_SPAN("anneal.read");
         const std::size_t first = pack * width;
         const std::size_t live = std::min(width, num_reads - first);
-#ifdef QQO_SA_AVX2_PACKS
-        // A lone read runs faster on its own than beside three spares.
-        if (width == Avx2Pack::kWidth && live > 1) {
-          AnnealPack<Avx2Pack>(call, first, live, &slots, &timed_out);
-          return;
-        }
+        // The task's reads in packs of `kernel` reads; kernel 1 is the
+        // scalar sweep, one read at a time.
+        const std::size_t kernel = route ? RoutedKernel(live, width) : width;
+        for (std::size_t done = 0; done < live; done += kernel) {
+          const std::size_t reads = std::min(kernel, live - done);
+          switch (kernel) {
+#ifdef QQO_SA_LANE_PACKS
+            case 8:
+              AnnealPack<LanePack<8>>(call, first + done, reads, &slots,
+                                      &timed_out);
+              break;
+            case 4:
+              AnnealPack<LanePack<4>>(call, first + done, reads, &slots,
+                                      &timed_out);
+              break;
 #endif
-        AnnealPack<ScalarPack>(call, first, live, &slots, &timed_out);
+            default:
+              AnnealPack<ScalarPack>(call, first + done, reads, &slots,
+                                     &timed_out);
+          }
+        }
       });
 
   // Cancellation and injected faults fail the whole call; a plain expiry
@@ -831,9 +892,16 @@ StatusOr<AnnealResult> AnnealInPacks(const QuboModel& qubo,
 namespace anneal_internal {
 
 int HostPackWidth() {
-#ifdef QQO_SA_AVX2_PACKS
-  static const int width =
-      __builtin_cpu_supports("avx2") ? static_cast<int>(Avx2Pack::kWidth) : 1;
+#ifdef QQO_SA_LANE_PACKS
+  // An 8-lane host also runs the 4-lane kernel (for partial packs), so it
+  // must have AVX2 too, as every AVX-512 CPU does.
+  static const int width = [] {
+    if (!__builtin_cpu_supports("avx2")) return 1;
+    return __builtin_cpu_supports("avx512f") &&
+                   __builtin_cpu_supports("avx512dq")
+               ? 8
+               : 4;
+  }();
   return width;
 #else
   return 1;
@@ -842,11 +910,12 @@ int HostPackWidth() {
 
 StatusOr<AnnealResult> TrySolveQuboWithAnnealingAtWidth(
     const QuboModel& qubo, const AnnealOptions& options, int width) {
-  if (width != 1 && width != HostPackWidth()) {
+  if (width != 1 && !((width == 4 || width == 8) && width <= HostPackWidth())) {
     return InvalidArgumentError(StrFormat(
         "SA pack width %d is not available on this host", width));
   }
-  return AnnealInPacks(qubo, options, static_cast<std::size_t>(width));
+  return AnnealInPacks(qubo, options, static_cast<std::size_t>(width),
+                       /*route=*/false);
 }
 
 }  // namespace anneal_internal
@@ -855,7 +924,8 @@ StatusOr<AnnealResult> TrySolveQuboWithAnnealing(const QuboModel& qubo,
                                                  const AnnealOptions& options) {
   return AnnealInPacks(
       qubo, options,
-      static_cast<std::size_t>(anneal_internal::HostPackWidth()));
+      static_cast<std::size_t>(anneal_internal::HostPackWidth()),
+      /*route=*/true);
 }
 
 }  // namespace qopt

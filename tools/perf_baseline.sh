@@ -294,7 +294,7 @@ if [[ "${1:-}" == "--check" ]]; then
   tolerance="${QQO_PERF_TOLERANCE:-0.02}"
   snapshot_tolerance="${QQO_PERF_SNAPSHOT_TOLERANCE:-0.10}"
   attempts="${QQO_PERF_CHECK_ATTEMPTS:-2}"
-  hot_filter="${QQO_BENCH_FILTER:-BM_SimulatedAnnealing|BM_SaSweepDensity|BM_SaDecomposeBlock|BM_EmbeddedAnnealSweep|BM_StatevectorQaoa|BM_StatevectorGateLayer|BM_RaceDispatch|BM_Serve|BM_DecomposeSolve|BM_DecomposeJoinOrder}"
+  hot_filter="${QQO_BENCH_FILTER:-BM_SimulatedAnnealing|BM_SaSweepDensity|BM_SaDecomposeBlock|BM_SaPackWidth|BM_SaPackRoute|BM_EmbeddedAnnealSweep|BM_StatevectorQaoa|BM_StatevectorGateLayer|BM_RaceDispatch|BM_Serve|BM_DecomposeSolve|BM_DecomposeJoinOrder}"
   require_perf_bin
   if [[ ! -r "${baseline_json}" ]]; then
     echo "error: baseline ${baseline_json} not readable" >&2
