@@ -57,13 +57,13 @@ struct GroupCoupling {
 /// (i, j, c_ij) with j > i, in member order and then CSR row order, span
 /// group_couplings[group_offsets[g] .. group_offsets[g + 1]).
 struct SweepGraph {
+  const CsrAdjacency& csr;  ///< The QUBO's own rows.
   int n = 0;
   bool dense = false;
-  std::vector<double> linear;
-  CsrAdjacency csr;
-  std::vector<double> rows;  ///< n*n, row-major, 0.0 where no coupling.
-  std::vector<std::size_t> group_offsets;
-  std::vector<GroupCoupling> group_couplings;
+  std::vector<double> linear = {};
+  std::vector<double> rows = {};  ///< n*n, row-major, 0.0 where no coupling.
+  std::vector<std::size_t> group_offsets = {};
+  std::vector<GroupCoupling> group_couplings = {};
 
   std::span<const GroupCoupling> GroupCouplings(std::size_t g) const {
     return {group_couplings.data() + group_offsets[g],
@@ -79,13 +79,11 @@ constexpr int kDenseRowMaxVars = 2048;
 
 StatusOr<SweepGraph> BuildSweepGraph(
     const QuboModel& qubo, const std::vector<std::vector<int>>& groups) {
-  SweepGraph graph;
-  graph.n = qubo.NumVariables();
+  SweepGraph graph{.csr = qubo.Rows(), .n = qubo.NumVariables()};
   graph.linear.resize(static_cast<std::size_t>(graph.n));
   for (int i = 0; i < graph.n; ++i) {
     graph.linear[static_cast<std::size_t>(i)] = qubo.Linear(i);
   }
-  graph.csr = qubo.BuildCsrAdjacency();
   graph.dense =
       graph.n >= 2 && graph.n <= kDenseRowMaxVars &&
       qubo.Density() >= kDenseRowThreshold;

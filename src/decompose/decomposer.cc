@@ -32,45 +32,6 @@ constexpr std::int64_t kPartitionSeedBase = std::int64_t{1} << 16;
 constexpr std::int64_t kSubproblemSeedBase = std::int64_t{1} << 32;
 constexpr std::int64_t kSubproblemRoundStride = std::int64_t{1} << 21;
 
-/// Builds the subproblem induced by `block` with the complement clamped
-/// to `incumbent`: in-block pairs keep their quadratic coefficients, and
-/// couplings to clamped-1 outside variables fold into the linear part.
-/// The constant share (offset, clamped-clamped interactions) is dropped —
-/// the subproblem is only ever argmin'd, and acceptance is decided by the
-/// exact full-problem delta during stitching anyway.
-QuboModel BuildClampedSubproblem(const QuboModel& qubo,
-                                 const CsrAdjacency& adj,
-                                 const std::vector<int>& block,
-                                 const std::vector<std::uint8_t>& incumbent) {
-  const int m = static_cast<int>(block.size());
-  // block is sorted, so binary search gives the local index of a global
-  // variable without a full-size scratch map per worker.
-  const auto local_of = [&block](int global) {
-    return static_cast<int>(
-        std::lower_bound(block.begin(), block.end(), global) - block.begin());
-  };
-  QuboModel sub(m);
-  for (int local = 0; local < m; ++local) {
-    const int global = block[static_cast<std::size_t>(local)];
-    double linear = qubo.Linear(global);
-    const std::size_t u = static_cast<std::size_t>(global);
-    for (std::size_t k = adj.offsets[u]; k < adj.offsets[u + 1]; ++k) {
-      const int neighbor = adj.neighbors[k];
-      const bool in_block =
-          std::binary_search(block.begin(), block.end(), neighbor);
-      if (in_block) {
-        if (neighbor > global) {
-          sub.AddQuadratic(local, local_of(neighbor), adj.coeffs[k]);
-        }
-      } else if (incumbent[static_cast<std::size_t>(neighbor)]) {
-        linear += adj.coeffs[k];
-      }
-    }
-    if (linear != 0.0) sub.AddLinear(local, linear);
-  }
-  return sub;
-}
-
 /// Per-block outcome of the parallel solve stage, indexed by block so the
 /// stitch order (and therefore the result) is thread-count independent.
 struct BlockOutcome {
@@ -86,7 +47,7 @@ struct BlockOutcome {
 /// trivial under the pool-reentrancy contract; any nested ParallelFor the
 /// solver issues runs inline serially). Any other solver failure keeps
 /// the incumbent for this block instead of voiding the round.
-BlockOutcome SolveOneBlock(const QuboModel& qubo, const CsrAdjacency& adj,
+BlockOutcome SolveOneBlock(const QuboModel& qubo,
                            const std::vector<int>& block,
                            const std::vector<std::uint8_t>& incumbent,
                            std::uint64_t seed, const Deadline& deadline,
@@ -96,17 +57,14 @@ BlockOutcome SolveOneBlock(const QuboModel& qubo, const CsrAdjacency& adj,
     // Singleton blocks (isolated variables or partition leftovers) are
     // solved exactly in place: with every neighbor clamped, the objective
     // is linear in the lone bit.
-    const std::size_t v = static_cast<std::size_t>(block.front());
-    double turn_on = qubo.Linear(block.front());
-    for (std::size_t k = adj.offsets[v]; k < adj.offsets[v + 1]; ++k) {
-      if (incumbent[static_cast<std::size_t>(adj.neighbors[k])]) {
-        turn_on += adj.coeffs[k];
-      }
-    }
+    const int v = block.front();
+    const double flip = qubo.FlipDelta(incumbent, v);
+    const double turn_on =
+        incumbent[static_cast<std::size_t>(v)] ? -flip : flip;
     outcome.proposal.assign(1, turn_on < 0.0 ? 1 : 0);
     return outcome;
   }
-  const QuboModel sub = BuildClampedSubproblem(qubo, adj, block, incumbent);
+  const QuboModel sub = BuildClampedSubproblem(qubo, block, incumbent);
   StatusOr<SubproblemResult> solved = solver(sub, seed, deadline);
   if (!solved.ok()) {
     const StatusCode code = solved.status().code();
@@ -130,7 +88,7 @@ BlockOutcome SolveOneBlock(const QuboModel& qubo, const CsrAdjacency& adj,
 /// is a complete, consistent assignment before and after this call, which
 /// is what lets a deadline abort the stitch *between* blocks and still
 /// return a valid anytime result.
-void ApplyBlockIfImproving(const QuboModel& qubo, const CsrAdjacency& adj,
+void ApplyBlockIfImproving(const QuboModel& qubo,
                            const std::vector<int>& block,
                            const std::vector<std::uint8_t>& proposal,
                            std::vector<std::uint8_t>* bits, double* energy) {
@@ -140,7 +98,7 @@ void ApplyBlockIfImproving(const QuboModel& qubo, const CsrAdjacency& adj,
   for (std::size_t i = 0; i < block.size(); ++i) {
     const int v = block[i];
     if ((*bits)[static_cast<std::size_t>(v)] == proposal[i]) continue;
-    delta += qubo.FlipDelta(*bits, v, adj);
+    delta += qubo.FlipDelta(*bits, v);
     (*bits)[static_cast<std::size_t>(v)] ^= 1;
     flipped.push_back(v);
   }
@@ -159,17 +117,17 @@ void ApplyBlockIfImproving(const QuboModel& qubo, const CsrAdjacency& adj,
 /// restoring the best visited assignment on exit. Deterministic: ties
 /// break to the lowest variable index. Returns the deadline status when
 /// the budget expires mid-search (the best-so-far restore still runs).
-Status TabuRefine(const QuboModel& qubo, const CsrAdjacency& adj,
-                  const DecomposeOptions& options,
+Status TabuRefine(const QuboModel& qubo, const DecomposeOptions& options,
                   std::vector<std::uint8_t>* bits, double* energy) {
   QQO_TRACE_SPAN("decompose.refine");
+  const CsrAdjacency& adj = qubo.Rows();
   const int n = qubo.NumVariables();
   const std::int64_t budget = std::min<std::int64_t>(
       kMaxRefineIters,
       static_cast<std::int64_t>(options.refine_passes) * n);
   std::vector<double> delta(static_cast<std::size_t>(n), 0.0);
   for (int v = 0; v < n; ++v) {
-    delta[static_cast<std::size_t>(v)] = qubo.FlipDelta(*bits, v, adj);
+    delta[static_cast<std::size_t>(v)] = qubo.FlipDelta(*bits, v);
   }
   std::vector<std::int64_t> tabu_until(static_cast<std::size_t>(n), -1);
   std::vector<std::uint8_t> best_bits = *bits;
@@ -236,6 +194,36 @@ std::uint64_t SubproblemSeed(std::uint64_t seed, int round, int block) {
                                kSubproblemRoundStride * round + block);
 }
 
+QuboModel BuildClampedSubproblem(const QuboModel& qubo,
+                                 const std::vector<int>& block,
+                                 const std::vector<std::uint8_t>& incumbent) {
+  const CsrAdjacency& adj = qubo.Rows();
+  std::vector<double> linear(block.size(), 0.0);
+  PairTerms terms;
+  for (std::size_t local = 0; local < block.size(); ++local) {
+    const int global = block[local];
+    const std::size_t u = static_cast<std::size_t>(global);
+    double sum = qubo.Linear(global);
+    // The row and `block` are both ascending: one merge walk finds the
+    // in-block partners, in ascending local order.
+    auto member = block.begin();
+    for (std::size_t k = adj.offsets[u]; k < adj.offsets[u + 1]; ++k) {
+      const int j = adj.neighbors[k];
+      member = std::lower_bound(member, block.end(), j);
+      if (member != block.end() && *member == j) {
+        const int other = static_cast<int>(member - block.begin());
+        if (j > global) {
+          terms.push_back({{static_cast<int>(local), other}, adj.coeffs[k]});
+        }
+      } else if (incumbent[static_cast<std::size_t>(j)]) {
+        sum += adj.coeffs[k];
+      }
+    }
+    if (sum != 0.0) linear[local] = sum;
+  }
+  return QuboModel(0.0, std::move(linear), terms);
+}
+
 StatusOr<DecomposeResult> SolveQuboDecomposed(const QuboModel& qubo,
                                               const DecomposeOptions& options,
                                               const SubproblemSolver& solver) {
@@ -257,7 +245,6 @@ StatusOr<DecomposeResult> SolveQuboDecomposed(const QuboModel& qubo,
   // there is nothing anytime to return.
   QOPT_RETURN_IF_ERROR(options.deadline.Check());
 
-  const CsrAdjacency adj = qubo.BuildCsrAdjacency();
   DecomposeResult result;
   result.bits.assign(static_cast<std::size_t>(n), 0);
   result.energy = qubo.Energy(result.bits);
@@ -274,7 +261,7 @@ StatusOr<DecomposeResult> SolveQuboDecomposed(const QuboModel& qubo,
     }
     const double round_start_energy = result.energy;
     const std::vector<std::vector<int>> blocks = PartitionQuboVariables(
-        qubo, adj, options.max_subproblem_size,
+        qubo, options.max_subproblem_size,
         PartitionSeed(options.seed, round));
 
     // Jacobi-style solve stage: every block is clamped against the same
@@ -287,7 +274,7 @@ StatusOr<DecomposeResult> SolveQuboDecomposed(const QuboModel& qubo,
     const Status ran = pool.ParallelFor(
         blocks.size(), options.deadline, [&](std::size_t b) {
           outcomes[b] = SolveOneBlock(
-              qubo, adj, blocks[b], incumbent,
+              qubo, blocks[b], incumbent,
               SubproblemSeed(options.seed, round, static_cast<int>(b)),
               options.deadline, solver);
         });
@@ -318,13 +305,13 @@ StatusOr<DecomposeResult> SolveQuboDecomposed(const QuboModel& qubo,
       }
       QQO_COUNT("decompose.blocks_stitched", 1);
       if (outcomes[b].proposal.empty()) continue;  // kept incumbent
-      ApplyBlockIfImproving(qubo, adj, blocks[b], outcomes[b].proposal,
+      ApplyBlockIfImproving(qubo, blocks[b], outcomes[b].proposal,
                             &result.bits, &result.energy);
     }
 
     if (!truncated && options.refine_passes > 0) {
       const Status refined =
-          TabuRefine(qubo, adj, options, &result.bits, &result.energy);
+          TabuRefine(qubo, options, &result.bits, &result.energy);
       if (!refined.ok()) {
         if (refined.code() == StatusCode::kCancelled) return refined;
         truncated = true;

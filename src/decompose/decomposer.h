@@ -84,6 +84,15 @@ std::uint64_t PartitionSeed(std::uint64_t seed, int round);
 /// PartitionSeed and from every other (round, block) pair.
 std::uint64_t SubproblemSeed(std::uint64_t seed, int round, int block);
 
+/// The subproblem of the ascending `block` with the complement clamped to
+/// `incumbent`: `qubo`'s rows filtered to the block, with the couplings to
+/// clamped-1 outside variables folded into the linear part in row order.
+/// The constant share is dropped: a subproblem is only argmin'd, and the
+/// stitch accepts a block by its exact full-problem delta.
+QuboModel BuildClampedSubproblem(const QuboModel& qubo,
+                                 const std::vector<int>& block,
+                                 const std::vector<std::uint8_t>& incumbent);
+
 /// Runs the decomposition loop:
 ///
 ///   incumbent <- all zeros

@@ -9,17 +9,17 @@
 
 namespace qopt {
 
-std::vector<std::vector<int>> PartitionQuboVariables(
-    const QuboModel& qubo, const CsrAdjacency& adjacency, int max_block_size,
-    std::uint64_t seed) {
+std::vector<std::vector<int>> PartitionQuboVariables(const QuboModel& qubo,
+                                                     int max_block_size,
+                                                     std::uint64_t seed) {
   const int n = qubo.NumVariables();
+  const CsrAdjacency& adjacency = qubo.Rows();
   QOPT_CHECK(max_block_size >= 1);
-  QOPT_CHECK(static_cast<int>(adjacency.offsets.size()) == n + 1);
   std::vector<std::vector<int>> blocks;
   if (n == 0) return blocks;
 
   // Seeded root order: the only randomized choice. Everything after it is
-  // a deterministic function of the adjacency.
+  // a deterministic function of the rows.
   std::vector<int> roots(static_cast<std::size_t>(n));
   std::iota(roots.begin(), roots.end(), 0);
   Rng rng(seed);

@@ -16,9 +16,9 @@ namespace qopt {
 ///   - Every variable appears in exactly one block (a partition, not a
 ///     cover), so clamping the complement of a block to the incumbent
 ///     yields a well-defined subproblem.
-///   - Deterministic: depends only on (adjacency, max_block_size, seed).
-///     Root visit order is a seeded shuffle; BFS expands neighbors in the
-///     CSR order, which is sorted by variable index. Different seeds move
+///   - Deterministic: depends only on (rows, max_block_size, seed).
+///     Root visit order is a seeded shuffle; BFS expands neighbors in
+///     row order, which is sorted by variable index. Different seeds move
 ///     the block boundaries, which is what lets successive decomposition
 ///     rounds escape the previous round's frozen cut.
 ///   - Canonical output order: each block is sorted ascending and blocks
@@ -26,11 +26,9 @@ namespace qopt {
 ///     (parallel subproblem solves indexed by block, serial stitching) is
 ///     reproducible at any thread count.
 ///
-/// `adjacency` must be `qubo.BuildCsrAdjacency()` for the same model (it
-/// is passed in so one CSR build is shared across rounds).
 /// `max_block_size` >= 1; isolated variables become singleton blocks.
-std::vector<std::vector<int>> PartitionQuboVariables(
-    const QuboModel& qubo, const CsrAdjacency& adjacency, int max_block_size,
-    std::uint64_t seed);
+std::vector<std::vector<int>> PartitionQuboVariables(const QuboModel& qubo,
+                                                     int max_block_size,
+                                                     std::uint64_t seed);
 
 }  // namespace qopt

@@ -24,12 +24,11 @@ StatusOr<BruteForceResult> TrySolveQuboBruteForce(const QuboModel& qubo,
 
   // Gray-code walk: between consecutive assignments exactly one bit flips,
   // so the energy can be updated incrementally in O(degree).
-  const CsrAdjacency adjacency = qubo.BuildCsrAdjacency();
   double energy = result.best_energy;
   const std::uint64_t total = std::uint64_t{1} << n;
   for (std::uint64_t k = 1; k < total; ++k) {
     const int flip = std::countr_zero(k);
-    energy += qubo.FlipDelta(bits, flip, adjacency);
+    energy += qubo.FlipDelta(bits, flip);
     bits[static_cast<std::size_t>(flip)] ^= 1;
     if (energy < result.best_energy - 1e-12) {
       result.best_energy = energy;

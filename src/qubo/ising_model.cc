@@ -1,7 +1,5 @@
 #include "qubo/ising_model.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 
 namespace qopt {
@@ -22,20 +20,8 @@ double IsingModel::Field(int i) const {
 }
 
 void IsingModel::AddCoupling(int i, int j, double value) {
-  QOPT_CHECK(i >= 0 && i < NumSpins());
-  QOPT_CHECK(j >= 0 && j < NumSpins());
-  QOPT_CHECK(i != j);
-  if (i > j) std::swap(i, j);
-  j_[Key(i, j)] += value;
-}
-
-double IsingModel::Coupling(int i, int j) const {
-  QOPT_CHECK(i >= 0 && i < NumSpins());
-  QOPT_CHECK(j >= 0 && j < NumSpins());
-  QOPT_CHECK(i != j);
-  if (i > j) std::swap(i, j);
-  auto it = j_.find(Key(i, j));
-  return it == j_.end() ? 0.0 : it->second;
+  QOPT_CHECK(i < NumSpins() && j < NumSpins());
+  j_.Add(i, j, value);
 }
 
 double IsingModel::Energy(const std::vector<int>& spins) const {
@@ -46,27 +32,11 @@ double IsingModel::Energy(const std::vector<int>& spins) const {
     QOPT_CHECK_MSG(s == -1 || s == 1, "spins must be -1 or +1");
     energy += h_[static_cast<std::size_t>(i)] * s;
   }
-  for (const auto& [key, coeff] : j_) {
-    const int i = static_cast<int>(key >> 32);
-    const int j = static_cast<int>(key & 0xFFFFFFFFu);
-    energy += coeff * spins[static_cast<std::size_t>(i)] *
-              spins[static_cast<std::size_t>(j)];
+  for (const auto& [edge, coeff] : Couplings()) {
+    energy += coeff * spins[static_cast<std::size_t>(edge.first)] *
+              spins[static_cast<std::size_t>(edge.second)];
   }
   return energy;
-}
-
-std::vector<std::pair<std::pair<int, int>, double>> IsingModel::Couplings()
-    const {
-  std::vector<std::pair<std::pair<int, int>, double>> couplings;
-  couplings.reserve(j_.size());
-  for (const auto& [key, coeff] : j_) {
-    couplings.push_back({{static_cast<int>(key >> 32),
-                          static_cast<int>(key & 0xFFFFFFFFu)},
-                         coeff});
-  }
-  std::sort(couplings.begin(), couplings.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return couplings;
 }
 
 }  // namespace qopt

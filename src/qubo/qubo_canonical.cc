@@ -101,7 +101,7 @@ QuboSignature ComputeQuboSignature(const QuboModel& qubo) {
   QuboSignature signature;
   signature.canonical_rank.resize(n, 0);
 
-  const CsrAdjacency adj = qubo.BuildCsrAdjacency();
+  const CsrAdjacency& adj = qubo.Rows();
 
   // Initial colors: linear coefficient plus the connected-component
   // invariant (WL refinement alone cannot separate some disconnected
@@ -187,8 +187,8 @@ QuboSignature ComputeQuboSignature(const QuboModel& qubo) {
         static_cast<int>(rank);
   }
 
-  // Exact (labeled) hash: a sequential digest over the CSR layout, which
-  // is itself deterministic for a given labeled QUBO.
+  // Exact (labeled) hash: a sequential digest over the rows, in (i, j)
+  // order.
   std::uint64_t exact = Mix2(kOffsetTag, HashDouble(qubo.Offset())) ^ Mix(n);
   for (std::size_t i = 0; i < n; ++i) {
     exact = Mix(exact ^
