@@ -1,13 +1,16 @@
 #pragma once
 
-// Internals of the simulated annealer's sweep kernel, shared with its
-// tests and benchmarks. Not part of the library's API: nothing outside
-// src/anneal, tests/ and bench/ includes this header.
+// Internals of the simulated annealer's sweep kernel and of the embedding
+// composite, shared with their tests and benchmarks. Not part of the
+// library's API: nothing outside src/anneal, tests/ and bench/ includes
+// this header.
 
 #include <cmath>
 #include <cstddef>
 #include <vector>
 
+#include "anneal/embedding.h"
+#include "anneal/embedding_composite.h"
 #include "anneal/simulated_annealer.h"
 
 namespace qopt::anneal_internal {
@@ -87,5 +90,14 @@ int HostPackWidth();
 /// the golden rows through each, and perf_micro times each kernel.
 StatusOr<AnnealResult> TrySolveQuboWithAnnealingAtWidth(
     const QuboModel& qubo, const AnnealOptions& options, int width);
+
+/// TrySolveQuboOnTopology with the embedding given instead of searched;
+/// `options.embed` is unused. Tests pin the composite's outputs with it
+/// on an embedding of their choice. Also returns kInvalidArgument when
+/// `embedding` is not a minor embedding of `qubo`'s interaction graph into
+/// `topology` (ValidateEmbedding).
+StatusOr<EmbeddedSolveResult> TrySolveQuboOnFixedEmbedding(
+    const QuboModel& qubo, const SimpleGraph& topology, Embedding embedding,
+    const EmbeddedSolveOptions& options);
 
 }  // namespace qopt::anneal_internal

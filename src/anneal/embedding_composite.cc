@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
 
+#include "anneal/anneal_internal.h"
 #include "common/check.h"
 #include "qubo/conversions.h"
 #include "qubo/ising_model.h"
@@ -93,21 +96,26 @@ EmbeddedProblem BuildEmbeddedProblem(const QuboModel& qubo,
   return problem;
 }
 
-StatusOr<EmbeddedSolveResult> TrySolveQuboOnTopology(
-    const QuboModel& qubo, const SimpleGraph& topology,
-    const EmbeddedSolveOptions& options) {
+namespace {
+
+// The checks both entry points make before they search or anneal.
+Status CheckEmbeddedSolve(const QuboModel& qubo,
+                          const EmbeddedSolveOptions& options) {
   if (qubo.NumVariables() < 1) {
     return InvalidArgumentError("QUBO has no variables");
   }
-  // The annealing options are checked here, before the embedding search
-  // spends its budget on a solve the annealer would refuse.
   if (options.anneal.num_reads < 1 || options.anneal.num_sweeps < 1) {
     return InvalidArgumentError(
         "embedded SA needs num_reads >= 1 and num_sweeps >= 1");
   }
-  const SimpleGraph source = qubo.InteractionGraph();
-  QOPT_ASSIGN_OR_RETURN(Embedding embedding,
-                        TryFindMinorEmbedding(source, topology, options.embed));
+  return OkStatus();
+}
+
+// Anneals the physical problem of `qubo` under `embedding` and unembeds
+// the best sample by majority vote per chain.
+StatusOr<EmbeddedSolveResult> SolveOnEmbedding(
+    const QuboModel& qubo, const SimpleGraph& topology, Embedding embedding,
+    const EmbeddedSolveOptions& options) {
   const EmbeddedProblem problem = BuildEmbeddedProblem(
       qubo, topology, embedding, options.chain_strength);
   AnnealOptions anneal_options = options.anneal;
@@ -118,11 +126,11 @@ StatusOr<EmbeddedSolveResult> TrySolveQuboOnTopology(
       const AnnealResult anneal,
       TrySolveQuboWithAnnealing(problem.qubo, anneal_options));
 
-  // Unembed by majority vote per chain.
+  const int n = qubo.NumVariables();
   EmbeddedSolveResult result;
-  result.bits.assign(static_cast<std::size_t>(qubo.NumVariables()), 0);
+  result.bits.assign(static_cast<std::size_t>(n), 0);
   int broken_chains = 0;
-  for (int u = 0; u < source.NumVertices(); ++u) {
+  for (int u = 0; u < n; ++u) {
     const auto& chain = problem.chains[static_cast<std::size_t>(u)];
     int ones = 0;
     for (int d : chain) ones += anneal.best_bits[static_cast<std::size_t>(d)];
@@ -132,13 +140,36 @@ StatusOr<EmbeddedSolveResult> TrySolveQuboOnTopology(
   }
   result.energy = qubo.Energy(result.bits);
   result.chain_break_fraction =
-      source.NumVertices() > 0
-          ? static_cast<double>(broken_chains) /
-                static_cast<double>(source.NumVertices())
-          : 0.0;
+      static_cast<double>(broken_chains) / static_cast<double>(n);
   result.embedding = std::move(embedding);
   result.timed_out = anneal.timed_out;
   return result;
+}
+
+}  // namespace
+
+StatusOr<EmbeddedSolveResult> TrySolveQuboOnTopology(
+    const QuboModel& qubo, const SimpleGraph& topology,
+    const EmbeddedSolveOptions& options) {
+  // The annealing options are checked here, before the embedding search
+  // spends its budget on a solve the annealer would refuse.
+  QOPT_RETURN_IF_ERROR(CheckEmbeddedSolve(qubo, options));
+  QOPT_ASSIGN_OR_RETURN(
+      Embedding embedding,
+      TryFindMinorEmbedding(qubo.InteractionGraph(), topology, options.embed));
+  return SolveOnEmbedding(qubo, topology, std::move(embedding), options);
+}
+
+StatusOr<EmbeddedSolveResult> anneal_internal::TrySolveQuboOnFixedEmbedding(
+    const QuboModel& qubo, const SimpleGraph& topology, Embedding embedding,
+    const EmbeddedSolveOptions& options) {
+  QOPT_RETURN_IF_ERROR(CheckEmbeddedSolve(qubo, options));
+  std::string error;
+  if (!ValidateEmbedding(qubo.InteractionGraph(), topology, embedding,
+                         &error)) {
+    return InvalidArgumentError("embedding does not fit the QUBO: " + error);
+  }
+  return SolveOnEmbedding(qubo, topology, std::move(embedding), options);
 }
 
 }  // namespace qopt

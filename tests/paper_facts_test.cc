@@ -64,7 +64,7 @@ TEST(PaperFactsTest, QaoaDepthBoundedByTermsTimesReps) {
   gen.seed = 5;
   const IsingModel ising =
       QuboToIsing(EncodeMqoAsQubo(GenerateMqoProblem(gen)).qubo);
-  int m = ising.NumCouplings();
+  int m = static_cast<int>(ising.Couplings().size());
   for (int i = 0; i < ising.NumSpins(); ++i) {
     if (ising.Field(i) != 0.0) ++m;
   }
