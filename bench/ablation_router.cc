@@ -51,7 +51,7 @@ int main() {
   gen.seed = 11;
   const MqoQuboEncoding encoding = EncodeMqoAsQubo(GenerateMqoProblem(gen));
   const QuantumCircuit qaoa = BuildQaoaTemplate(QuboToIsing(encoding.qubo));
-  const QuantumCircuit vqe = BuildVqeTemplate(20, 3);
+  const QuantumCircuit vqe = BuildVqeTemplate(20);
 
   TablePrinter table({"circuit", "commute+lookahead", "lookahead only",
                       "neither"});

@@ -61,7 +61,7 @@ int main() {
   TablePrinter table({"plans", "vqe optimal", "vqe mumbai", "qaoa4 optimal",
                       "qaoa4 mumbai", "qaoa8 optimal", "qaoa8 mumbai"});
   for (int plans = 8; plans <= 24; plans += 8) {
-    const QuantumCircuit vqe = BuildVqeTemplate(plans, 3);
+    const QuantumCircuit vqe = BuildVqeTemplate(plans);
     const CouplingMap full = MakeFullyConnected(plans);
     table.AddRow(
         {static_cast<double>(plans), TranspiledDepthStats(vqe, full, 1).mean,
@@ -74,7 +74,7 @@ int main() {
   }
   table.Print();
 
-  const QuantumCircuit vqe24 = BuildVqeTemplate(24, 3);
+  const QuantumCircuit vqe24 = BuildVqeTemplate(24);
   const double vqe_ideal =
       TranspiledDepthStats(vqe24, MakeFullyConnected(24), 1).mean;
   const double vqe_device =
@@ -85,9 +85,9 @@ int main() {
   std::printf("Mumbai coherence budget (Eq. 37): depth %d\n", budget);
   std::printf("VQE exceeds the budget beyond ~12 plans: 12-plan depth %.0f, "
               "16-plan depth %.0f\n",
-              TranspiledDepthStats(BuildVqeTemplate(12, 3), mumbai, vqe_trials)
+              TranspiledDepthStats(BuildVqeTemplate(12), mumbai, vqe_trials)
                   .mean,
-              TranspiledDepthStats(BuildVqeTemplate(16, 3), mumbai, vqe_trials)
+              TranspiledDepthStats(BuildVqeTemplate(16), mumbai, vqe_trials)
                   .mean);
   return 0;
 }

@@ -81,7 +81,7 @@ int main() {
     const QuboModel s2 = MakeStrategyQubo(true, step);
     const int n = s2.NumVariables();
     const QuantumCircuit qaoa = BuildQaoaTemplate(QuboToIsing(s2));
-    const QuantumCircuit vqe = BuildVqeTemplate(n, 3);
+    const QuantumCircuit vqe = BuildVqeTemplate(n);
     const CouplingMap full = MakeFullyConnected(n);
     right.AddRow({static_cast<double>(n),
                   TranspiledDepthStats(qaoa, full, 1).mean,

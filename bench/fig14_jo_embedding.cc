@@ -3,9 +3,10 @@
 //  - Left chart: relations 6..14 for P = J, 2J, 3J (1 threshold, omega=1).
 //  - Right chart: 8 relations, P = J, growing threshold counts for
 //    omega = 1, 0.01 and 0.0001.
-// A point is reported only when the heuristic embedder succeeds in at
-// least 50% of the attempts (the paper's reliability cutoff); a series
-// stops after the first unreliable point.
+// Each point prints the mean physical-qubit count of the successful
+// attempts with their min-max range. A point is reported only when the
+// heuristic embedder succeeds in at least 50% of the attempts (the paper's
+// reliability cutoff); a series stops after the first unreliable point.
 //
 // Expected shape: physical qubits ~ 2-5x the logical count, growing fast
 // with relations/predicates; smaller omega and more thresholds push the
@@ -15,6 +16,7 @@
 // This is by far the most expensive benchmark (minutes). Paper setting is
 // 20 embeddings per point; default here is 3 (QQO_BENCH_SAMPLES to raise).
 
+#include <algorithm>
 #include <cstdio>
 #include <optional>
 
@@ -36,6 +38,8 @@ struct EmbedPoint {
   int successes = 0;
   int attempts = 0;
   double mean_physical = 0.0;
+  double min_physical = 0.0;  ///< Over the successful attempts.
+  double max_physical = 0.0;
   bool Reliable() const { return 2 * successes >= attempts; }
 };
 
@@ -86,6 +90,12 @@ EmbedPoint MeasurePoint(const SimpleGraph& target, int relations,
     }
   }
   point.mean_physical = Mean(physical);
+  if (!physical.empty()) {
+    const auto [low, high] =
+        std::minmax_element(physical.begin(), physical.end());
+    point.min_physical = *low;
+    point.max_physical = *high;
+  }
   return point;
 }
 
@@ -94,7 +104,8 @@ std::string PointCell(const EmbedPoint& point) {
   if (!point.Reliable()) {
     return StrFormat("unreliable (%d/%d)", point.successes, point.attempts);
   }
-  return StrFormat("%.0f (logical %d)", point.mean_physical, point.logical);
+  return StrFormat("%.0f [%.0f-%.0f] (logical %d)", point.mean_physical,
+                   point.min_physical, point.max_physical, point.logical);
 }
 
 }  // namespace

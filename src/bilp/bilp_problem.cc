@@ -6,10 +6,9 @@
 
 namespace qopt {
 
-int BilpProblem::AddVariable(std::string name, double objective_coefficient) {
+int BilpProblem::AddVariable(double objective_coefficient) {
   QOPT_CHECK_MSG(objective_coefficient >= 0.0,
                  "objective coefficients must be non-negative");
-  names_.push_back(std::move(name));
   objective_.push_back(objective_coefficient);
   return static_cast<int>(objective_.size()) - 1;
 }
@@ -20,11 +19,6 @@ void BilpProblem::AddConstraint(Constraint constraint) {
     QOPT_CHECK(var >= 0 && var < NumVariables());
   }
   constraints_.push_back(std::move(constraint));
-}
-
-const std::string& BilpProblem::VariableName(int i) const {
-  QOPT_CHECK(i >= 0 && i < NumVariables());
-  return names_[static_cast<std::size_t>(i)];
 }
 
 double BilpProblem::ObjectiveCoefficient(int i) const {

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -27,7 +26,7 @@ class BilpProblem {
   /// Adds a binary variable with the given objective coefficient; returns
   /// its index. Objective coefficients must be >= 0 (required by the
   /// penalty-weight rule Eq. 43/44).
-  int AddVariable(std::string name, double objective_coefficient);
+  int AddVariable(double objective_coefficient);
 
   /// Adds an equality constraint (all variable indices must exist).
   void AddConstraint(Constraint constraint);
@@ -35,7 +34,6 @@ class BilpProblem {
   int NumVariables() const { return static_cast<int>(objective_.size()); }
   int NumConstraints() const { return static_cast<int>(constraints_.size()); }
 
-  const std::string& VariableName(int i) const;
   double ObjectiveCoefficient(int i) const;
   const std::vector<Constraint>& Constraints() const { return constraints_; }
 
@@ -55,7 +53,6 @@ class BilpProblem {
   void SetGranularity(double granularity);
 
  private:
-  std::vector<std::string> names_;
   std::vector<double> objective_;
   std::vector<Constraint> constraints_;
   double granularity_ = 1.0;

@@ -16,17 +16,6 @@ bool IsTwoQubitKind(GateKind kind) {
   }
 }
 
-bool IsSymmetricKind(GateKind kind) {
-  switch (kind) {
-    case GateKind::kCz:
-    case GateKind::kRzz:
-    case GateKind::kSwap:
-      return true;
-    default:
-      return false;
-  }
-}
-
 std::string GateKindName(GateKind kind) {
   switch (kind) {
     case GateKind::kH:

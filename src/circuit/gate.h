@@ -38,9 +38,6 @@ struct Gate {
 /// True for two-qubit gate kinds.
 bool IsTwoQubitKind(GateKind kind);
 
-/// True if the gate's action is symmetric in its two qubits (CZ, RZZ, SWAP).
-bool IsSymmetricKind(GateKind kind);
-
 /// Short lowercase mnemonic ("h", "cx", "rzz", ...).
 std::string GateKindName(GateKind kind);
 

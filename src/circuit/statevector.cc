@@ -448,11 +448,6 @@ double Statevector::NormSquared() const {
   return norm;
 }
 
-double Statevector::IsingExpectation(const IsingModel& ising) const {
-  QOPT_CHECK(ising.NumSpins() == num_qubits_);
-  return EnergyExpectation(IsingEnergyTable(ising));
-}
-
 double Statevector::EnergyExpectation(
     const std::vector<double>& energies) const {
   QOPT_CHECK(energies.size() == amplitudes_.size());
@@ -496,24 +491,6 @@ std::vector<std::uint8_t> Statevector::SampleFromCdf(
   for (int q = 0; q < num_qubits_; ++q) {
     bits[static_cast<std::size_t>(q)] =
         static_cast<std::uint8_t>((chosen >> q) & 1u);
-  }
-  return bits;
-}
-
-std::vector<std::uint8_t> Statevector::MostProbableBits() const {
-  std::size_t best = 0;
-  double best_prob = -1.0;
-  for (std::size_t i = 0; i < amplitudes_.size(); ++i) {
-    const double p = std::norm(amplitudes_[i]);
-    if (p > best_prob) {
-      best_prob = p;
-      best = i;
-    }
-  }
-  std::vector<std::uint8_t> bits(static_cast<std::size_t>(num_qubits_));
-  for (int q = 0; q < num_qubits_; ++q) {
-    bits[static_cast<std::size_t>(q)] =
-        static_cast<std::uint8_t>((best >> q) & 1u);
   }
   return bits;
 }

@@ -78,12 +78,9 @@ class Statevector {
   /// unitarity tests).
   double NormSquared() const;
 
-  /// Expectation value <psi| H |psi> of a diagonal-in-Z Ising Hamiltonian
-  /// (the quantity VQE/QAOA minimize, Eq. 15/21).
-  double IsingExpectation(const IsingModel& ising) const;
-
-  /// Same expectation from a precomputed IsingEnergyTable — the reuse path
-  /// that avoids rebuilding the O(2^n) table on every objective call.
+  /// Expectation value <psi| H |psi> of a diagonal-in-Z Hamiltonian given
+  /// as its IsingEnergyTable (the quantity VQE/QAOA minimize, Eq. 15/21).
+  /// The table is built once per solve and reused by every objective call.
   double EnergyExpectation(const std::vector<double>& energies) const;
 
   /// Draws one computational-basis sample (linear scan; one NextDouble).
@@ -94,9 +91,6 @@ class Statevector {
   /// same basis state as Sample(), in O(n) instead of O(2^n).
   std::vector<std::uint8_t> SampleFromCdf(const std::vector<double>& cdf,
                                           Rng* rng) const;
-
-  /// Basis state with the largest probability, as a bit vector.
-  std::vector<std::uint8_t> MostProbableBits() const;
 
  private:
   void ApplySingleQubit(int q, const std::complex<double> m[2][2]);

@@ -20,9 +20,8 @@ std::uint64_t Mix64(std::uint64_t z) {
 double BackoffMillis(const RetryPolicy& policy, int attempt) {
   if (attempt < 1 || policy.initial_backoff_ms <= 0.0) return 0.0;
   const double nominal =
-      policy.initial_backoff_ms *
-      std::pow(std::max(1.0, policy.backoff_multiplier), attempt - 1);
-  const double capped = std::min(nominal, policy.max_backoff_ms);
+      policy.initial_backoff_ms * std::pow(kBackoffMultiplier, attempt - 1);
+  const double capped = std::min(nominal, kMaxBackoffMs);
   // Jitter in [0.5, 1.0]: spreads retries without ever exceeding the cap.
   const std::uint64_t h =
       Mix64(policy.seed + 0x9E3779B97F4A7C15ULL *

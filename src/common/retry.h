@@ -7,19 +7,23 @@
 
 namespace qopt {
 
+/// Growth factor of the nominal backoff per retry.
+inline constexpr double kBackoffMultiplier = 2.0;
+/// Cap of the nominal backoff, in milliseconds.
+inline constexpr double kMaxBackoffMs = 1000.0;
+
 /// Retry budget with deterministic seeded backoff. Attempt k (k = 1 is
 /// the first retry) waits
-///   initial_backoff_ms * backoff_multiplier^(k-1) * jitter(seed, k)
+///   min(initial_backoff_ms * kBackoffMultiplier^(k-1), kMaxBackoffMs)
+///     * jitter(seed, k)
 /// where jitter is a splitmix-derived factor in [0.5, 1.0] — deterministic
 /// for a given (seed, attempt), so retried runs reproduce their timing
-/// decisions exactly. The nominal wait is clamped to max_backoff_ms.
+/// decisions exactly.
 struct RetryPolicy {
   /// Total attempts including the first (1 = no retries).
   int max_attempts = 1;
   /// Base wait before the first retry; 0 retries immediately.
   double initial_backoff_ms = 0.0;
-  double backoff_multiplier = 2.0;
-  double max_backoff_ms = 1000.0;
   /// Jitter stream; combined with the attempt index.
   std::uint64_t seed = 0;
 };

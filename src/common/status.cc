@@ -50,10 +50,6 @@ Status OutOfRangeError(std::string message) {
   return Status(StatusCode::kOutOfRange, std::move(message));
 }
 
-Status FailedPreconditionError(std::string message) {
-  return Status(StatusCode::kFailedPrecondition, std::move(message));
-}
-
 Status ResourceExhaustedError(std::string message) {
   return Status(StatusCode::kResourceExhausted, std::move(message));
 }

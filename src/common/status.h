@@ -64,7 +64,6 @@ Status OkStatus();
 Status InvalidArgumentError(std::string message);
 Status NotFoundError(std::string message);
 Status OutOfRangeError(std::string message);
-Status FailedPreconditionError(std::string message);
 Status ResourceExhaustedError(std::string message);
 Status UnavailableError(std::string message);
 Status InternalError(std::string message);

@@ -34,14 +34,4 @@ DeviceModel BrooklynDevice() {
           /*cx_error=*/1.3e-2, /*sx_error=*/3.1e-4, /*readout_error=*/2.5e-2};
 }
 
-AnnealerModel AdvantageAnnealer() {
-  return {"dwave_advantage", /*pegasus_m=*/16, /*chimera_m=*/0,
-          /*num_qubits=*/5640};
-}
-
-AnnealerModel DWave2xAnnealer() {
-  return {"dwave_2x", /*pegasus_m=*/0, /*chimera_m=*/12,
-          /*num_qubits=*/1152};
-}
-
 }  // namespace qopt

@@ -33,18 +33,4 @@ DeviceModel MumbaiDevice();
 /// — MaxReliableDepth() == 178.
 DeviceModel BrooklynDevice();
 
-/// Summary of a quantum annealer.
-struct AnnealerModel {
-  std::string name;
-  int pegasus_m = 0;   ///< Pegasus size parameter (0 for Chimera devices).
-  int chimera_m = 0;   ///< Chimera grid size (0 for Pegasus devices).
-  int num_qubits = 0;  ///< Physical qubits in the working fabric.
-};
-
-/// D-Wave Advantage (Pegasus P16, > 5000 qubits).
-AnnealerModel AdvantageAnnealer();
-
-/// D-Wave 2X (Chimera C(12,12,4), ~1000 qubits) — the system of [9].
-AnnealerModel DWave2xAnnealer();
-
 }  // namespace qopt

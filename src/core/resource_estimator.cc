@@ -27,19 +27,17 @@ StatusOr<GateResourceEstimate> EstimateGateResources(
   QOPT_CHECK(qubo.NumVariables() >= 1);
   QOPT_RETURN_IF_ERROR(CheckTemplateGates(
       "QAOA", QaoaTemplateGateCount(qubo.NumVariables(),
-                                    qubo.NumQuadraticTerms(),
-                                    options.qaoa_reps)));
+                                    qubo.NumQuadraticTerms())));
   QOPT_RETURN_IF_ERROR(CheckTemplateGates(
-      "VQE", VqeTemplateGateCount(qubo.NumVariables(), options.vqe_reps)));
+      "VQE", VqeTemplateGateCount(qubo.NumVariables())));
   GateResourceEstimate estimate;
   estimate.logical_qubits = qubo.NumVariables();
   estimate.quadratic_terms = qubo.NumQuadraticTerms();
   estimate.max_reliable_depth = device.MaxReliableDepth();
 
   const IsingModel ising = QuboToIsing(qubo);
-  const QuantumCircuit qaoa = BuildQaoaTemplate(ising, options.qaoa_reps);
-  const QuantumCircuit vqe =
-      BuildVqeTemplate(qubo.NumVariables(), options.vqe_reps);
+  const QuantumCircuit qaoa = BuildQaoaTemplate(ising);
+  const QuantumCircuit vqe = BuildVqeTemplate(qubo.NumVariables());
 
   // Ideal topology: basis decomposition only, no routing.
   estimate.qaoa_depth_ideal = MergeAdjacentRz(DecomposeToBasis(qaoa)).Depth();

@@ -31,8 +31,6 @@ struct GateResourceEstimate {
 /// Options for gate-resource estimation.
 struct GateEstimateOptions {
   int transpile_trials = 20;  ///< Paper: mean over 20 transpilations.
-  int qaoa_reps = 1;
-  int vqe_reps = 3;
   std::uint64_t seed = 0;
 };
 
@@ -47,8 +45,8 @@ inline constexpr std::int64_t kMaxTemplateGates = std::int64_t{1} << 24;
 /// exceeds kMaxTemplateGates; OK otherwise.
 Status CheckTemplateGates(std::string_view what, std::int64_t gates);
 
-/// Builds the QAOA (p = qaoa_reps) and VQE (RealAmplitudes, full
-/// entanglement) circuits for `qubo`, measures their ideal depths, routes
+/// Builds the paper's QAOA (p = 1) and VQE (BuildVqeTemplate) circuits
+/// for `qubo`, measures their ideal depths, routes
 /// them onto `coupling` and compares against `device` coherence limits.
 /// Before building either circuit it counts both templates' gates
 /// (QaoaTemplateGateCount, VqeTemplateGateCount) and returns

@@ -120,15 +120,15 @@ JoinOrderEncoding EncodeJoinOrderAsBilp(const QueryGraph& graph,
 
   for (int t = 0; t < num_relations; ++t) {
     for (int j = 0; j < num_joins; ++j) {
-      encoding.tio[t][j] = bilp.AddVariable(StrFormat("tio_%d_%d", t, j), 0.0);
-      encoding.tii[t][j] = bilp.AddVariable(StrFormat("tii_%d_%d", t, j), 0.0);
+      encoding.tio[t][j] = bilp.AddVariable(0.0);
+      encoding.tii[t][j] = bilp.AddVariable(0.0);
     }
   }
   // pao_{p,0} is always pruned: the outer of the first join is a single
   // relation, so no two-relation predicate can apply (Sec. 6.2.2).
   for (int p = 0; p < num_predicates; ++p) {
     for (int j = 1; j < num_joins; ++j) {
-      encoding.pao[p][j] = bilp.AddVariable(StrFormat("pao_%d_%d", p, j), 0.0);
+      encoding.pao[p][j] = bilp.AddVariable(0.0);
     }
   }
   // cto_{r,0} is always pruned: the first outer operand is a base relation
@@ -177,16 +177,15 @@ JoinOrderEncoding EncodeJoinOrderAsBilp(const QueryGraph& graph,
               log_thresholds[static_cast<std::size_t>(r)] + 1e-12) {
         continue;
       }
-      encoding.cto[r][j] =
-          bilp.AddVariable(StrFormat("cto_%d_%d", r, j), delta_theta);
+      encoding.cto[r][j] = bilp.AddVariable(delta_theta);
     }
   }
   encoding.num_logical = bilp.NumVariables();
 
   // --- Constraint types 1-6 (single-bit slacks where needed) -------------
-  auto add_single_slack = [&](const char* name) {
+  auto add_single_slack = [&]() {
     ++encoding.num_single_slacks;
-    return bilp.AddVariable(name, 0.0);
+    return bilp.AddVariable(0.0);
   };
 
   {  // Type 1: exactly one relation opens the join tree.
@@ -210,8 +209,7 @@ JoinOrderEncoding EncodeJoinOrderAsBilp(const QueryGraph& graph,
       BilpProblem::Constraint c;
       c.terms.emplace_back(encoding.tio[t][j], 1.0);
       c.terms.emplace_back(encoding.tii[t][j], 1.0);
-      c.terms.emplace_back(
-          add_single_slack(StrFormat("sl3_%d_%d", t, j).c_str()), 1.0);
+      c.terms.emplace_back(add_single_slack(), 1.0);
       c.rhs = 1.0;
       bilp.AddConstraint(std::move(c));
     }
@@ -234,9 +232,7 @@ JoinOrderEncoding EncodeJoinOrderAsBilp(const QueryGraph& graph,
         BilpProblem::Constraint c;
         c.terms.emplace_back(encoding.pao[p][j], 1.0);
         c.terms.emplace_back(encoding.tio[rel][j], -1.0);
-        c.terms.emplace_back(
-            add_single_slack(StrFormat("sl56_%d_%d_%d", p, j, rel).c_str()),
-            1.0);
+        c.terms.emplace_back(add_single_slack(), 1.0);
         c.rhs = 0.0;
         bilp.AddConstraint(std::move(c));
       }
@@ -281,8 +277,7 @@ JoinOrderEncoding EncodeJoinOrderAsBilp(const QueryGraph& graph,
       }
       c.terms.emplace_back(encoding.cto[r][j], -big_m);
       for (int i = 1; i <= bits; ++i) {
-        const int slack = bilp.AddVariable(
-            StrFormat("sl7_%d_%d_b%d", r, j, i), 0.0);
+        const int slack = bilp.AddVariable(0.0);
         ++encoding.num_expansion_slacks;
         c.terms.emplace_back(slack, omega * std::pow(2.0, i - 1));
       }

@@ -23,22 +23,6 @@ JoinTree JoinTree::Join(JoinTree left, JoinTree right) {
   return tree;
 }
 
-int JoinTree::RelationId() const {
-  QOPT_CHECK_MSG(IsLeaf(), "RelationId() on an inner node");
-  QOPT_CHECK_MSG(!IsEmpty(), "empty tree");
-  return relation_;
-}
-
-const JoinTree& JoinTree::Left() const {
-  QOPT_CHECK_MSG(!IsLeaf(), "Left() on a leaf");
-  return *left_;
-}
-
-const JoinTree& JoinTree::Right() const {
-  QOPT_CHECK_MSG(!IsLeaf(), "Right() on a leaf");
-  return *right_;
-}
-
 std::vector<int> JoinTree::Relations() const {
   std::vector<int> relations;
   if (IsLeaf()) {

@@ -21,9 +21,6 @@ class JoinTree {
   static JoinTree Join(JoinTree left, JoinTree right);
 
   bool IsLeaf() const { return relation_ >= 0; }
-  int RelationId() const;             ///< Valid for leaves only.
-  const JoinTree& Left() const;       ///< Valid for inner nodes only.
-  const JoinTree& Right() const;      ///< Valid for inner nodes only.
 
   /// Relations of the subtree, in leaf order (left to right).
   std::vector<int> Relations() const;

@@ -1,7 +1,6 @@
 #include "mqo/mqo_bilp_encoder.h"
 
 #include "common/check.h"
-#include "common/table_printer.h"
 
 namespace qopt {
 
@@ -13,7 +12,7 @@ MqoBilpEncoding EncodeMqoAsBilp(const MqoProblem& problem) {
   encoding.plan_var.resize(static_cast<std::size_t>(problem.NumPlans()));
   for (int p = 0; p < problem.NumPlans(); ++p) {
     encoding.plan_var[static_cast<std::size_t>(p)] =
-        bilp.AddVariable(StrFormat("x_%d", p), problem.PlanCost(p));
+        bilp.AddVariable(problem.PlanCost(p));
   }
   // One plan per query.
   for (int q = 0; q < problem.NumQueries(); ++q) {
@@ -30,19 +29,17 @@ MqoBilpEncoding EncodeMqoAsBilp(const MqoProblem& problem) {
   for (const auto& [plans, saving] : problem.Savings()) {
     const int x1 = encoding.plan_var[static_cast<std::size_t>(plans.first)];
     const int x2 = encoding.plan_var[static_cast<std::size_t>(plans.second)];
-    const int y = bilp.AddVariable(StrFormat("y_%d", saving_index), 0.0);
-    const int z = bilp.AddVariable(StrFormat("z_%d", saving_index), saving);
+    const int y = bilp.AddVariable(0.0);
+    const int z = bilp.AddVariable(saving);
     encoding.share_var.push_back(y);
     encoding.objective_offset += saving;
     // y <= x1 and y <= x2 (binary slack each).
     for (const int x : {x1, x2}) {
-      const int slack =
-          bilp.AddVariable(StrFormat("sy_%d_%d", saving_index, x), 0.0);
+      const int slack = bilp.AddVariable(0.0);
       bilp.AddConstraint({{{y, 1.0}, {x, -1.0}, {slack, 1.0}}, 0.0});
     }
     // y >= x1 + x2 - 1  <=>  x1 + x2 - y + slack = 1.
-    const int slack =
-        bilp.AddVariable(StrFormat("sl_%d", saving_index), 0.0);
+    const int slack = bilp.AddVariable(0.0);
     bilp.AddConstraint(
         {{{x1, 1.0}, {x2, 1.0}, {y, -1.0}, {slack, 1.0}}, 1.0});
     // z = 1 - y.

@@ -4,23 +4,13 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "common/random.h"
 #include "obs/metrics.h"
 
 namespace qopt {
 namespace {
 
-/// Nelder-Mead: offset of each initial simplex vertex from x0 along its
-/// coordinate.
+/// Offset of each initial simplex vertex from x0 along its coordinate.
 constexpr double kInitialStep = 0.5;
-/// SPSA gain numerators: a_k = kSpsaA / (k + 1 + 10)^0.602 scales the step,
-/// c_k = kSpsaC / (k + 1)^0.101 the perturbation.
-constexpr double kSpsaA = 0.2;
-constexpr double kSpsaC = 0.1;
-/// Adam step size.
-constexpr double kLearningRate = 0.1;
-/// Central finite-difference step of Adam's gradient estimate.
-constexpr double kGradientStep = 1e-4;
 
 }  // namespace
 
@@ -131,115 +121,6 @@ OptimizeResult MinimizeNelderMead(const Objective& objective,
   }
   result.x = simplex[best];
   result.fval = fvals[best];
-  return result;
-}
-
-OptimizeResult MinimizeAdam(const Objective& objective,
-                            const std::vector<double>& x0, int max_iterations,
-                            const Deadline& deadline) {
-  const std::size_t n = x0.size();
-  QOPT_CHECK(n >= 1);
-  OptimizeResult result;
-  std::vector<double> x = x0;
-  std::vector<double> m(n, 0.0);
-  std::vector<double> v(n, 0.0);
-  constexpr double kBeta1 = 0.9;
-  constexpr double kBeta2 = 0.999;
-  constexpr double kEpsilon = 1e-8;
-  double best_f = objective(x);
-  ++result.evaluations;
-  std::vector<double> best_x = x;
-  std::vector<double> probe = x;
-  // QQO_LOOP(opt.adam)
-  for (int k = 1; k <= max_iterations; ++k) {
-    if (!deadline.Check().ok()) {
-      result.interrupted = true;
-      break;
-    }
-    ++result.iterations;
-    QQO_COUNT("variational.iterations", 1);
-    // Central-difference gradient.
-    std::vector<double> gradient(n);
-    for (std::size_t d = 0; d < n; ++d) {
-      probe = x;
-      probe[d] += kGradientStep;
-      const double f_plus = objective(probe);
-      probe[d] -= 2.0 * kGradientStep;
-      const double f_minus = objective(probe);
-      result.evaluations += 2;
-      gradient[d] = (f_plus - f_minus) / (2.0 * kGradientStep);
-    }
-    for (std::size_t d = 0; d < n; ++d) {
-      m[d] = kBeta1 * m[d] + (1.0 - kBeta1) * gradient[d];
-      v[d] = kBeta2 * v[d] + (1.0 - kBeta2) * gradient[d] * gradient[d];
-      const double m_hat = m[d] / (1.0 - std::pow(kBeta1, k));
-      const double v_hat = v[d] / (1.0 - std::pow(kBeta2, k));
-      x[d] -= kLearningRate * m_hat / (std::sqrt(v_hat) + kEpsilon);
-    }
-    const double f = objective(x);
-    ++result.evaluations;
-    if (f < best_f) {
-      best_f = f;
-      best_x = x;
-    }
-  }
-  result.x = best_x;
-  result.fval = best_f;
-  return result;
-}
-
-OptimizeResult MinimizeSpsa(const Objective& objective,
-                            const std::vector<double>& x0, int max_iterations,
-                            std::uint64_t seed, const Deadline& deadline) {
-  const std::size_t n = x0.size();
-  QOPT_CHECK(n >= 1);
-  Rng rng(seed);
-  OptimizeResult result;
-  std::vector<double> x = x0;
-  std::vector<double> best_x = x0;
-  double best_f = objective(x0);
-  ++result.evaluations;
-
-  constexpr double kAlphaExp = 0.602;
-  constexpr double kGammaExp = 0.101;
-  constexpr double kStability = 10.0;
-  std::vector<double> delta(n);
-  std::vector<double> x_plus(n);
-  std::vector<double> x_minus(n);
-  // QQO_LOOP(opt.spsa)
-  for (int k = 0; k < max_iterations; ++k) {
-    if (!deadline.Check().ok()) {
-      result.interrupted = true;
-      break;
-    }
-    ++result.iterations;
-    QQO_COUNT("variational.iterations", 1);
-    const double ak = kSpsaA / std::pow(k + 1 + kStability, kAlphaExp);
-    const double ck = kSpsaC / std::pow(k + 1, kGammaExp);
-    for (std::size_t d = 0; d < n; ++d) {
-      delta[d] = rng.NextBool() ? 1.0 : -1.0;
-      x_plus[d] = x[d] + ck * delta[d];
-      x_minus[d] = x[d] - ck * delta[d];
-    }
-    const double f_plus = objective(x_plus);
-    const double f_minus = objective(x_minus);
-    result.evaluations += 2;
-    const double diff = (f_plus - f_minus) / (2.0 * ck);
-    for (std::size_t d = 0; d < n; ++d) x[d] -= ak * diff / delta[d];
-    const double f = std::min(f_plus, f_minus);
-    if (f < best_f) {
-      best_f = f;
-      best_x = f_plus < f_minus ? x_plus : x_minus;
-    }
-  }
-  const double f_final = objective(x);
-  ++result.evaluations;
-  if (f_final < best_f) {
-    best_f = f_final;
-    best_x = x;
-  }
-  result.x = best_x;
-  result.fval = best_f;
   return result;
 }
 

@@ -6,7 +6,6 @@
 #include <unordered_map>
 
 #include "circuit/statevector.h"
-#include "common/check.h"
 #include "common/fault_injection.h"
 #include "common/random.h"
 #include "common/table_printer.h"
@@ -20,37 +19,13 @@
 namespace qopt {
 namespace {
 
-/// Entanglement of the VQE RealAmplitudes ansatz (the paper's setup).
-constexpr Entanglement kVqeEntanglement = Entanglement::kFull;
-
-OptimizeResult RunOuterLoop(const Objective& objective,
-                            const std::vector<double>& x0,
-                            const VariationalOptions& options) {
-  switch (options.optimizer) {
-    case OuterOptimizer::kNelderMead:
-      return MinimizeNelderMead(objective, x0, options.max_iterations,
-                                /*tolerance=*/1e-6, options.deadline);
-    case OuterOptimizer::kSpsa:
-      return MinimizeSpsa(objective, x0, options.max_iterations, options.seed,
-                          options.deadline);
-    case OuterOptimizer::kAdam:
-      return MinimizeAdam(objective, x0,
-                          std::max(1, options.max_iterations / 4),
-                          options.deadline);
-  }
-  QOPT_CHECK_MSG(false, "unknown optimizer");
-  return {};
-}
-
 /// The input both statevector solvers accept, checked before their first
 /// deadline poll: a non-empty QUBO within the register cap, then the ranges
-/// of the options the solver reads. Each solver passes only its own
-/// circuit depth (`reps_name` = `reps`, at least `min_reps`); `method`
-/// names the solver in the errors.
+/// of the options the solver reads (QAOA also reads qaoa_reps; VQE's depth
+/// is fixed).
 Status ValidateVariationalInput(const QuboModel& qubo,
-                                const VariationalOptions& options,
-                                const char* method, const char* reps_name,
-                                int reps, int min_reps) {
+                                const VariationalOptions& options, bool qaoa) {
+  const char* method = qaoa ? "QAOA" : "VQE";
   const int n = qubo.NumVariables();
   if (n < 1) return InvalidArgumentError("QUBO has no variables");
   if (n > kMaxStatevectorQubits) {
@@ -59,11 +34,12 @@ Status ValidateVariationalInput(const QuboModel& qubo,
         "most %d",
         method, n, kMaxStatevectorQubits));
   }
-  if (reps < min_reps || options.max_iterations < 1 || options.shots < 1) {
+  if ((qaoa && options.qaoa_reps < 1) || options.max_iterations < 1 ||
+      options.shots < 1) {
     return InvalidArgumentError(
-        StrFormat("%s options out of range (need %s >= %d, max_iterations "
-                  ">= 1, shots >= 1)",
-                  method, reps_name, min_reps));
+        StrFormat("%s options out of range (need %smax_iterations >= 1, "
+                  "shots >= 1)",
+                  method, qaoa ? "qaoa_reps >= 1, " : ""));
   }
   return OkStatus();
 }
@@ -126,8 +102,8 @@ StatusOr<VariationalResult> FinalizeFromCircuit(
 StatusOr<VariationalResult> TrySolveQuboWithQaoa(
     const QuboModel& qubo, const VariationalOptions& options) {
   QQO_TRACE_SPAN("variational.qaoa");
-  QOPT_RETURN_IF_ERROR(ValidateVariationalInput(
-      qubo, options, "QAOA", "qaoa_reps", options.qaoa_reps, 1));
+  QOPT_RETURN_IF_ERROR(
+      ValidateVariationalInput(qubo, options, /*qaoa=*/true));
   QOPT_RETURN_IF_ERROR(options.deadline.Check());
   QOPT_FAULT_POINT("statevector.alloc");  // 2^n energy table comes first
   const IsingModel ising = QuboToIsing(qubo);
@@ -200,7 +176,9 @@ StatusOr<VariationalResult> TrySolveQuboWithQaoa(
         }
         Statevector state(n);
         const Objective objective = make_objective(&state);
-        candidates[s] = RunOuterLoop(objective, starts[s], options);
+        candidates[s] =
+            MinimizeNelderMead(objective, starts[s], options.max_iterations,
+                               /*tolerance=*/1e-6, options.deadline);
       });
   for (const Status& status : start_status) {
     if (!status.ok()) return status;
@@ -227,24 +205,21 @@ StatusOr<VariationalResult> TrySolveQuboWithQaoa(
 StatusOr<VariationalResult> TrySolveQuboWithVqe(
     const QuboModel& qubo, const VariationalOptions& options) {
   QQO_TRACE_SPAN("variational.vqe");
-  QOPT_RETURN_IF_ERROR(ValidateVariationalInput(
-      qubo, options, "VQE", "vqe_reps", options.vqe_reps, 0));
+  QOPT_RETURN_IF_ERROR(
+      ValidateVariationalInput(qubo, options, /*qaoa=*/false));
   QOPT_RETURN_IF_ERROR(options.deadline.Check());
   QOPT_FAULT_POINT("statevector.alloc");
   const IsingModel ising = QuboToIsing(qubo);
   const std::vector<double> energies = IsingEnergyTable(ising);
   const int n = qubo.NumVariables();
-  const int num_params = RealAmplitudesNumParameters(n, options.vqe_reps);
+  const int num_params = RealAmplitudesNumParameters(n);
 
   Statevector state(n);
   Objective objective = [&](const std::vector<double>& theta) {
     state.Reset();
     // Same contract as the QAOA objective: a deadline-truncated evaluation
     // returns +inf instead of the energy of a half-applied ansatz.
-    if (!state
-             .ApplyCircuit(BuildRealAmplitudes(n, options.vqe_reps, theta,
-                                               kVqeEntanglement),
-                           options.deadline)
+    if (!state.ApplyCircuit(BuildRealAmplitudes(n, theta), options.deadline)
              .ok()) {
       return std::numeric_limits<double>::infinity();
     }
@@ -258,12 +233,12 @@ StatusOr<VariationalResult> TrySolveQuboWithVqe(
   for (double& v : x0) {
     v = rng.NextDouble(-std::numbers::pi / 8.0, std::numbers::pi / 8.0);
   }
-  OptimizeResult opt = RunOuterLoop(objective, x0, options);
+  OptimizeResult opt =
+      MinimizeNelderMead(objective, x0, options.max_iterations,
+                         /*tolerance=*/1e-6, options.deadline);
   if (opt.interrupted) return InterruptionStatus(options.deadline);
-  return FinalizeFromCircuit(
-      qubo,
-      BuildRealAmplitudes(n, options.vqe_reps, opt.x, kVqeEntanglement),
-      energies, options, opt.evaluations, &state);
+  return FinalizeFromCircuit(qubo, BuildRealAmplitudes(n, opt.x), energies,
+                             options, opt.evaluations, &state);
 }
 
 }  // namespace qopt

@@ -12,16 +12,12 @@
 
 namespace qopt {
 
-/// Classical optimizer choice for the variational outer loop.
-enum class OuterOptimizer { kNelderMead, kSpsa, kAdam };
-
-/// Options for the hybrid quantum-classical solvers. The defaults match
-/// the paper's setup: QAOA with p = 1 repetitions, VQE with the
-/// RealAmplitudes ansatz (3 reps, full entanglement).
+/// Options for the hybrid quantum-classical solvers. Both run the paper's
+/// setup under one outer optimizer, Nelder–Mead (MinimizeNelderMead): QAOA
+/// with p = qaoa_reps repetitions (default 1), VQE with the fixed
+/// RealAmplitudes ansatz (kVqeReps = 3, full entanglement).
 struct VariationalOptions {
-  int qaoa_reps = 1;
-  int vqe_reps = 3;
-  OuterOptimizer optimizer = OuterOptimizer::kNelderMead;
+  int qaoa_reps = 1;  ///< QAOA only; VQE's depth is the constant kVqeReps.
   int max_iterations = 300;
   int shots = 1024;  ///< Samples drawn from the optimal state.
   std::uint64_t seed = 0;
@@ -46,9 +42,8 @@ struct VariationalResult {
 
 /// Solve a QUBO with QAOA / VQE simulated on the statevector backend.
 /// Before any deadline poll or fault point, both refuse an empty QUBO and
-/// out-of-range options (max_iterations >= 1, shots >= 1, and each its own
-/// depth: QAOA qaoa_reps >= 1, VQE vqe_reps >= 0; neither reads the
-/// other's) with kInvalidArgument, and a QUBO of
+/// out-of-range options (max_iterations >= 1, shots >= 1, and for QAOA
+/// qaoa_reps >= 1) with kInvalidArgument, and a QUBO of
 /// more than kMaxStatevectorQubits variables with kResourceExhausted (the
 /// size is checked first). Both return kDeadlineExceeded / kCancelled when
 /// the budget trips, and the "statevector.alloc" fault point fires before

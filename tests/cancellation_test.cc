@@ -241,7 +241,6 @@ TEST(CancellationStressTest, CancelDuringRetryBackoffReturnsCancelled) {
   options.budget.deadline = Deadline().WithToken(&token);
   options.budget.retry.max_attempts = 10;
   options.budget.retry.initial_backoff_ms = 200.0;
-  options.budget.retry.max_backoff_ms = 200.0;
   std::thread canceller([&token] {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     token.Cancel();
@@ -255,18 +254,21 @@ TEST(CancellationStressTest, CancelDuringRetryBackoffReturnsCancelled) {
 }
 
 TEST(CancellationStressTest, QuantumDeadlineDegradesToClassicalWithinBudget) {
-  // The QAOA stage gets 80% of the budget and cannot finish (SPSA runs
-  // its full iteration budget, no early convergence exit); the reserved
-  // slack must still produce a degraded classical result. The budget is
-  // generous enough (100 ms of slack) that scheduler hiccups on a loaded
-  // test machine cannot eat the salvage window.
+  // The QAOA stage gets 80% of the budget (400 ms) and cannot finish: at
+  // p = 8 on 12 qubits its Nelder-Mead runs need about 17 000 cheap
+  // (sub-ms) evaluations, 14 s at 4 pool threads on a 4-vCPU host, so the
+  // stage is cut over 30x short of its end while the deadline is polled
+  // often. The reserved slack must still produce a degraded classical
+  // result. The budget is generous enough (100 ms of slack) that
+  // scheduler hiccups on a loaded test machine cannot eat the salvage
+  // window.
   MqoGeneratorOptions gen;
   gen.num_queries = 3;
-  gen.plans_per_query = 4;  // 12 qubits: fast per-iteration, slow overall
+  gen.plans_per_query = 4;  // 12 qubits
   gen.seed = 6;
   OptimizerOptions options;
   options.backend = Backend::kQaoa;
-  options.variational.optimizer = OuterOptimizer::kSpsa;
+  options.variational.qaoa_reps = 8;
   options.variational.max_iterations = 100000000;
   options.seed = 3;
   options.budget.deadline = Deadline::AfterMillis(500);

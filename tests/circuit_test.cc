@@ -247,22 +247,24 @@ TEST(IsingEnergyTableTest, MatchesDirectEvaluation) {
   }
 }
 
-TEST(StatevectorTest, IsingExpectationOfBasisState) {
+TEST(StatevectorTest, EnergyExpectationOfBasisState) {
   IsingModel ising(2);
   ising.AddField(0, 1.0);
   ising.AddCoupling(0, 1, 2.0);
   QuantumCircuit c(2);
   c.X(0);  // |01> in (q1 q0): spins s0 = +1, s1 = -1
   const Statevector state = SimulateCircuit(c);
-  EXPECT_NEAR(state.IsingExpectation(ising), 1.0 - 2.0, 1e-12);
+  EXPECT_NEAR(state.EnergyExpectation(IsingEnergyTable(ising)), 1.0 - 2.0,
+              1e-12);
 }
 
-TEST(StatevectorTest, IsingExpectationOfSuperposition) {
+TEST(StatevectorTest, EnergyExpectationOfSuperposition) {
   IsingModel ising(1);
   ising.AddField(0, 3.0);
   QuantumCircuit c(1);
   c.H(0);
-  EXPECT_NEAR(SimulateCircuit(c).IsingExpectation(ising), 0.0, 1e-12);
+  EXPECT_NEAR(SimulateCircuit(c).EnergyExpectation(IsingEnergyTable(ising)),
+              0.0, 1e-12);
 }
 
 TEST(StatevectorTest, SamplesFollowProbabilities) {
@@ -275,14 +277,6 @@ TEST(StatevectorTest, SamplesFollowProbabilities) {
     if (state.Sample(&rng)[0] == 0) ++zeros;
   }
   EXPECT_NEAR(zeros / 5000.0, 0.8, 0.03);
-}
-
-TEST(StatevectorTest, MostProbableBits) {
-  QuantumCircuit c(3);
-  c.X(0);
-  c.X(2);
-  const auto bits = SimulateCircuit(c).MostProbableBits();
-  EXPECT_EQ(bits, (std::vector<std::uint8_t>{1, 0, 1}));
 }
 
 }  // namespace

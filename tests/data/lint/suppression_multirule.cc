@@ -1,12 +1,21 @@
 // Fixture: one NOLINT comment naming two rules suppresses both findings on
 // the target line.
-struct Status {
-  bool ok() const { return true; }
+#include <cstdlib>
+
+struct Deadline {
+  bool expired() const { return false; }
 };
 
-Status Reseed(int seed);
-
-void Scramble() {
-  // NOLINTNEXTLINE(qqo-status-discard, qqo-determinism): fixture exercises multi-rule suppression
-  Reseed(rand());
+int Scramble(const Deadline& deadline, int n) {
+  int total = 0;
+  // QQO_LOOP(fixture.multirule)
+  for (int i = 0; i < n; ++i) {
+    if (deadline.expired()) break;
+    QQO_COUNT("fixture.iterations", 1);
+    // NOLINTNEXTLINE(qqo-hot-loop-alloc, qqo-determinism): fixture exercises multi-rule suppression
+    int* cell = new int(rand());
+    total += *cell;
+    delete cell;
+  }
+  return total;
 }

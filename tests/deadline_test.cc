@@ -125,17 +125,25 @@ TEST(StopwatchTest, ElapsedIsMonotonic) {
   EXPECT_LT(watch.ElapsedMillis(), second);
 }
 
-TEST(RetryPolicyTest, BackoffGrowsGeometricallyWithinJitterBounds) {
+TEST(RetryPolicyTest, BackoffDoublesUpToTheCapWithinJitterBounds) {
   RetryPolicy policy;
   policy.initial_backoff_ms = 100.0;
-  policy.backoff_multiplier = 2.0;
-  policy.max_backoff_ms = 1e6;
   policy.seed = 42;
-  for (int attempt = 1; attempt <= 5; ++attempt) {
-    const double nominal = 100.0 * std::pow(2.0, attempt - 1);
+  RetryPolicy unit = policy;  // same jitter stream, a 1 ms base
+  unit.initial_backoff_ms = 1.0;
+  // Nominal waits 100, 200, 400, 800, then the 1 000 ms cap.
+  const double nominal[] = {100.0, 200.0, 400.0, 800.0, 1000.0, 1000.0};
+  for (int attempt = 1; attempt <= 6; ++attempt) {
+    const double expected = nominal[attempt - 1];
     const double wait = BackoffMillis(policy, attempt);
-    EXPECT_GE(wait, 0.5 * nominal) << "attempt " << attempt;
-    EXPECT_LE(wait, nominal) << "attempt " << attempt;
+    EXPECT_GE(wait, 0.5 * expected) << "attempt " << attempt;
+    EXPECT_LE(wait, expected) << "attempt " << attempt;
+    // Both waits carry the jitter of (seed, attempt), and the 1 ms base
+    // (nominal 2^(attempt-1) ms) stays under the cap, so their ratio is
+    // the nominal curve's: exact doubling, then the cap.
+    EXPECT_NEAR(wait / BackoffMillis(unit, attempt),
+                expected / std::pow(2.0, attempt - 1), 1e-9)
+        << "attempt " << attempt;
   }
 }
 
@@ -150,12 +158,13 @@ TEST(RetryPolicyTest, BackoffIsDeterministicPerSeedAndAttempt) {
   EXPECT_NE(BackoffMillis(policy, 3), BackoffMillis(other, 3));
 }
 
-TEST(RetryPolicyTest, BackoffIsCappedAtMax) {
+TEST(RetryPolicyTest, BackoffIsCappedAtOneSecond) {
   RetryPolicy policy;
-  policy.initial_backoff_ms = 100.0;
-  policy.backoff_multiplier = 10.0;
-  policy.max_backoff_ms = 250.0;
-  EXPECT_LE(BackoffMillis(policy, 10), 250.0);
+  policy.initial_backoff_ms = 600.0;  // 1 200 ms nominal at attempt 2
+  for (int attempt = 2; attempt <= 40; ++attempt) {
+    EXPECT_GE(BackoffMillis(policy, attempt), 500.0) << "attempt " << attempt;
+    EXPECT_LE(BackoffMillis(policy, attempt), 1000.0) << "attempt " << attempt;
+  }
 }
 
 TEST(RetryPolicyTest, ZeroInitialBackoffRetriesImmediately) {

@@ -182,7 +182,7 @@ TEST(ReliabilityTest, TwoQubitGatesCostMoreThanSingle) {
 TEST(ReliabilityTest, TranspiledMqoCircuitRealism) {
   // A routed 12-qubit QAOA circuit on Mumbai should have a low-but-nonzero
   // success probability — the regime the paper calls borderline.
-  const QuantumCircuit vqe = BuildVqeTemplate(12, 3);
+  const QuantumCircuit vqe = BuildVqeTemplate(12);
   const TranspileResult transpiled =
       TryTranspile(vqe, MakeMumbai27(), {}).value();
   const ReliabilityEstimate estimate =

@@ -120,10 +120,10 @@ TEST(ShapeTest, VqeTranspilationOverheadExceedsQaoaOverhead) {
 
 TEST(ShapeTest, VqeIdealDepthIndependentOfQuboDensity) {
   // Sec. 5.3.2: VQE depth depends only on the number of qubits.
-  const QuantumCircuit a = BuildVqeTemplate(10, 3);
-  const QuantumCircuit b = BuildVqeTemplate(10, 3);
+  const QuantumCircuit a = BuildVqeTemplate(10);
+  const QuantumCircuit b = BuildVqeTemplate(10);
   EXPECT_EQ(a.Depth(), b.Depth());
-  EXPECT_GT(BuildVqeTemplate(14, 3).Depth(), a.Depth());
+  EXPECT_GT(BuildVqeTemplate(14).Depth(), a.Depth());
 }
 
 TEST(ShapeTest, PrecisionStrategyYieldsMoreQuadraticTerms) {

@@ -337,9 +337,9 @@ TEST(BilpToQuboTest, PaperExampleMatchesPinnedOutputs) {
 TEST(BilpToQuboTest, FeasibleAssignmentsKeepObjectiveEnergy) {
   // For a feasible x, all penalty terms vanish: energy == B * c^T x.
   BilpProblem bilp;
-  const int x0 = bilp.AddVariable("x0", 1.0);
-  const int x1 = bilp.AddVariable("x1", 2.0);
-  const int x2 = bilp.AddVariable("x2", 0.0);
+  const int x0 = bilp.AddVariable(1.0);
+  const int x1 = bilp.AddVariable(2.0);
+  const int x2 = bilp.AddVariable(0.0);
   bilp.AddConstraint({{{x0, 1.0}, {x1, 1.0}}, 1.0});      // x0 + x1 = 1
   bilp.AddConstraint({{{x1, 1.0}, {x2, -1.0}}, 0.0});     // x1 = x2
   const BilpQuboEncoding encoding = EncodeBilpAsQubo(bilp);
@@ -352,9 +352,9 @@ TEST(BilpToQuboTest, FeasibleAssignmentsKeepObjectiveEnergy) {
 
 TEST(BilpToQuboTest, GroundStateIsOptimalFeasibleAssignment) {
   BilpProblem bilp;
-  const int a = bilp.AddVariable("a", 3.0);
-  const int b = bilp.AddVariable("b", 1.0);
-  const int c = bilp.AddVariable("c", 2.0);
+  const int a = bilp.AddVariable(3.0);
+  const int b = bilp.AddVariable(1.0);
+  const int c = bilp.AddVariable(2.0);
   bilp.AddConstraint({{{a, 1.0}, {b, 1.0}, {c, 1.0}}, 1.0});  // pick one
   const BilpQuboEncoding encoding = EncodeBilpAsQubo(bilp);
   const BruteForceResult ground = TrySolveQuboBruteForce(encoding.qubo).value();
@@ -415,10 +415,10 @@ TEST(BilpToQuboTest, ZeroCoefficientTermEncodesLikeItsAbsence) {
   // coefficient with the +0 and -0 the zero term contributes.
   auto make = [](bool with_zero_term) {
     BilpProblem bilp;
-    const int x0 = bilp.AddVariable("x0", 1.0);
-    const int x1 = bilp.AddVariable("x1", 2.0);
-    const int x2 = bilp.AddVariable("x2", 0.5);
-    const int x3 = bilp.AddVariable("x3", 0.0);
+    const int x0 = bilp.AddVariable(1.0);
+    const int x1 = bilp.AddVariable(2.0);
+    const int x2 = bilp.AddVariable(0.5);
+    const int x3 = bilp.AddVariable(0.0);
     BilpProblem::Constraint row{{{x0, 1.0}}, 1.0};
     if (with_zero_term) row.terms.emplace_back(x1, 0.0);
     row.terms.emplace_back(x2, -1.0);
@@ -475,7 +475,7 @@ TEST(JoinOrderQuboTest, SimulatedAnnealingSolvesExample) {
 
 TEST(BranchAndBoundTest, InfeasibleReturnsNullopt) {
   BilpProblem bilp;
-  const int x = bilp.AddVariable("x", 0.0);
+  const int x = bilp.AddVariable(0.0);
   bilp.AddConstraint({{{x, 1.0}}, 2.0});  // x = 2 impossible
   EXPECT_FALSE(SolveBilpBranchAndBound(bilp).has_value());
 }
@@ -484,7 +484,7 @@ TEST(BranchAndBoundTest, RespectsAllConstraints) {
   BilpProblem bilp;
   std::vector<int> vars;
   for (int i = 0; i < 6; ++i) {
-    vars.push_back(bilp.AddVariable("x", static_cast<double>(i)));
+    vars.push_back(bilp.AddVariable(static_cast<double>(i)));
   }
   // Exactly two of the six, and x0 = x5.
   BilpProblem::Constraint sum;

@@ -22,7 +22,7 @@ std::string FixturePath(const std::string& name) {
 }
 
 /// Lints one fixture through the real multi-file driver so policy lookup
-/// and symbol harvesting run exactly as in production.
+/// and the cross-file index run exactly as in production.
 std::vector<Finding> LintFixture(const std::string& name) {
   Options options;
   std::vector<Finding> findings;
@@ -98,14 +98,10 @@ TEST(DeterminismRuleTest, QuietOnGoodFixture) {
 TEST(DeterminismRuleTest, ExemptsProjectRngSources) {
   Options options;
   Policy policy;
-  SymbolTable symbols;
   const std::string content = "#pragma once\nstruct random_device {};\n";
-  EXPECT_TRUE(LintContent("src/common/random.h", content, policy, symbols,
-                          options)
-                  .empty());
-  EXPECT_EQ(LintContent("src/anneal/foo.cc", content, policy, symbols,
-                        options)
-                .size(),
+  EXPECT_TRUE(
+      LintContent("src/common/random.h", content, policy, options).empty());
+  EXPECT_EQ(LintContent("src/anneal/foo.cc", content, policy, options).size(),
             1u);
 }
 
@@ -119,6 +115,42 @@ TEST(OrderedOutputRuleTest, QuietOnGoodFixture) {
   const std::vector<Finding> findings =
       LintFixture("ordered/ordered_output_good.cc");
   EXPECT_EQ(findings.size(), 0u) << findings[0].message;
+}
+
+TEST(OrderedOutputRuleTest, SeesMembersDeclaredInTheSameStemHeader) {
+  // box.h declares the unordered member, box.cc range-fors over it: the
+  // .cc is linted with its header's container names.
+  Options options;
+  std::vector<Finding> findings;
+  std::string error;
+  ASSERT_TRUE(LintPaths({FixturePath("ordered/box.h"),
+                         FixturePath("ordered/box.cc")},
+                        options, &findings, &error))
+      << error;
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, kOrderedOutputRule);
+  EXPECT_NE(findings[0].file.find("ordered/box.cc"), std::string::npos);
+  EXPECT_NE(findings[0].message.find("'cells_'"), std::string::npos);
+}
+
+TEST(OrderedOutputRuleTest, HeaderOrderedDeclarationKeepsNameAmbiguous) {
+  // A name declared with an ordered container in either file is excluded,
+  // as within one file.
+  Options options;
+  Policy policy;
+  policy.result_path = true;
+  const std::string walk =
+      "int f() { int t = 0; for (auto& [k, v] : cells_) t += v; return t; }\n";
+  EXPECT_EQ(LintContent("a.cc", walk, policy, options, nullptr,
+                        "#pragma once\nstd::unordered_map<int, int> cells_;\n")
+                .size(),
+            1u);
+  EXPECT_TRUE(LintContent("a.cc",
+                          "std::map<int, int> cells_;\n" + walk, policy,
+                          options, nullptr,
+                          "#pragma once\nstd::unordered_map<int, int> "
+                          "cells_;\n")
+                  .empty());
 }
 
 TEST(OrderedOutputRuleTest, QuietWithoutResultPathPolicy) {
@@ -162,7 +194,7 @@ TEST(ObsCoverageRuleTest, DanglingMarkerIsReportedByDeadlineRuleOnly) {
   options.rules = {kObsCoverageRule};
   const std::vector<Finding> findings = LintContent(
       "a.cc", "// QQO_LOOP(fixture.dangling)\nint NotALoop();\n", Policy{},
-      SymbolTable{}, options);
+      options);
   EXPECT_EQ(findings.size(), 0u);
 }
 
@@ -207,41 +239,10 @@ TEST(HotLoopAllocRuleTest, ReserveAnywhereInFileAmortizesPushBack) {
       "    other.push_back(i);\n"
       "  }\n"
       "}\n",
-      Policy{}, SymbolTable{}, options);
+      Policy{}, options);
   // Only the never-reserved container is flagged.
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_NE(findings[0].message.find("'other'"), std::string::npos);
-}
-
-TEST(StatusDiscardRuleTest, FiresOnBadFixture) {
-  const std::vector<Finding> findings = LintFixture("status_discard_bad.cc");
-  EXPECT_EQ(CountRule(findings, kStatusDiscardRule), 3);
-}
-
-TEST(StatusDiscardRuleTest, QuietOnGoodFixture) {
-  const std::vector<Finding> findings = LintFixture("status_discard_good.cc");
-  EXPECT_EQ(findings.size(), 0u) << findings[0].message;
-}
-
-TEST(StatusDiscardRuleTest, VoidOverloadMakesNameAmbiguous) {
-  SymbolTable symbols;
-  symbols.HarvestFrom("Status ParallelFor(int n, Deadline d);\n");
-  EXPECT_TRUE(symbols.Contains("ParallelFor"));
-  symbols.HarvestFrom("void ParallelFor(int n);\n");
-  EXPECT_FALSE(symbols.Contains("ParallelFor"));
-}
-
-TEST(StatusDiscardRuleTest, SeesSymbolsAcrossFiles) {
-  // Declaration in one file, bare call in another: the two-pass driver
-  // must connect them.
-  Options options;
-  SymbolTable symbols;
-  symbols.HarvestFrom("Status SaveResults(int count);\n");
-  const std::vector<Finding> findings = LintContent(
-      "caller.cc", "void f() { SaveResults(1); }\n", Policy{}, symbols,
-      options);
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, kStatusDiscardRule);
 }
 
 TEST(HeaderHygieneRuleTest, FiresOnBadFixture) {
@@ -258,8 +259,7 @@ TEST(HeaderHygieneRuleTest, QuietOnGoodFixture) {
 TEST(HeaderHygieneRuleTest, IgnoresSourceFiles) {
   Options options;
   const std::vector<Finding> findings =
-      LintContent("a.cc", "using namespace std;\n", Policy{}, SymbolTable{},
-                  options);
+      LintContent("a.cc", "using namespace std;\n", Policy{}, options);
   EXPECT_EQ(findings.size(), 0u);
 }
 
@@ -349,7 +349,7 @@ TEST(SuppressionTest, WrongRuleNameDoesNotSuppress) {
       "#include <random>\n"
       "// NOLINT(qqo-header-hygiene): wrong rule for this line\n"
       "std::random_device d;  // NOLINT(qqo-ordered-output): also wrong\n",
-      Policy{}, SymbolTable{}, options);
+      Policy{}, options);
   EXPECT_EQ(CountRule(findings, kDeterminismRule), 1);
 }
 
@@ -359,6 +359,20 @@ TEST(SuppressionTest, OneCommentSuppressesMultipleRules) {
   const std::vector<Finding> findings =
       LintFixture("suppression_multirule.cc");
   EXPECT_EQ(findings.size(), 0u) << findings[0].message;
+  // Without the comment the target line fires both rules.
+  std::ifstream in(FixturePath("suppression_multirule.cc"));
+  std::string content;
+  for (std::string line; std::getline(in, line);) {
+    if (line.find("NOLINTNEXTLINE") == std::string::npos) {
+      content += line + "\n";
+    }
+  }
+  const std::vector<Finding> unsuppressed =
+      LintContent("suppression_multirule.cc", content, Policy{}, Options{});
+  ASSERT_EQ(unsuppressed.size(), 2u);
+  EXPECT_EQ(CountRule(unsuppressed, kDeterminismRule), 1);
+  EXPECT_EQ(CountRule(unsuppressed, kHotLoopAllocRule), 1);
+  EXPECT_EQ(unsuppressed[0].line, unsuppressed[1].line);
 }
 
 TEST(SuppressionTest, UnknownRulesAndSelfSuppressionArePoliced) {
@@ -376,8 +390,7 @@ TEST(SuppressionTest, RuleFilterRunsOnlySelectedRules) {
   Options options;
   options.rules = {kHeaderHygieneRule};
   const std::vector<Finding> findings = LintContent(
-      "a.h", "#pragma once\nstd::random_device d;\n", Policy{}, SymbolTable{},
-      options);
+      "a.h", "#pragma once\nstd::random_device d;\n", Policy{}, options);
   EXPECT_EQ(findings.size(), 0u);
 }
 

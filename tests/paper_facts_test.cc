@@ -77,8 +77,8 @@ TEST(PaperFactsTest, QaoaDepthBoundedByTermsTimesReps) {
 TEST(PaperFactsTest, VqeParameterCountIndependentOfProblemDensity) {
   // Sec. 5.3.2: "the number of quadratic terms does not impact the
   // circuit depth for the state preparation of the VQE algorithm".
-  EXPECT_EQ(BuildVqeTemplate(10, 3).Depth(), BuildVqeTemplate(10, 3).Depth());
-  EXPECT_EQ(RealAmplitudesNumParameters(10, 3), 40);
+  EXPECT_EQ(BuildVqeTemplate(10).Depth(), BuildVqeTemplate(10).Depth());
+  EXPECT_EQ(RealAmplitudesNumParameters(10), 40);
 }
 
 // --- Sec. 5.3.1: one qubit per plan ------------------------------------------
@@ -241,7 +241,7 @@ TEST_P(RandomBilpTest, BranchAndBoundAgreesWithQuboGroundState) {
   BilpProblem bilp;
   const int n = 10;
   for (int i = 0; i < n; ++i) {
-    bilp.AddVariable("x", rng.NextDouble(0.0, 5.0));
+    bilp.AddVariable(rng.NextDouble(0.0, 5.0));
   }
   // Three random "pick k of subset" constraints (always feasible since
   // k <= subset size).

@@ -446,8 +446,7 @@ constexpr const char* kQaoaRange =
     "QAOA options out of range (need qaoa_reps >= 1, max_iterations >= 1, "
     "shots >= 1)";
 constexpr const char* kVqeRange =
-    "VQE options out of range (need vqe_reps >= 0, max_iterations >= 1, "
-    "shots >= 1)";
+    "VQE options out of range (need max_iterations >= 1, shots >= 1)";
 constexpr const char* kAdiabaticRange =
     "adiabatic options out of range (need steps >= 1, total_time > 0, "
     "shots >= 1)";
@@ -461,7 +460,6 @@ void KeepOptions(OptimizerOptions*) {}
 void NoReads(OptimizerOptions* o) { o->anneal.num_reads = 0; }
 void NoSweeps(OptimizerOptions* o) { o->anneal.num_sweeps = 0; }
 void NoQaoaReps(OptimizerOptions* o) { o->variational.qaoa_reps = 0; }
-void NegativeVqeReps(OptimizerOptions* o) { o->variational.vqe_reps = -1; }
 void NoIterations(OptimizerOptions* o) { o->variational.max_iterations = 0; }
 void NoVariationalShots(OptimizerOptions* o) { o->variational.shots = 0; }
 void NoSteps(OptimizerOptions* o) { o->adiabatic.steps = 0; }
@@ -482,9 +480,6 @@ const LimitCase kLimitCases[] = {
      "SA needs num_reads >= 1 and num_sweeps >= 1, got 10 / 0", kInvalid},
     {"qaoa_no_reps", Backend::kQaoa, 6, NoQaoaReps, kInvalid,
      kQaoaRange, kInvalid},
-    // Each statevector solver checks only its own depth option.
-    {"qaoa_negative_vqe_reps", Backend::kQaoa, 6, NegativeVqeReps, kOk, "",
-     kOk},
     {"qaoa_no_iterations", Backend::kQaoa, 6, NoIterations, kInvalid,
      kQaoaRange, kInvalid},
     {"qaoa_no_shots", Backend::kQaoa, 6, NoVariationalShots, kInvalid,
@@ -498,8 +493,7 @@ const LimitCase kLimitCases[] = {
      "QAOA circuit needs 27 qubits; the statevector simulator supports at "
      "most 26",
      kExhausted},
-    {"vqe_negative_reps", Backend::kVqe, 6, NegativeVqeReps, kInvalid,
-     kVqeRange, kInvalid},
+    // VQE's depth is fixed, so it does not read QAOA's depth option.
     {"vqe_no_qaoa_reps", Backend::kVqe, 6, NoQaoaReps, kOk, "", kOk},
     {"vqe_no_iterations", Backend::kVqe, 6, NoIterations, kInvalid,
      kVqeRange, kInvalid},

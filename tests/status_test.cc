@@ -41,8 +41,6 @@ TEST(StatusTest, ErrorFactoriesSetCodeAndMessage) {
   EXPECT_EQ(status.ToString(), "INVALID_ARGUMENT: bad knob");
   EXPECT_EQ(NotFoundError("x").code(), StatusCode::kNotFound);
   EXPECT_EQ(OutOfRangeError("x").code(), StatusCode::kOutOfRange);
-  EXPECT_EQ(FailedPreconditionError("x").code(),
-            StatusCode::kFailedPrecondition);
   EXPECT_EQ(ResourceExhaustedError("x").code(),
             StatusCode::kResourceExhausted);
   EXPECT_EQ(UnavailableError("x").code(), StatusCode::kUnavailable);

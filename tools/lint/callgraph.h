@@ -12,10 +12,10 @@ namespace qopt::lint {
 
 /// Cross-translation-unit program index behind the qqo-deadline-plumbing,
 /// qqo-lock-discipline, and qqo-pool-reentrancy rules (see DESIGN.md
-/// "Static analysis & code contracts"). Built in the same two passes as the
-/// status-discard symbol harvest: pass 1 feeds every file through AddFile,
-/// Finalize resolves the global views, and pass 2 (LintContent) pulls the
-/// precomputed per-file findings so NOLINT suppression applies normally.
+/// "Static analysis & code contracts"). Built in two passes: pass 1 feeds
+/// every file through AddFile, Finalize resolves the global views, and
+/// pass 2 (LintContent) pulls the precomputed per-file findings so NOLINT
+/// suppression applies normally.
 ///
 /// The model is deliberately approximate — token patterns, not semantics:
 ///   - calls resolve by unqualified name to every harvested signature with

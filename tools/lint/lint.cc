@@ -7,6 +7,7 @@
 #include <fstream>
 #include <map>
 #include <ostream>
+#include <set>
 #include <sstream>
 
 #include "lint/callgraph.h"
@@ -215,26 +216,31 @@ std::set<std::string> CollectContainerNames(
   return names;
 }
 
-/// Names declared with an unordered container type, minus any name that is
-/// also declared with an ordered container somewhere in the file — at token
-/// level the two declarations are indistinguishable at the use site, so an
-/// ambiguous name is excluded (same conservative stance as the
-/// void-overload exclusion in the status-discard rule).
-std::set<std::string> CollectUnorderedNames(const std::vector<Tok>& toks) {
+/// Names declared with an unordered container type in the file or its
+/// companion header (`header`, possibly empty), minus any name that either
+/// of them also declares with an ordered container: at token level the two
+/// declarations are indistinguishable at the use site, so an ambiguous
+/// name is excluded rather than guessed at.
+std::set<std::string> CollectUnorderedNames(const std::vector<Tok>& toks,
+                                            const std::vector<Tok>& header) {
   static const std::set<std::string> kOrdered = {"map", "set", "multimap",
                                                  "multiset"};
-  std::set<std::string> names =
-      CollectContainerNames(toks, UnorderedContainers());
-  for (const std::string& ordered : CollectContainerNames(toks, kOrdered)) {
-    names.erase(ordered);
+  std::set<std::string> names;
+  std::set<std::string> ordered;
+  for (const std::vector<Tok>* source : {&toks, &header}) {
+    names.merge(CollectContainerNames(*source, UnorderedContainers()));
+    ordered.merge(CollectContainerNames(*source, kOrdered));
   }
+  for (const std::string& name : ordered) names.erase(name);
   return names;
 }
 
 void CheckOrderedOutput(const std::string& path, const LexResult& lex,
+                        const LexResult& header,
                         std::vector<Finding>* findings) {
   const std::vector<Tok>& toks = lex.tokens;
-  const std::set<std::string> unordered = CollectUnorderedNames(toks);
+  const std::set<std::string> unordered =
+      CollectUnorderedNames(toks, header.tokens);
   if (unordered.empty()) return;
   for (std::size_t i = 0; i < toks.size(); ++i) {
     // Range-for over an unordered container: for ( ... : name ... )
@@ -498,51 +504,6 @@ void CheckHotLoopAlloc(const std::string& path, const LexResult& lex,
 }
 
 // ---------------------------------------------------------------------------
-// Rule: qqo-status-discard
-// ---------------------------------------------------------------------------
-
-void CheckStatusDiscard(const std::string& path, const LexResult& lex,
-                        const SymbolTable& symbols,
-                        std::vector<Finding>* findings) {
-  const std::vector<Tok>& toks = lex.tokens;
-  // Statement starts: token 0 and any token following one of these.
-  auto is_boundary = [](const Tok& t) {
-    return (t.kind == TokKind::kPunct &&
-            (t.text == ";" || t.text == "{" || t.text == "}" ||
-             t.text == ")")) ||
-           (t.kind == TokKind::kIdent && (t.text == "else" || t.text == "do"));
-  };
-  for (std::size_t start = 0; start < toks.size(); ++start) {
-    if (start != 0 && !is_boundary(toks[start - 1])) continue;
-    // Match a bare call chain:  [ident ("::"|"."|"->")]* ident "(" ... ")" ";"
-    std::size_t j = start;
-    while (j < toks.size() && toks[j].kind == TokKind::kIdent) {
-      const std::string& callee = toks[j].text;
-      if (j + 1 >= toks.size()) break;
-      const std::string& next = toks[j + 1].text;
-      if (next == "(" ) {
-        if (symbols.Contains(callee)) {
-          const std::size_t after = SkipParens(toks, j + 1);
-          if (after < toks.size() && toks[after].text == ";") {
-            findings->push_back(
-                {kStatusDiscardRule, path, toks[j].line,
-                 "result of Status-returning '" + callee +
-                     "' is silently dropped; wrap in "
-                     "QOPT_RETURN_IF_ERROR(...) or call .IgnoreError()"});
-          }
-        }
-        break;
-      }
-      if (next == "::" || next == "." || next == "->") {
-        j += 2;  // continue the chain
-        continue;
-      }
-      break;  // adjacent ident ("return Foo", declarations) or operator
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Rule: qqo-header-hygiene
 // ---------------------------------------------------------------------------
 
@@ -696,9 +657,8 @@ std::string EscapeGithub(const std::string& s) {
 
 std::vector<std::string> AllRules() {
   return {kDeterminismRule,      kOrderedOutputRule,  kDeadlineCoverageRule,
-          kObsCoverageRule,      kHotLoopAllocRule,   kStatusDiscardRule,
-          kHeaderHygieneRule,    kDeadlinePlumbingRule,
-          kLockDisciplineRule,   kPoolReentrancyRule};
+          kObsCoverageRule,      kHotLoopAllocRule,   kHeaderHygieneRule,
+          kDeadlinePlumbingRule, kLockDisciplineRule, kPoolReentrancyRule};
 }
 
 bool Options::IsRuleEnabled(const std::string& rule) const {
@@ -706,47 +666,11 @@ bool Options::IsRuleEnabled(const std::string& rule) const {
   return std::find(rules.begin(), rules.end(), rule) != rules.end();
 }
 
-void SymbolTable::HarvestFrom(const std::string& content) {
-  const LexResult lex = Lex(content);
-  const std::vector<Tok>& toks = lex.tokens;
-  for (std::size_t i = 0; i < toks.size(); ++i) {
-    if (toks[i].kind != TokKind::kIdent) continue;
-    std::size_t name_index = toks.size();
-    bool void_return = false;
-    if (toks[i].text == "Status") {
-      name_index = i + 1;
-    } else if (toks[i].text == "void") {
-      name_index = i + 1;
-      void_return = true;
-    } else if (toks[i].text == "StatusOr" && i + 1 < toks.size() &&
-               toks[i + 1].text == "<") {
-      name_index = SkipAngles(toks, i + 1);
-      while (name_index < toks.size() &&
-             (toks[name_index].text == "&" || toks[name_index].text == "*")) {
-        ++name_index;
-      }
-    } else {
-      continue;
-    }
-    if (name_index + 1 < toks.size() &&
-        toks[name_index].kind == TokKind::kIdent &&
-        toks[name_index].text != "operator" &&
-        toks[name_index + 1].text == "(") {
-      if (void_return) {
-        void_overloads_.insert(toks[name_index].text);
-      } else {
-        status_functions_.insert(toks[name_index].text);
-      }
-    }
-  }
-}
-
 std::vector<Finding> LintContent(const std::string& path,
                                  const std::string& content,
-                                 const Policy& policy,
-                                 const SymbolTable& symbols,
-                                 const Options& options,
-                                 const ProgramIndex* program) {
+                                 const Policy& policy, const Options& options,
+                                 const ProgramIndex* program,
+                                 const std::string& companion_header) {
   const LexResult lex = Lex(content);
   const Suppressions suppressions = CollectSuppressions(path, lex.comments);
 
@@ -760,7 +684,7 @@ std::vector<Finding> LintContent(const std::string& path,
     CheckDeterminism(path, lex, &raw);
   }
   if (options.IsRuleEnabled(kOrderedOutputRule) && policy.result_path) {
-    CheckOrderedOutput(path, lex, &raw);
+    CheckOrderedOutput(path, lex, Lex(companion_header), &raw);
   }
   if (options.IsRuleEnabled(kDeadlineCoverageRule)) {
     CheckDeadlineCoverage(path, lex, &raw);
@@ -770,9 +694,6 @@ std::vector<Finding> LintContent(const std::string& path,
   }
   if (options.IsRuleEnabled(kHotLoopAllocRule)) {
     CheckHotLoopAlloc(path, lex, &raw);
-  }
-  if (options.IsRuleEnabled(kStatusDiscardRule)) {
-    CheckStatusDiscard(path, lex, symbols, &raw);
   }
   if (options.IsRuleEnabled(kHeaderHygieneRule)) {
     CheckHeaderHygiene(path, lex, &raw);
@@ -829,9 +750,8 @@ bool LintPaths(const std::vector<std::string>& paths, const Options& options,
     return false;
   };
 
-  // Pass 1: harvest Status/StatusOr function names and the cross-TU
-  // program index (declarations, call graph, lock sites) from every file.
-  SymbolTable symbols;
+  // Pass 1: read every file into the cross-TU program index
+  // (declarations, call graph, lock sites).
   ProgramIndex program;
   std::vector<std::pair<fs::path, std::string>> contents;
   for (const fs::path& file : files) {
@@ -841,18 +761,28 @@ bool LintPaths(const std::vector<std::string>& paths, const Options& options,
       if (error != nullptr) *error = "cannot read file: " + file.string();
       return false;
     }
-    symbols.HarvestFrom(content);
     program.AddFile(file.generic_string(), content);
     contents.emplace_back(file, std::move(content));
   }
   program.Finalize();
 
-  // Pass 2: lint.
+  // Pass 2: lint, handing each file the header of the same stem when one
+  // was read in pass 1 (it declares the class members a .cc walks; a
+  // header is handed itself, which adds no name).
+  std::map<fs::path, const std::string*> headers;
+  for (const auto& [file, content] : contents) {
+    if (IsHeaderPath(file.string())) {
+      headers.emplace(fs::path(file).replace_extension(), &content);
+    }
+  }
+  static const std::string kNoHeader;
   PolicyResolver policies(options.policy_filename);
   for (const auto& [file, content] : contents) {
     const Policy policy = policies.ForFile(file);
+    const auto header = headers.find(fs::path(file).replace_extension());
     std::vector<Finding> file_findings = LintContent(
-        file.generic_string(), content, policy, symbols, options, &program);
+        file.generic_string(), content, policy, options, &program,
+        header == headers.end() ? kNoHeader : *header->second);
     findings->insert(findings->end(),
                      std::make_move_iterator(file_findings.begin()),
                      std::make_move_iterator(file_findings.end()));
@@ -864,7 +794,6 @@ int RunLintMain(const std::vector<std::string>& args, std::ostream& out,
                 std::ostream& err) {
   Options options;
   std::vector<std::string> paths;
-  bool list_symbols = false;
   std::string format = "text";
   for (const std::string& arg : args) {
     auto value_of = [&](const std::string& prefix) {
@@ -878,7 +807,6 @@ int RunLintMain(const std::vector<std::string>& args, std::ostream& out,
              "(default .qqo-lint-policy)\n"
              "  --format=FMT      text (default), json, or github "
              "(workflow annotations)\n"
-             "  --list-symbols    print harvested Status symbols and exit\n"
              "exit codes: 0 clean, 1 findings, 2 usage error\n";
       return 0;
     }
@@ -901,8 +829,6 @@ int RunLintMain(const std::vector<std::string>& args, std::ostream& out,
       options.excludes.push_back(value_of("--exclude="));
     } else if (arg.rfind("--policy=", 0) == 0) {
       options.policy_filename = value_of("--policy=");
-    } else if (arg == "--list-symbols") {
-      list_symbols = true;
     } else if (arg.rfind("-", 0) == 0) {
       err << "qqo_lint: unknown option '" << arg << "' (try --help)\n";
       return 2;
@@ -913,19 +839,6 @@ int RunLintMain(const std::vector<std::string>& args, std::ostream& out,
   if (paths.empty()) {
     err << "qqo_lint: no input paths (try --help)\n";
     return 2;
-  }
-  if (list_symbols) {
-    SymbolTable symbols;
-    for (const std::string& raw : paths) {
-      std::string content;
-      if (!ReadFile(raw, &content)) {
-        err << "qqo_lint: cannot read file: " << raw << "\n";
-        return 2;
-      }
-      symbols.HarvestFrom(content);
-    }
-    for (const std::string& name : symbols.functions()) out << name << "\n";
-    return 0;
   }
   std::vector<Finding> findings;
   std::string error;

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <iosfwd>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -17,7 +16,6 @@ inline constexpr char kOrderedOutputRule[] = "qqo-ordered-output";
 inline constexpr char kDeadlineCoverageRule[] = "qqo-deadline-coverage";
 inline constexpr char kObsCoverageRule[] = "qqo-obs-coverage";
 inline constexpr char kHotLoopAllocRule[] = "qqo-hot-loop-alloc";
-inline constexpr char kStatusDiscardRule[] = "qqo-status-discard";
 inline constexpr char kHeaderHygieneRule[] = "qqo-header-hygiene";
 inline constexpr char kDeadlinePlumbingRule[] = "qqo-deadline-plumbing";
 inline constexpr char kLockDisciplineRule[] = "qqo-lock-discipline";
@@ -55,29 +53,6 @@ struct Options {
   bool IsRuleEnabled(const std::string& rule) const;
 };
 
-/// Functions returning Status / StatusOr, harvested from declarations in
-/// the linted files. The status-discard rule flags bare-expression calls
-/// to these names. A name that is ALSO declared with a void return
-/// anywhere (e.g. ThreadPool::ParallelFor's deadline-free convenience
-/// overload) is ambiguous at the token level and is excluded — the
-/// [[nodiscard]] on Status still covers the compiled overload.
-class SymbolTable {
- public:
-  /// Scans `content` for `Status Name(` / `StatusOr<...> Name(`
-  /// declarations (and `void Name(` overloads) and records each Name.
-  void HarvestFrom(const std::string& content);
-  void Add(const std::string& name) { status_functions_.insert(name); }
-  bool Contains(const std::string& name) const {
-    return status_functions_.count(name) > 0 &&
-           void_overloads_.count(name) == 0;
-  }
-  const std::set<std::string>& functions() const { return status_functions_; }
-
- private:
-  std::set<std::string> status_functions_;
-  std::set<std::string> void_overloads_;
-};
-
 /// Cross-TU program index (declaration index + approximate call graph)
 /// behind qqo-deadline-plumbing / qqo-lock-discipline / qqo-pool-reentrancy.
 /// Defined in lint/callgraph.h.
@@ -88,16 +63,19 @@ class ProgramIndex;
 /// whether the header-hygiene rule applies (.h files only). When `program`
 /// is non-null it must be Finalize()d; its per-file findings for `path`
 /// join the token-rule findings before rule gating and NOLINT suppression.
+/// `companion_header` is the content of the .cc file's same-stem header
+/// (a.h for a.cc), or empty: qqo-ordered-output also sees the container
+/// names it declares, so a range-for over a class member is caught in the
+/// .cc that walks it.
 std::vector<Finding> LintContent(const std::string& path,
                                  const std::string& content,
-                                 const Policy& policy,
-                                 const SymbolTable& symbols,
-                                 const Options& options,
-                                 const ProgramIndex* program = nullptr);
+                                 const Policy& policy, const Options& options,
+                                 const ProgramIndex* program = nullptr,
+                                 const std::string& companion_header = {});
 
 /// Expands files/directories (recursing into *.h/*.hpp/*.cc/*.cpp),
-/// harvests Status symbols from every file, reads per-directory policies,
-/// and lints each file. Returns false if a path could not be read (usage
+/// indexes every file (pass 1), reads per-directory policies, and lints
+/// each file (pass 2). Returns false if a path could not be read (usage
 /// error); findings are appended either way.
 bool LintPaths(const std::vector<std::string>& paths, const Options& options,
                std::vector<Finding>* findings, std::string* error);
