@@ -164,11 +164,8 @@ std::pair<double, double> DefaultBetaRange(const SweepGraph& graph) {
 /// what lets them run in parallel while staying deterministic: read r sees
 /// the same randomness no matter how many threads execute the sweep.
 std::uint64_t ReadSeed(std::uint64_t seed, int read) {
-  std::uint64_t z = seed + 0x9E3779B97F4A7C15ULL *
-                               (static_cast<std::uint64_t>(read) + 1);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
+  return Mix64(seed +
+               kSplitMixGamma * (static_cast<std::uint64_t>(read) + 1));
 }
 
 /// Per-read mutable state. The buffers live in a thread_local arena (one

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cstdlib>
+#include <string>
 
 #include "common/table_printer.h"
 
@@ -50,12 +51,6 @@ StatusOr<std::optional<long long>> EnvIntOrStatus(const char* name,
   QOPT_ASSIGN_OR_RETURN(long long parsed,
                         ParseEnvInt(name, env, min_value, max_value));
   return std::optional<long long>(parsed);
-}
-
-std::optional<std::string> EnvString(const char* name) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return std::nullopt;
-  return std::string(env);
 }
 
 }  // namespace qopt

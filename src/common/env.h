@@ -1,7 +1,6 @@
 #pragma once
 
 #include <optional>
-#include <string>
 #include <string_view>
 
 #include "common/status.h"
@@ -21,11 +20,5 @@ StatusOr<long long> ParseEnvInt(std::string_view name, std::string_view text,
 StatusOr<std::optional<long long>> EnvIntOrStatus(const char* name,
                                                   long long min_value,
                                                   long long max_value);
-
-/// Reads a string-valued environment knob (QQO_DISPATCH, ...). Unset or
-/// empty yields nullopt so the caller applies its default; validation of
-/// the value (e.g. via ParseDispatchMode) stays with the caller, which
-/// knows the legal vocabulary.
-std::optional<std::string> EnvString(const char* name);
 
 }  // namespace qopt

@@ -1,5 +1,6 @@
 #include "common/flags.h"
 
+#include "common/env.h"
 #include "common/table_printer.h"
 
 namespace qopt {
@@ -49,6 +50,13 @@ StatusOr<FlagMap> ParseFlags(const std::vector<std::string>& args,
     }
   }
   return flags;
+}
+
+StatusOr<long long> IntFlag(const FlagMap& flags, const std::string& name,
+                            long long fallback, long long min, long long max) {
+  auto it = flags.find(name);
+  if (it == flags.end()) return fallback;
+  return ParseEnvInt("flag --" + name, it->second, min, max);
 }
 
 }  // namespace qopt

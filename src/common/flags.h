@@ -27,4 +27,11 @@ StatusOr<FlagMap> ParseFlags(const std::vector<std::string>& args,
                              std::size_t first,
                              const std::vector<FlagSpec>& specs);
 
+/// The integer value of flag --`name`, or `fallback` when it was not
+/// given. The text goes through the strict parser of every integer knob
+/// (ParseEnvInt), so --queries=abc, trailing garbage, overflow and values
+/// outside [min, max] are errors naming the flag, never a silent default.
+StatusOr<long long> IntFlag(const FlagMap& flags, const std::string& name,
+                            long long fallback, long long min, long long max);
+
 }  // namespace qopt

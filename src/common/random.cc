@@ -5,22 +5,12 @@
 #include "common/check.h"
 
 namespace qopt {
-namespace {
-
-std::uint64_t SplitMix64(std::uint64_t* state) {
-  std::uint64_t z = (*state += 0x9E3779B97F4A7C15ULL);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
 
 Rng::Rng(std::uint64_t seed) {
   // Expand the seed with splitmix64 so that nearby seeds yield unrelated
   // streams (xoshiro must not be seeded with all zeros).
   std::uint64_t sm = seed;
-  for (auto& s : s_) s = SplitMix64(&sm);
+  for (auto& s : s_) s = Mix64(sm += kSplitMixGamma);
 }
 
 std::uint64_t Rng::NextUint64(std::uint64_t bound) {

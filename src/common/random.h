@@ -6,6 +6,18 @@
 
 namespace qopt {
 
+/// The splitmix64 increment: successive splitmix64 states differ by it.
+inline constexpr std::uint64_t kSplitMixGamma = 0x9E3779B97F4A7C15ULL;
+
+/// The splitmix64 finalizer: a bijective avalanche of one 64-bit word.
+/// Every derived seed and structural hash in the library funnels through
+/// this one copy, so inputs that differ in one bit land far apart.
+inline std::uint64_t Mix64(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
+
 /// Deterministic, fast pseudo-random number generator (xoshiro256**) used
 /// everywhere in the library so that experiments are reproducible from a
 /// single seed. Satisfies the UniformRandomBitGenerator concept.
@@ -14,7 +26,7 @@ class Rng {
   using result_type = std::uint64_t;
 
   /// Seeds the generator; the same seed always yields the same stream.
-  explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL);
+  explicit Rng(std::uint64_t seed = kSplitMixGamma);
 
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~result_type{0}; }

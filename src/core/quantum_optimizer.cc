@@ -13,6 +13,7 @@
 #include "anneal/pegasus.h"
 #include "bilp/bilp_to_qubo.h"
 #include "common/fault_injection.h"
+#include "common/retry.h"
 #include "common/table_printer.h"
 #include "common/thread_pool.h"
 #include "decompose/decomposer.h"
@@ -73,6 +74,14 @@ const BackendRow& Row(Backend backend) {
   return kBackendTable[static_cast<std::size_t>(backend)];
 }
 
+/// The largest QUBO `backend` can take on: its kernel's qubit cap, or for
+/// the annealer its Pegasus fabric's vertex count.
+int QubitCap(Backend backend, int pegasus_m) {
+  return backend == Backend::kAnnealerEmulation
+             ? MakePegasus(pegasus_m).NumVertices()
+             : Row(backend).serial_cap;
+}
+
 /// What a backend returned: the bit string it found and its energy.
 struct BackendResult {
   std::vector<std::uint8_t> bits;
@@ -107,13 +116,6 @@ struct LaneResult {
   double elapsed_ms = 0.0;
 };
 
-/// The stage deadline applies only when the sub-options did not already
-/// carry their own (explicitly configured) deadline or token.
-Deadline ComposeStageDeadline(const Deadline& local, const Deadline& stage) {
-  const bool local_unset = local.unbounded() && local.token() == nullptr;
-  return local_unset ? stage : local;
-}
-
 /// The salvage lane's SA options: one read of at most 256 sweeps, the
 /// cheapest stand-in that still returns a valid state on what is left of
 /// the budget.
@@ -124,10 +126,11 @@ AnnealOptions SalvageRead(const AnnealOptions& anneal) {
   return cheap;
 }
 
-/// Runs `lane`'s backend kernel with the lane's seed and deadline filled
-/// into options that leave them unset. Every option range and qubit cap
-/// is the kernel's to check; the facade only adds the empty-QUBO check
-/// (the exact oracle accepts n = 0) and the annealer's Pegasus fabric.
+/// Runs `lane`'s backend kernel with the lane's seed and deadline, which
+/// replace whatever the kernel options carry. Every option range and
+/// qubit cap is the kernel's to check; the facade only adds the empty-QUBO
+/// check (the exact oracle accepts n = 0) and the annealer's Pegasus
+/// fabric.
 StatusOr<BackendResult> TrySolveQuboWithBackend(const QuboModel& qubo,
                                                 const OptimizerOptions& options,
                                                 const Lane& lane) {
@@ -143,8 +146,8 @@ StatusOr<BackendResult> TrySolveQuboWithBackend(const QuboModel& qubo,
       AnnealOptions anneal = lane.kind == LaneKind::kSalvage
                                  ? SalvageRead(options.anneal)
                                  : options.anneal;
-      if (anneal.seed == 0) anneal.seed = lane.seed;
-      anneal.deadline = ComposeStageDeadline(anneal.deadline, lane.deadline);
+      anneal.seed = lane.seed;
+      anneal.deadline = lane.deadline;
       QOPT_ASSIGN_OR_RETURN(AnnealResult sa,
                             TrySolveQuboWithAnnealing(qubo, anneal));
       return BackendResult{std::move(sa.best_bits), sa.best_energy,
@@ -153,9 +156,8 @@ StatusOr<BackendResult> TrySolveQuboWithBackend(const QuboModel& qubo,
     case Backend::kQaoa:
     case Backend::kVqe: {
       VariationalOptions variational = options.variational;
-      if (variational.seed == 0) variational.seed = lane.seed;
-      variational.deadline =
-          ComposeStageDeadline(variational.deadline, lane.deadline);
+      variational.seed = lane.seed;
+      variational.deadline = lane.deadline;
       QOPT_ASSIGN_OR_RETURN(VariationalResult hybrid,
                             lane.backend == Backend::kQaoa
                                 ? TrySolveQuboWithQaoa(qubo, variational)
@@ -164,21 +166,18 @@ StatusOr<BackendResult> TrySolveQuboWithBackend(const QuboModel& qubo,
     }
     case Backend::kAdiabatic: {
       AdiabaticOptions adiabatic = options.adiabatic;
-      if (adiabatic.seed == 0) adiabatic.seed = lane.seed;
-      adiabatic.deadline =
-          ComposeStageDeadline(adiabatic.deadline, lane.deadline);
+      adiabatic.seed = lane.seed;
+      adiabatic.deadline = lane.deadline;
       QOPT_ASSIGN_OR_RETURN(AdiabaticResult evolved,
                             TrySolveQuboAdiabatically(qubo, adiabatic));
       return BackendResult{std::move(evolved.best_bits), evolved.best_energy};
     }
     case Backend::kAnnealerEmulation: {
       EmbeddedSolveOptions embedded = options.embedded;
-      if (embedded.embed.seed == 0) embedded.embed.seed = lane.seed;
-      if (embedded.anneal.seed == 0) embedded.anneal.seed = lane.seed;
-      embedded.embed.deadline =
-          ComposeStageDeadline(embedded.embed.deadline, lane.deadline);
-      embedded.anneal.deadline =
-          ComposeStageDeadline(embedded.anneal.deadline, lane.deadline);
+      embedded.embed.seed = lane.seed;
+      embedded.anneal.seed = lane.seed;
+      embedded.embed.deadline = lane.deadline;
+      embedded.anneal.deadline = lane.deadline;
       const SimpleGraph topology = MakePegasus(options.pegasus_m);
       StatusOr<EmbeddedSolveResult> embedded_result =
           TrySolveQuboOnTopology(qubo, topology, embedded);
@@ -382,10 +381,11 @@ std::optional<Lane> StandInLane(int num_variables,
 }
 
 /// Serial schedule: the requested backend's lanes one after another —
-/// kUnavailable retries with the next AttemptSeed after the seeded
-/// backoff — then at most one stand-in lane (StandInLane). A quantum lane
-/// gets at most 80% of the remaining budget, reserving slack for the
-/// stand-in; classical lanes get the full remainder.
+/// a kUnavailable failure retries at once with the next AttemptSeed while
+/// attempts and budget remain — then at most one stand-in lane
+/// (StandInLane). A quantum lane gets at most 80% of the remaining budget,
+/// reserving slack for the stand-in; classical lanes get the full
+/// remainder.
 StatusOr<DispatchOutcome> RunSerial(const QuboModel& qubo,
                                     const OptimizerOptions& options) {
   const SolveBudget& budget = options.budget;
@@ -397,7 +397,7 @@ StatusOr<DispatchOutcome> RunSerial(const QuboModel& qubo,
 
   // [0]: the requested backend's latest lane; [1]: the stand-in.
   std::array<LaneResult, 2> lanes;
-  const int max_attempts = std::max(1, budget.retry.max_attempts);
+  const int max_attempts = std::max(1, budget.max_attempts);
   int run = 0;
   for (;;) {
     Lane lane{options.backend, AttemptSeed(options.seed, ++run),
@@ -410,15 +410,10 @@ StatusOr<DispatchOutcome> RunSerial(const QuboModel& qubo,
     if (run == max_attempts || !IsRetryableStatus(lanes[0].status.code())) {
       break;
     }
-    QQO_TRACE_SPAN("solve.backoff");
-    if (!SleepWithDeadline(BackoffMillis(budget.retry, run),
-                           budget.deadline)) {
-      // SleepWithDeadline reports expiry and cancellation alike.
-      lanes[0].status =
-          budget.deadline.Cancelled()
-              ? CancelledError("operation cancelled during retry backoff")
-              : DeadlineExceededError(
-                    "deadline exceeded during retry backoff");
+    // A cancel or expiry between attempts ends the retries with its own
+    // status, which the reducer and StandInLane act on.
+    if (Status left = budget.deadline.Check(); !left.ok()) {
+      lanes[0].status = std::move(left);
       break;
     }
   }
@@ -477,7 +472,11 @@ LaneResult RunRaceLane(const QuboModel& qubo, const OptimizerOptions& options,
 /// winner after the join, so the report does not depend on the thread
 /// count. At pool size 1 the lanes run inline in rank order: the exact
 /// lane finishes first and the survivors stop at their first deadline
-/// poll, so the race costs about one exact solve.
+/// poll, so the race costs about one exact solve. When at most one lane's
+/// backend can take the problem at all (QubitCap), the others only refuse
+/// it, so the lanes run in rank order on this thread instead: the one
+/// lane that does the work keeps its kernels parallel rather than running
+/// single-threaded inside a pool worker.
 StatusOr<DispatchOutcome> RunRace(const QuboModel& qubo,
                                   const OptimizerOptions& options) {
   const SolveBudget& budget = options.budget;
@@ -501,9 +500,14 @@ StatusOr<DispatchOutcome> RunRace(const QuboModel& qubo,
         qubo, options, {portfolio[i], options.seed, deadline, LaneKind::kRace},
         &race_token);
   };
-  if (lanes.size() == 1) {
-    // A lone lane runs on this thread, so its kernels stay parallel.
-    run_lane(0);
+  const int n = qubo.NumVariables();
+  const auto fits = [&](Backend backend) {
+    return n <= QubitCap(backend, options.pegasus_m);
+  };
+  if (std::count_if(portfolio.begin(), portfolio.end(), fits) <= 1) {
+    // A lone viable lane runs on this thread, so its kernels stay
+    // parallel.
+    for (std::size_t i = 0; i < lanes.size(); ++i) run_lane(i);
   } else {
     // NOLINTNEXTLINE(qqo-deadline-plumbing): every lane must start so the requested lane's option errors surface; each lane polls `deadline` itself
     ThreadPool::Default().ParallelFor(lanes.size(), run_lane);
@@ -525,9 +529,9 @@ StatusOr<DispatchOutcome> RunRace(const QuboModel& qubo,
 /// through the serial schedule, routed to the requested backend when it
 /// fits `cap` and to SA otherwise, and its bits are scattered back into
 /// the block. Retries are disabled per block — a transient failure just
-/// keeps the incumbent for this block, it must not sleep a pool worker
-/// through a backoff — and the per-block SA budget is capped so a
-/// 400-block round costs what one facade SA solve costs, not 400 of them.
+/// keeps the incumbent for this block — and the per-block SA budget is
+/// capped so a 400-block round costs what one facade SA solve costs, not
+/// 400 of them.
 /// Invalid options stay invalid: the kernel's kInvalidArgument ends the
 /// decomposition (see SubproblemSolver).
 StatusOr<SubproblemResult> SolveDecomposeSubproblem(
@@ -546,15 +550,7 @@ StatusOr<SubproblemResult> SolveDecomposeSubproblem(
                         ? base.backend
                         : Backend::kSimulatedAnnealing;
   options.seed = seed;
-  options.budget.deadline = deadline;
-  options.budget.retry = RetryPolicy{};
-  // Every backend re-derives its stream from the block's AttemptSeed-
-  // derived seed; a caller-pinned kernel seed would correlate all blocks.
-  options.anneal.seed = 0;
-  options.variational.seed = 0;
-  options.adiabatic.seed = 0;
-  options.embedded.embed.seed = 0;
-  options.embedded.anneal.seed = 0;
+  options.budget = SolveBudget{deadline};
   options.anneal.num_reads = std::min(base.anneal.num_reads, 8);
   options.anneal.num_sweeps = std::min(base.anneal.num_sweeps, 1000);
   QOPT_ASSIGN_OR_RETURN(DispatchOutcome outcome,
@@ -567,9 +563,9 @@ StatusOr<SubproblemResult> SolveDecomposeSubproblem(
 /// dispatch outcome. backend_used reports the *requested* backend — the
 /// blocks routed through it wherever they fit its serial cap — and a
 /// deadline-truncated loop degrades (timed_out => degraded-or-error). The
-/// annealer's cap is its fabric's vertex count (embedding failures below
-/// it fall back per block inside the subproblem dispatch), so the fabric
-/// is built once per decomposed solve rather than once per block.
+/// cap (QubitCap; embedding failures below the annealer's fall back per
+/// block inside the subproblem dispatch) is found once per decomposed
+/// solve rather than once per block.
 StatusOr<DispatchOutcome> DispatchDecomposed(const QuboModel& qubo,
                                              const OptimizerOptions& options) {
   QQO_TRACE_SPAN("solve.decompose");
@@ -578,9 +574,7 @@ StatusOr<DispatchOutcome> DispatchDecomposed(const QuboModel& qubo,
   decompose.max_subproblem_size = options.decompose;
   decompose.seed = options.seed;
   decompose.deadline = options.budget.deadline;
-  const int cap = options.backend == Backend::kAnnealerEmulation
-                      ? MakePegasus(options.pegasus_m).NumVertices()
-                      : Row(options.backend).serial_cap;
+  const int cap = QubitCap(options.backend, options.pegasus_m);
   const SubproblemSolver solver =
       [&options, cap](const QuboModel& subproblem, std::uint64_t seed,
                       const Deadline& deadline) {

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/deadline.h"
-#include "common/retry.h"
 #include "common/status.h"
 #include "anneal/embedding_composite.h"
 #include "anneal/simulated_annealer.h"
@@ -62,16 +61,14 @@ StatusOr<DispatchMode> ParseDispatchMode(const std::string& text);
 /// Wall-clock / retry budget for one facade solve.
 struct SolveBudget {
   /// Overall deadline (with optional CancelToken) for the solve,
-  /// including retries, backoff waits and any classical fallback. A
-  /// quantum backend stage is clamped to 80% of the remaining budget so
-  /// that a cheap classical fallback still fits when the stage times out.
+  /// including retries and any classical fallback. A quantum backend
+  /// stage is clamped to 80% of the remaining budget so that a cheap
+  /// classical fallback still fits when the stage times out.
   Deadline deadline;
-  /// Attempt budget and deterministic seeded backoff. retry.max_attempts
-  /// is the total number of backend attempts (1 = no retries); every
-  /// retry re-seeds the backend (deterministically, from the attempt
-  /// index) before running, so e.g. embedding retries explore fresh
-  /// vertex orders. Only kUnavailable failures are retried.
-  RetryPolicy retry;
+  /// Total backend attempts (1 = no retries). Only kUnavailable failures
+  /// are retried, at once and re-seeded from the attempt index
+  /// (AttemptSeed), so e.g. embedding retries explore fresh vertex orders.
+  int max_attempts = 1;
 };
 
 /// Per-lane attribution for a raced solve (DispatchMode::kRace). One
@@ -125,8 +122,13 @@ struct OptimizerOptions {
   /// byte-identical across thread counts; per-lane timing lives in
   /// SolveStats::lanes and is not stable.
   DispatchMode dispatch = DispatchMode::kSerial;
-  /// Deadline / retry / backoff budget for the whole solve.
+  /// Deadline / retry budget for the whole solve.
   SolveBudget budget;
+  /// The kernels' own options. Their `seed` and `deadline` sub-fields
+  /// (anneal, variational, adiabatic, embedded.embed, embedded.anneal)
+  /// belong to the facade: every lane overwrites them with the seed it
+  /// derives from `seed` and the stage deadline it carves from `budget`,
+  /// so values set here are ignored.
   VariationalOptions variational;      ///< For kQaoa / kVqe.
   AdiabaticOptions adiabatic;          ///< For kAdiabatic.
   AnnealOptions anneal;                ///< For kSimulatedAnnealing.

@@ -77,7 +77,7 @@ struct DecomposeResult {
 };
 
 /// Deterministic seed for the round-`round` partition, disjoint from the
-/// facade's retry attempts (1..N) and race tie keys (1000+rank).
+/// facade's retry attempts (1..N).
 std::uint64_t PartitionSeed(std::uint64_t seed, int round);
 
 /// Deterministic seed for block `block` of round `round`; disjoint from

@@ -5,19 +5,15 @@
 #include <numeric>
 
 #include "common/check.h"
+#include "common/random.h"
 
 namespace qopt {
 namespace {
 
-/// splitmix64 finalizer: the standard 64-bit avalanche mix. Every hash in
-/// this file funnels through it so that structurally different inputs
-/// land far apart even when their raw encodings are close.
-std::uint64_t Mix(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
+/// One splitmix64 step from state `x`. Every hash in this file funnels
+/// through it so that structurally different inputs land far apart even
+/// when their raw encodings are close.
+std::uint64_t Mix(std::uint64_t x) { return Mix64(x + kSplitMixGamma); }
 
 std::uint64_t Mix2(std::uint64_t a, std::uint64_t b) {
   return Mix(a ^ Mix(b));

@@ -4,7 +4,6 @@
 #include <set>
 
 #include "common/check.h"
-#include "common/env.h"
 #include "common/fault_injection.h"
 #include "common/table_printer.h"
 #include "common/thread_pool.h"
@@ -223,21 +222,13 @@ OptimizerOptions MakeOptimizerOptions(const SolveRequest& request,
   options.embedded.anneal.num_reads = 100;
   options.embedded.anneal.num_sweeps = 4000;
   options.budget.deadline = deadline;
-  options.budget.retry.max_attempts = request.retries;
-  options.budget.retry.initial_backoff_ms = 10.0;
-  options.budget.retry.seed = request.seed;
+  options.budget.max_attempts = request.retries;
   return options;
 }
 
-StatusOr<DispatchMode> CheckSolveEnvironment() {
+Status CheckSolveEnvironment() {
   QOPT_RETURN_IF_ERROR(ThreadPool::PoolSizeFromEnvOrStatus().status());
-  QOPT_RETURN_IF_ERROR(FaultInjection::EnvSpecStatus());
-  SolveRequest defaults;
-  if (std::optional<std::string> text = EnvString("QQO_DISPATCH")) {
-    QOPT_RETURN_IF_ERROR(
-        SetSolveName("dispatch", *text, "QQO_DISPATCH", &defaults));
-  }
-  return defaults.dispatch;
+  return FaultInjection::EnvSpecStatus();
 }
 
 StatusOr<ServeRequest> ParseServeRequest(const std::string& line,

@@ -79,7 +79,7 @@ inline constexpr std::array<const char*, 2> kJoinOptions = {"thresholds",
 /// integer for qqo_serve), then stores it through these calls, which own
 /// every range and rule. `name` is the protocol name; `label` is how the
 /// front end's user wrote the option (`flag --timeout-ms`,
-/// `field "timeout_ms"`, `QQO_DECOMPOSE`) and starts every diagnostic.
+/// `field "timeout_ms"`) and starts every diagnostic.
 ///
 /// Integers: seed [0, kMaxSeed], timeout_ms [0, one day], retries
 /// [1, 100], decompose 0 or [2, 10^6], pegasus [2, 16], precision
@@ -100,16 +100,13 @@ Deadline SolveDeadline(const SolveRequest& request,
 
 /// The only OptimizerOptions builder of the front ends: the request's
 /// options plus the fixed caller budgets (SA 50 reads x 2000 sweeps,
-/// QAOA/VQE 250 iterations x 4096 shots, embedded annealing 100 x 4000,
-/// 10 ms retry backoff seeded like the solve).
+/// QAOA/VQE 250 iterations x 4096 shots, embedded annealing 100 x 4000).
 OptimizerOptions MakeOptimizerOptions(const SolveRequest& request,
                                       const Deadline& deadline);
 
 /// Checks the environment knobs both binaries read (QQO_THREADS,
-/// QQO_FAULTS, QQO_DISPATCH) before any work runs, and returns
-/// the default dispatch mode: QQO_DISPATCH, else serial. An error names
-/// its variable.
-StatusOr<DispatchMode> CheckSolveEnvironment();
+/// QQO_FAULTS) before any work runs. An error names its variable.
+Status CheckSolveEnvironment();
 
 /// A validated solve/admin request.
 struct ServeRequest : SolveRequest {
@@ -131,7 +128,7 @@ inline constexpr std::size_t kMaxRequestIdBytes = 256;
 
 /// Parses and validates one request line (already length-checked by the
 /// server). `default_dispatch` supplies the daemon-wide dispatch mode
-/// (QQO_DISPATCH / flag) that a request may override per call.
+/// (--dispatch) that a request may override per call.
 StatusOr<ServeRequest> ParseServeRequest(const std::string& line,
                                          DispatchMode default_dispatch);
 

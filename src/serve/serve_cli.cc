@@ -13,7 +13,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "common/env.h"
 #include "common/flags.h"
 #include "common/status.h"
 #include "common/table_printer.h"
@@ -119,9 +118,7 @@ int Usage() {
       "from stdin (or an AF_UNIX socket), writes one response line per\n"
       "request in request order. See DESIGN.md \"Serving\" for the\n"
       "protocol, admission/shedding policy and drain semantics.\n"
-      "environment: QQO_SERVE_QUEUE, QQO_SERVE_CACHE, QQO_SERVE_DRAIN_MS,\n"
-      "  QQO_SERVE_MAX_LINE_BYTES (flags win), QQO_DISPATCH, QQO_THREADS,\n"
-      "  QQO_FAULTS\n",
+      "environment: QQO_THREADS (pool size), QQO_FAULTS (fault points)\n",
       stderr);
   return kServeExitUsage;
 }
@@ -131,41 +128,21 @@ int Fail(int exit_code, const Status& status) {
   return exit_code;
 }
 
-/// Flag beats environment variable beats default, every source strictly
-/// validated against [min, max].
-StatusOr<long long> IntKnob(const FlagMap& flags, const char* flag,
-                            const char* env, long long fallback,
-                            long long min, long long max) {
-  if (auto it = flags.find(flag); it != flags.end()) {
-    return ParseEnvInt(StrFormat("flag --%s", flag), it->second, min, max);
-  }
-  QOPT_ASSIGN_OR_RETURN(const std::optional<long long> env_value,
-                        EnvIntOrStatus(env, min, max));
-  return env_value.value_or(fallback);
-}
-
-StatusOr<ServerOptions> MakeServerOptions(const FlagMap& flags,
-                                          DispatchMode env_dispatch) {
+StatusOr<ServerOptions> MakeServerOptions(const FlagMap& flags) {
   ServerOptions options;
-  QOPT_ASSIGN_OR_RETURN(
-      const long long queue,
-      IntKnob(flags, "queue", "QQO_SERVE_QUEUE", 64, 0, 100000));
+  QOPT_ASSIGN_OR_RETURN(const long long queue,
+                        IntFlag(flags, "queue", 64, 0, 100000));
   options.queue_capacity = static_cast<std::size_t>(queue);
-  QOPT_ASSIGN_OR_RETURN(
-      const long long cache,
-      IntKnob(flags, "cache", "QQO_SERVE_CACHE", 128, 0, 1000000));
+  QOPT_ASSIGN_OR_RETURN(const long long cache,
+                        IntFlag(flags, "cache", 128, 0, 1000000));
   options.cache_capacity = static_cast<std::size_t>(cache);
-  QOPT_ASSIGN_OR_RETURN(options.drain_budget_ms,
-                        IntKnob(flags, "drain-ms", "QQO_SERVE_DRAIN_MS",
-                                2000, -1, 24LL * 60 * 60 * 1000));
   QOPT_ASSIGN_OR_RETURN(
-      const long long max_line,
-      IntKnob(flags, "max-line-bytes", "QQO_SERVE_MAX_LINE_BYTES", 1 << 20,
-              1, 1 << 30));
+      options.drain_budget_ms,
+      IntFlag(flags, "drain-ms", 2000, -1, 24LL * 60 * 60 * 1000));
+  QOPT_ASSIGN_OR_RETURN(const long long max_line,
+                        IntFlag(flags, "max-line-bytes", 1 << 20, 1, 1 << 30));
   options.max_line_bytes = static_cast<std::size_t>(max_line);
-  // --dispatch beats QQO_DISPATCH (already checked) beats serial.
   SolveRequest defaults;
-  defaults.dispatch = env_dispatch;
   if (auto it = flags.find("dispatch"); it != flags.end()) {
     QOPT_RETURN_IF_ERROR(
         SetSolveName("dispatch", it->second, "flag --dispatch", &defaults));
@@ -268,11 +245,10 @@ int RunQqoServe(int argc, const char* const* argv) {
 int RunQqoServe(const std::vector<std::string>& args) {
   g_shutdown.store(false, std::memory_order_relaxed);  // in-process reruns
   // Environment knobs are validated before any work runs — same contract
-  // as the qqo CLI: a typo in QQO_THREADS, QQO_FAULTS or QQO_DISPATCH is
-  // usage misuse (exit 2), never a silent fallback.
-  StatusOr<DispatchMode> env_dispatch = CheckSolveEnvironment();
-  if (!env_dispatch.ok()) {
-    return Fail(kServeExitUsage, env_dispatch.status());
+  // as the qqo CLI: a typo in QQO_THREADS or QQO_FAULTS is usage misuse
+  // (exit 2), never a silent fallback.
+  if (const Status env = CheckSolveEnvironment(); !env.ok()) {
+    return Fail(kServeExitUsage, env);
   }
   StatusOr<FlagMap> flags = ParseFlags(
       args, 1,
@@ -282,7 +258,7 @@ int RunQqoServe(const std::vector<std::string>& args) {
     Fail(kServeExitUsage, flags.status());
     return Usage();
   }
-  StatusOr<ServerOptions> options = MakeServerOptions(*flags, *env_dispatch);
+  StatusOr<ServerOptions> options = MakeServerOptions(*flags);
   if (!options.ok()) return Fail(kServeExitUsage, options.status());
   const bool want_metrics = flags->count("metrics") != 0;
 

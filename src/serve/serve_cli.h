@@ -20,15 +20,16 @@ inline constexpr int kServeExitUsage = 2;  ///< Flag / environment misuse.
 /// Flags:
 ///   --socket=PATH       listen on an AF_UNIX socket (one connection at a
 ///                       time) instead of stdin/stdout
-///   --queue=N           admission bound (default 64, env QQO_SERVE_QUEUE)
-///   --cache=N           solution-cache entries (default 128,
-///                       env QQO_SERVE_CACHE)
+///   --queue=N           admission bound (default 64)
+///   --cache=N           solution-cache entries (default 128)
 ///   --drain-ms=N        graceful-drain budget, -1 waits forever
-///                       (default 2000, env QQO_SERVE_DRAIN_MS)
-///   --max-line-bytes=N  request-line size bound (default 1 MiB,
-///                       env QQO_SERVE_MAX_LINE_BYTES)
-///   --dispatch=MODE     default dispatch: serial|race (env QQO_DISPATCH)
+///                       (default 2000)
+///   --max-line-bytes=N  request-line size bound (default 1 MiB)
+///   --dispatch=MODE     default dispatch: serial|race (default serial)
 ///   --metrics           print the final metrics tables to stderr on exit
+///
+/// Each setting has this one channel. The environment holds only what no
+/// flag sets: QQO_THREADS (pool size) and QQO_FAULTS (fault points).
 int RunQqoServe(int argc, const char* const* argv);
 
 /// Convenience overload for tests: RunQqoServe({"qqo_serve", "--queue=4"}).

@@ -21,8 +21,7 @@
 namespace qopt::serve {
 
 /// Tuning knobs of one Server instance. Defaults are sized for the demo
-/// daemon; the qqo_serve front-end maps flags / QQO_SERVE_* variables
-/// onto them.
+/// daemon; the qqo_serve front-end maps its flags onto them.
 struct ServerOptions {
   /// Admission bound: solve requests in flight (admitted, response not
   /// yet emitted). One more solve than this is shed with kUnavailable —
@@ -39,7 +38,7 @@ struct ServerOptions {
   /// Request lines longer than this are rejected (kResourceExhausted)
   /// without being parsed — bounded memory per request.
   std::size_t max_line_bytes = 1 << 20;
-  /// Daemon-wide dispatch default (QQO_DISPATCH / --dispatch); a request
+  /// Daemon-wide dispatch default (--dispatch); a request
   /// may override it per call with its "dispatch" field.
   DispatchMode default_dispatch = DispatchMode::kSerial;
   /// Test seam: when set, runs on the worker thread for every admitted

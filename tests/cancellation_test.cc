@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <thread>
 
 #include "anneal/simulated_annealer.h"
@@ -223,30 +225,39 @@ TEST(CancellationStressTest, CancelledSolveNeverDegrades) {
   EXPECT_EQ(solved.status().code(), StatusCode::kCancelled);
 }
 
-TEST(CancellationStressTest, CancelDuringRetryBackoffReturnsCancelled) {
-  // Every annealer attempt fails with a retryable fault, so when the
-  // token fires the facade is sitting in a 100-200 ms backoff sleep.
-  // Regression: the interrupted sleep used to be misreported as
-  // kDeadlineExceeded and routed into the classical salvage path,
-  // producing a degraded report for a solve the caller had cancelled.
+TEST(CancellationStressTest, CancelBetweenRetriedAttemptsReturnsCancelled) {
+  // Every annealer attempt fails at its first sweep with a retryable
+  // fault, and the attempt budget is far beyond what the test can use, so
+  // the facade is still retrying when the token fires: the cancel lands
+  // between two attempts (or inside one, which then fails the same way).
+  // Regression: a retry loop interrupted by a cancel used to be
+  // misreported as kDeadlineExceeded and routed into the classical
+  // salvage path, producing a degraded report for a solve the caller had
+  // cancelled.
   FaultInjection::Instance().Arm("annealer.sweep",
                                  UnavailableError("injected transient"), 0,
                                  /*times=*/-1);
   CancelToken token;
   OptimizerOptions options;
   options.backend = Backend::kSimulatedAnnealing;
-  options.anneal.num_reads = 2;
+  options.anneal.num_reads = 1;
   options.anneal.num_sweeps = 10;
   options.seed = 9;
   options.budget.deadline = Deadline().WithToken(&token);
-  options.budget.retry.max_attempts = 10;
-  options.budget.retry.initial_backoff_ms = 200.0;
-  std::thread canceller([&token] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  options.budget.max_attempts = std::numeric_limits<int>::max();
+  std::atomic<bool> returned{false};
+  std::thread canceller([&token, &returned] {
+    // Three failed sweeps: the solve has retried at least twice. A solve
+    // that stops retrying on its own fails the checks below, not a hang.
+    while (FaultInjection::Instance().PassCount("annealer.sweep") < 3 &&
+           !returned.load()) {
+      std::this_thread::yield();
+    }
     token.Cancel();
   });
   StatusOr<MqoSolveReport> solved =
       TrySolveMqo(MakePaperExampleMqo(), options);
+  returned.store(true);
   canceller.join();
   FaultInjection::Instance().DisarmAll();
   ASSERT_FALSE(solved.ok());

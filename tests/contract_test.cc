@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -161,24 +160,6 @@ TEST(SolveContractTest, DecomposeOneAndUnknownBackendAreInvalidArgument) {
     EXPECT_EQ(serve.message.rfind("INVALID_ARGUMENT", 0), 0u)
         << serve.message;
   }
-}
-
-TEST(SolveContractTest, QqoDecomposeGoesThroughTheSameCheck) {
-  // The environment default is checked like the flag, under its own name,
-  // before any work runs.
-  for (const char* bad : {"1", "-1", "1000001", "abc"}) {
-    SCOPED_TRACE(bad);
-    setenv("QQO_DECOMPOSE", bad, 1);
-    ::testing::internal::CaptureStderr();
-    EXPECT_EQ(cli::RunQqoCli({"qqo", "mqo", "/no/such/workload.json"}),
-              cli::kExitUsage);
-    const std::string err = ::testing::internal::GetCapturedStderr();
-    EXPECT_NE(err.find("QQO_DECOMPOSE"), std::string::npos) << err;
-  }
-  setenv("QQO_DECOMPOSE", "26", 1);
-  EXPECT_EQ(cli::RunQqoCli({"qqo", "mqo", "/no/such/workload.json"}),
-            cli::kExitError);
-  unsetenv("QQO_DECOMPOSE");
 }
 
 TEST(SolveContractTest, BothFrontEndsPickTheSamePlans) {

@@ -197,6 +197,66 @@ TEST(QuantumOptimizerTest, MqoAnnealerEmulationBackend) {
   EXPECT_DOUBLE_EQ(report.solution.cost, 21.0);
 }
 
+/// Everything a facade report says about the returned state.
+void ExpectSameReport(const MqoSolveReport& a, const MqoSolveReport& b) {
+  EXPECT_EQ(a.bits, b.bits);
+  EXPECT_EQ(a.qubo_energy, b.qubo_energy);
+  EXPECT_EQ(a.valid, b.valid);
+  EXPECT_EQ(a.backend_used, b.backend_used);
+  EXPECT_EQ(a.degraded, b.degraded);
+  EXPECT_EQ(a.stats.attempts, b.stats.attempts);
+  EXPECT_EQ(a.stats.timed_out, b.stats.timed_out);
+}
+
+TEST(QuantumOptimizerTest, KernelSeedsAndDeadlinesBelongToTheFacade) {
+  // Each lane takes its kernel's seed from OptimizerOptions::seed and its
+  // deadline from the budget; a seed or deadline set on the kernel
+  // options themselves changes nothing. The budgets are cut so far down
+  // that the returned state depends on the seed.
+  MqoGeneratorOptions gen;
+  gen.num_queries = 4;
+  gen.plans_per_query = 3;  // 12 qubits
+  gen.seed = 11;
+  const MqoProblem problem = GenerateMqoProblem(gen);
+  for (const Backend backend : {Backend::kSimulatedAnnealing, Backend::kQaoa,
+                                Backend::kAnnealerEmulation}) {
+    SCOPED_TRACE(BackendName(backend));
+    OptimizerOptions plain;
+    plain.backend = backend;
+    plain.seed = 5;
+    plain.anneal.num_reads = 1;
+    plain.anneal.num_sweeps = 2;
+    plain.variational.max_iterations = 3;
+    plain.variational.shots = 8;
+    plain.embedded.anneal.num_reads = 1;
+    plain.embedded.anneal.num_sweeps = 2;
+    OptimizerOptions pinned = plain;
+    pinned.anneal.seed = 99;
+    pinned.variational.seed = 99;
+    pinned.adiabatic.seed = 99;
+    pinned.embedded.embed.seed = 99;
+    pinned.embedded.anneal.seed = 99;
+    const Deadline expired = Deadline::AfterMillis(0);
+    pinned.anneal.deadline = expired;
+    pinned.variational.deadline = expired;
+    pinned.adiabatic.deadline = expired;
+    pinned.embedded.embed.deadline = expired;
+    pinned.embedded.anneal.deadline = expired;
+    const StatusOr<MqoSolveReport> expected = TrySolveMqo(problem, plain);
+    const StatusOr<MqoSolveReport> got = TrySolveMqo(problem, pinned);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ExpectSameReport(*got, *expected);
+    if (backend == Backend::kSimulatedAnnealing) {
+      OptimizerOptions reseeded = plain;
+      reseeded.seed = 6;
+      const StatusOr<MqoSolveReport> other = TrySolveMqo(problem, reseeded);
+      ASSERT_TRUE(other.ok()) << other.status().ToString();
+      EXPECT_NE(other->bits, expected->bits) << "the input must be seed-bound";
+    }
+  }
+}
+
 // --- Facade: join ordering -----------------------------------------------------------
 
 TEST(QuantumOptimizerTest, JoinOrderSaBackendOnSection612Example) {

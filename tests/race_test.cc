@@ -345,8 +345,7 @@ TEST_F(RaceDispatchTest, RetriedFallbackKeepsCountingAttempts) {
   options.backend = Backend::kAnnealerEmulation;
   options.pegasus_m = 2;
   options.seed = 5;
-  options.budget.retry.max_attempts = 3;
-  options.budget.retry.initial_backoff_ms = 1.0;
+  options.budget.max_attempts = 3;
   const auto report = TrySolveMqo(problem, options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->degraded);

@@ -668,8 +668,7 @@ TEST(DegradationTest, QuboLargerThanTheFabricIsNotRetried) {
   options.backend = Backend::kAnnealerEmulation;
   options.pegasus_m = 2;
   options.seed = 3;
-  options.budget.retry.max_attempts = 4;
-  options.budget.retry.initial_backoff_ms = 10.0;
+  options.budget.max_attempts = 4;
   const auto report = TrySolveMqo(GenerateMqoProblem(gen), options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->stats.attempts, 2);

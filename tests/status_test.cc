@@ -4,16 +4,22 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/json.h"
 #include "common/status.h"
 #include "io/workload_io.h"
 #include "qqo_cli.h"
+#include "serve/serve_cli.h"
 
 #ifndef QQO_TEST_DATA_DIR
 #error "QQO_TEST_DATA_DIR must be defined by the build"
@@ -301,17 +307,6 @@ TEST(CliFlagTest, InvalidQqoThreadsIsUsageErrorOnEverySubcommand) {
   unsetenv("QQO_THREADS");
 }
 
-TEST(CliFlagTest, InvalidQqoDispatchIsUsageErrorBeforeAnyWork) {
-  // Env knobs are validated up front: a QQO_DISPATCH typo is command-line
-  // misuse even when the workload path does not exist.
-  ::testing::internal::CaptureStderr();
-  setenv("QQO_DISPATCH", "parallel", 1);
-  EXPECT_EQ(cli::RunQqoCli({"qqo", "mqo", "w.json"}), cli::kExitUsage);
-  unsetenv("QQO_DISPATCH");
-  const std::string err = ::testing::internal::GetCapturedStderr();
-  EXPECT_NE(err.find("QQO_DISPATCH"), std::string::npos) << err;
-}
-
 TEST(CliFlagTest, InvalidDispatchFlagIsUsageError) {
   ::testing::internal::CaptureStderr();
   EXPECT_EQ(cli::RunQqoCli({"qqo", "mqo", "w.json", "--dispatch=bogus"}),
@@ -427,14 +422,64 @@ TEST_F(CliWorkloadTest, RacedSolveRunsCleanlyAndReportsLanes) {
             cli::kExitOk);
   const std::string out = ::testing::internal::GetCapturedStdout();
   EXPECT_NE(out.find("race lanes:"), std::string::npos) << out;
-  // QQO_DISPATCH supplies the default when the flag is absent.
-  setenv("QQO_DISPATCH", "race", 1);
+}
+
+/// `qqo mqo <mqo_path> --backend=sa --seed=7`: exit code and stdout.
+std::pair<int, std::string> RunCliSolve(const std::string& mqo_path) {
   ::testing::internal::CaptureStdout();
-  EXPECT_EQ(cli::RunQqoCli({"qqo", "mqo", mqo_path_, "--backend=sa"}),
-            cli::kExitOk);
-  const std::string env_out = ::testing::internal::GetCapturedStdout();
+  const int code = cli::RunQqoCli(
+      {"qqo", "mqo", mqo_path, "--backend=sa", "--seed=7"});
+  return {code, ::testing::internal::GetCapturedStdout()};
+}
+
+/// `qqo_serve` with `requests` on stdin: exit code and stdout.
+std::pair<int, std::string> RunServeOnStdin(const std::string& requests) {
+  const std::string path = ::testing::TempDir() + "/status_serve_in.jsonl";
+  EXPECT_TRUE(WriteStringToFile(path, requests));
+  const int saved_stdin = ::dup(STDIN_FILENO);
+  const int in = ::open(path.c_str(), O_RDONLY);
+  EXPECT_GE(in, 0);
+  ::dup2(in, STDIN_FILENO);
+  ::close(in);
+  ::testing::internal::CaptureStdout();
+  ::testing::internal::CaptureStderr();
+  const int code = serve::RunQqoServe({"qqo_serve"});
+  std::string out = ::testing::internal::GetCapturedStdout();
+  ::testing::internal::GetCapturedStderr();
+  ::dup2(saved_stdin, STDIN_FILENO);
+  ::close(saved_stdin);
+  return {code, std::move(out)};
+}
+
+TEST_F(CliWorkloadTest, SolveSettingsComeFromFlagsNotTheEnvironment) {
+  // Dispatch, decomposition and the daemon's queue are set by flags only:
+  // variables that once stood in for those flags, even with values the
+  // flags would refuse, change nothing.
+  const std::optional<std::string> workload = ReadFileToString(mqo_path_);
+  ASSERT_TRUE(workload.has_value());
+  std::string compact = *workload;
+  compact.erase(std::remove(compact.begin(), compact.end(), '\n'),
+                compact.end());
+  const std::string request =
+      "{\"id\":\"e1\",\"type\":\"mqo\",\"backend\":\"sa\",\"seed\":7,"
+      "\"workload\":" + compact + "}\n";
+  const auto [clean_code, clean_out] = RunCliSolve(mqo_path_);
+  ASSERT_EQ(clean_code, cli::kExitOk) << clean_out;
+
+  setenv("QQO_DISPATCH", "bogus", 1);
+  setenv("QQO_DECOMPOSE", "1", 1);
+  setenv("QQO_SERVE_QUEUE", "0", 1);
+  const auto [cli_code, cli_out] = RunCliSolve(mqo_path_);
+  const auto [serve_code, serve_out] = RunServeOnStdin(request);
   unsetenv("QQO_DISPATCH");
-  EXPECT_NE(env_out.find("race lanes:"), std::string::npos) << env_out;
+  unsetenv("QQO_DECOMPOSE");
+  unsetenv("QQO_SERVE_QUEUE");
+
+  EXPECT_EQ(cli_code, cli::kExitOk);
+  EXPECT_EQ(cli_out, clean_out);
+  EXPECT_EQ(serve_code, serve::kServeExitOk);
+  EXPECT_NE(serve_out.find("\"id\":\"e1\""), std::string::npos) << serve_out;
+  EXPECT_NE(serve_out.find("\"ok\":true"), std::string::npos) << serve_out;
 }
 
 TEST_F(CliWorkloadTest, ExactBackendOverBudgetIsRuntimeError) {

@@ -68,9 +68,8 @@ int Usage() {
       "global flags (any subcommand):\n"
       "  --trace-out=FILE  write a Chrome trace_event JSON of the run\n"
       "  --metrics         print the metrics table after the run\n"
-      "environment: QQO_DISPATCH=serial|race sets the default --dispatch;\n"
-      "  QQO_DECOMPOSE=N sets the default --decompose (0 off, else max\n"
-      "  subproblem size >= 2 for hybrid decomposition)\n");
+      "environment: QQO_THREADS=N sizes the thread pool;\n"
+      "  QQO_FAULTS=site:after_n:status[,...] arms fault points\n");
   return kExitUsage;
 }
 
@@ -85,17 +84,6 @@ std::string FlagOr(const FlagMap& flags, const std::string& key,
                    const std::string& fallback) {
   auto it = flags.find(key);
   return it == flags.end() ? fallback : it->second;
-}
-
-/// Integer flag through the strict parser every integer knob shares, so
-/// --queries=abc and --seed=9999999999999999999 are hard errors instead
-/// of silently becoming 0 / overflowing.
-StatusOr<long long> IntFlag(const FlagMap& flags, const std::string& key,
-                            long long fallback, long long min,
-                            long long max) {
-  auto it = flags.find(key);
-  if (it == flags.end()) return fallback;
-  return ParseEnvInt("flag --" + key, it->second, min, max);
 }
 
 /// Comma-separated doubles; empty tokens and non-numeric garbage are
@@ -173,27 +161,15 @@ Status ApplyOptionFlag(const FlagMap& flags, std::string_view option,
   return SetSolveIntText(option, it->second, label, request);
 }
 
-/// `request` overridden by whichever solve-option flags were given.
-StatusOr<serve::SolveRequest> ParseSolveFlags(
-    const FlagMap& flags, serve::SolveRequest request) {
+/// The default SolveRequest overridden by whichever solve-option flags
+/// were given.
+StatusOr<serve::SolveRequest> ParseSolveFlags(const FlagMap& flags) {
+  serve::SolveRequest request;
   for (const char* option : serve::kSolveOptions) {
     QOPT_RETURN_IF_ERROR(ApplyOptionFlag(flags, option, &request));
   }
   for (const char* option : serve::kJoinOptions) {
     QOPT_RETURN_IF_ERROR(ApplyOptionFlag(flags, option, &request));
-  }
-  return request;
-}
-
-/// The defaults under the solve flags: QQO_DISPATCH (checked by
-/// CheckSolveEnvironment) and QQO_DECOMPOSE, which goes through the
-/// shared validator under its own name.
-StatusOr<serve::SolveRequest> EnvDefaults(DispatchMode dispatch) {
-  serve::SolveRequest request;
-  request.dispatch = dispatch;
-  if (std::optional<std::string> text = EnvString("QQO_DECOMPOSE")) {
-    QOPT_RETURN_IF_ERROR(
-        SetSolveIntText("decompose", *text, "QQO_DECOMPOSE", &request));
   }
   return request;
 }
@@ -379,8 +355,7 @@ int RunGenerate(const std::vector<std::string>& args) {
 
 /// `qqo mqo|join <file>`: flags -> SolveRequest -> the options builder
 /// qqo_serve uses, so a solve means the same on either front end.
-int RunSolve(const std::vector<std::string>& args,
-             const serve::SolveRequest& defaults) {
+int RunSolve(const std::vector<std::string>& args) {
   if (args.size() < 3 || LooksLikeFlag(args[2])) return Usage();
   const bool join = args[1] == "join";
   std::vector<FlagSpec> specs;
@@ -390,7 +365,7 @@ int RunSolve(const std::vector<std::string>& args,
   if (!flags.ok()) return Fail(kExitUsage, flags.status());
   // Validate every flag value before touching the file: a usage error is
   // diagnosed the same way whether or not the workload path exists.
-  StatusOr<serve::SolveRequest> request = ParseSolveFlags(*flags, defaults);
+  StatusOr<serve::SolveRequest> request = ParseSolveFlags(*flags);
   if (!request.ok()) return Fail(kExitUsage, request.status());
   const OptimizerOptions options =
       serve::MakeOptimizerOptions(*request, serve::SolveDeadline(*request));
@@ -446,7 +421,7 @@ StatusOr<FlagMap> ParseQuboFlags(const std::vector<std::string>& args,
   AddOptionFlags(serve::kJoinOptions, &own);
   QOPT_ASSIGN_OR_RETURN(FlagMap flags, ParseFlags(args, 4, own));
   QOPT_ASSIGN_OR_RETURN(const serve::SolveRequest request,
-                        ParseSolveFlags(flags, serve::SolveRequest()));
+                        ParseSolveFlags(flags));
   *encoder = request.join_encoder;
   return flags;
 }
@@ -526,12 +501,11 @@ int RunQasm(const std::vector<std::string>& args) {
   return kExitOk;
 }
 
-int Dispatch(const std::vector<std::string>& args,
-             const serve::SolveRequest& defaults) {
+int Dispatch(const std::vector<std::string>& args) {
   if (args.size() < 2) return Usage();
   const std::string& command = args[1];
   if (command == "generate") return RunGenerate(args);
-  if (command == "mqo" || command == "join") return RunSolve(args, defaults);
+  if (command == "mqo" || command == "join") return RunSolve(args);
   if (command == "estimate") return RunEstimate(args);
   if (command == "qasm") return RunQasm(args);
   std::fprintf(stderr, "qqo: error: unknown command \"%s\"\n",
@@ -570,12 +544,11 @@ int RunQqoCli(int argc, const char* const* argv) {
 
 int RunQqoCli(const std::vector<std::string>& args) {
   // Environment knobs are validated before any work runs: a typo in
-  // QQO_THREADS, QQO_FAULTS, QQO_DISPATCH or QQO_DECOMPOSE is
-  // command-line misuse (exit 2), never a silent fallback to defaults.
-  StatusOr<DispatchMode> env_dispatch = serve::CheckSolveEnvironment();
-  if (!env_dispatch.ok()) return Fail(kExitUsage, env_dispatch.status());
-  StatusOr<serve::SolveRequest> defaults = EnvDefaults(*env_dispatch);
-  if (!defaults.ok()) return Fail(kExitUsage, defaults.status());
+  // QQO_THREADS or QQO_FAULTS is command-line misuse (exit 2), never a
+  // silent fallback to defaults.
+  if (const Status env = serve::CheckSolveEnvironment(); !env.ok()) {
+    return Fail(kExitUsage, env);
+  }
 
   // The observability flags are global: strip them here so every
   // subcommand accepts them without widening its own allowlist.
@@ -612,7 +585,7 @@ int RunQqoCli(const std::vector<std::string>& args) {
     obs::Metrics::Instance().Enable();
   }
 
-  int code = Dispatch(rest, *defaults);
+  int code = Dispatch(rest);
 
   if (!trace_out.empty()) {
     obs::Tracer::Instance().Disable();
